@@ -11,6 +11,7 @@ curvature is certified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,10 +82,12 @@ def _as_tolerances(tol, m1):
 class MultishiftState:
     """Joint iteration state for all shifted systems.
 
-    Block arrays hold one entry (or one column) per shift; the Lanczos
-    vectors are shared.  ``step`` advances every still-running shift by one
-    CG update at the cost of one operator product.  Blocks of shifts that
-    converged, were flagged indefinite or hit the cap are frozen.
+    Per-shift scalars are (m+1,) arrays; the iterate and direction blocks
+    ``x`` and ``p`` are stored shift-major as (m+1, n) C-contiguous arrays,
+    one row per shift, so a shift's vector is contiguous in memory.  The
+    Lanczos vectors are shared.  ``step`` advances every still-running shift
+    by one CG update at the cost of one operator product.  Rows of shifts
+    that converged, were flagged indefinite or hit the cap are frozen.
     """
 
     def __init__(self, apply_op, b, grid: ShiftGrid, tol, max_iter,
@@ -101,26 +104,11 @@ class MultishiftState:
         self._callback = callback
 
         beta0 = float(np.linalg.norm(b))
-        self.b_norm = beta0
         self.v = b / beta0
         self.v_prev = np.zeros(n)
         self.beta = 0.0                       # multiplies v_{j-1}; unused at j=0
-        self.x = np.zeros((n, m1))
-        self.p = np.tile(b[:, None], (1, m1))
-        self.sigma = np.full(m1, beta0)       # signed; |sigma_j| = ||r_j||
-        self.sigma_prev = self.sigma.copy()
-        self.omega = np.zeros(m1)
-        self.gamma = np.ones(m1)
-        self.pi = np.full(m1, beta0 ** 2)     # ||p_j||^2 recurrence
-        self.delta = 0.0
-        self.delta_shifted = np.zeros(m1)
-        self.denom = np.zeros(m1)             # last CG pivot delta+lam-omega/gamma
-        self.status = np.full(m1, RUNNING, dtype="<U16")
-        self.iterations = np.zeros(m1, dtype=int)
-        self.j = -1
+        _init_shift_block(self, b, beta0)
         self.operator_products = 0
-        self.breakdown = False
-        self.done = False
         self.q = self._product(self.v)
 
     def _product(self, w):
@@ -145,57 +133,91 @@ class MultishiftState:
         breakdown = beta_next <= _EPS * (1.0 + float(np.linalg.norm(q)))
         v_next = None if breakdown else w / beta_next
 
-        running = self.status == RUNNING
-        self.delta = delta
-        self.delta_shifted[running] = delta + self.lambdas[running]
-        self.denom[running] = (self.delta_shifted[running]
-                               - self.omega[running] / self.gamma[running])
-        self.sigma_prev[running] = self.sigma[running]
-
-        # Nonpositive pivot certifies p'(M + lam I)p <= 0 for that shift:
-        # interrupt before dividing, keeping the last iterate for diagnostics.
-        flagged = running & (self.denom <= 0.0)
-        self.status[flagged] = INDEFINITE
-        act = running & ~flagged
-
-        if np.any(act):
-            g = 1.0 / self.denom[act]
-            self.gamma[act] = g
-            om = (beta_next * g) ** 2
-            self.x[:, act] += self.p[:, act] * g
-            sig = -beta_next * g * self.sigma[act]
-            self.sigma[act] = sig
-            self.pi[act] = sig ** 2 + om ** 2 * self.pi[act]
-            if breakdown:
-                self.p[:, act] *= om
-            else:
-                self.p[:, act] = v_next[:, None] * sig + om * self.p[:, act]
-            self.omega[act] = om
-            self.iterations[act] = j + 1
-            conv = act.copy()
-            conv[act] = np.abs(sig) <= self.tol[act]
-            self.status[conv] = CONVERGED
-
-        self.j = j
-        if breakdown:
-            # Krylov space exhausted: remaining systems are solved exactly
-            # within it, so finalize them as converged.
-            self.breakdown = True
-            self.status[self.status == RUNNING] = CONVERGED
-            self.done = True
-        elif j + 1 >= self.max_iter:
-            self.status[self.status == RUNNING] = CAPPED
-            self.done = True
-        else:
+        # Nonpositive pivot certifies p'(M + lam I)p <= 0 for that shift.
+        if _shift_block_step(self, j, delta, beta_next, v_next, breakdown,
+                             INDEFINITE):
             self.v_prev = v
             self.v = v_next
             self.beta = beta_next
             self.q = self._product(v_next)
-            if not np.any(self.status == RUNNING):
-                self.done = True
 
         if self._callback is not None:
             self._callback(j, np.abs(self.sigma), tuple(self.status))
+
+
+def _init_shift_block(state, rhs, beta0):
+    """Per-shift recurrence state of a joint solve with right-hand side rhs."""
+    m1 = state.lambdas.size
+    state.x = np.zeros((m1, rhs.size))
+    state.p = np.tile(rhs, (m1, 1))
+    state.sigma = np.full(m1, beta0)      # signed; |sigma_j| = ||r_j||
+    state.sigma_prev = state.sigma.copy()
+    state.omega = np.zeros(m1)
+    state.gamma = np.ones(m1)
+    state.denom = np.zeros(m1)            # last CG pivot delta+lam-omega/gamma
+    state.status = np.full(m1, RUNNING, dtype="<U16")
+    state.iterations = np.zeros(m1, dtype=int)
+    state.j = -1
+    state.breakdown = False
+    state.done = False
+
+
+def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
+                      pivot_status):
+    """Advance every running shift by one CG update from Lanczos pass j.
+
+    ``delta`` and ``beta_next`` are the Lanczos coefficients of the pass and
+    ``v_next`` the next Lanczos vector (``None`` on breakdown).  A running
+    shift whose pivot is nonpositive is frozen with ``pivot_status`` before
+    dividing, keeping its last iterate.  The running shifts' rows of ``x``
+    and ``p`` are updated as one row slice when they are contiguous, and
+    through a row index otherwise.  Returns True when the solve goes on, so
+    the caller must advance its Lanczos source; ``state.done`` then tells
+    whether any shift still runs.
+    """
+    running = state.status == RUNNING
+    state.denom[running] = (delta + state.lambdas[running]
+                            - state.omega[running] / state.gamma[running])
+    state.sigma_prev[running] = state.sigma[running]
+    state.status[running & (state.denom <= 0.0)] = pivot_status
+
+    act = np.flatnonzero(state.status == RUNNING)
+    if act.size:
+        g = 1.0 / state.denom[act]
+        state.gamma[act] = g
+        om = (beta_next * g) ** 2
+        sig = -beta_next * g * state.sigma[act]
+        state.sigma[act] = sig
+        # A row slice is a view updated in place; a row index gathers
+        # copies of whole rows, written back below.
+        contiguous = act[-1] + 1 - act[0] == act.size
+        rows = slice(act[0], act[-1] + 1) if contiguous else act
+        x, p = state.x[rows], state.p[rows]
+        x += p * g[:, None]
+        p *= om[:, None]
+        if not breakdown:
+            p += sig[:, None] * v_next
+        if not contiguous:
+            state.x[rows] = x
+            state.p[rows] = p
+        state.omega[act] = om
+        state.iterations[act] = j + 1
+        state.status[act[np.abs(sig) <= state.tol[act]]] = CONVERGED
+
+    state.j = j
+    if breakdown:
+        # Krylov space exhausted: remaining systems are solved exactly
+        # within it, so finalize them as converged.
+        state.breakdown = True
+        state.status[state.status == RUNNING] = CONVERGED
+        state.done = True
+        return False
+    if j + 1 >= state.max_iter:
+        state.status[state.status == RUNNING] = CAPPED
+        state.done = True
+        return False
+    state.done = not np.any(state.status == RUNNING)
+    return True
 
 
 def curvature_certificate(state: MultishiftState, i: int) -> float:
@@ -214,7 +236,9 @@ class MultishiftSolution:
     """Per-shift directions and diagnostics of one multishift solve."""
 
     lambdas: np.ndarray
-    directions: np.ndarray          # shape (n, m+1), one column per shift
+    # (n, m+1), one column per shift; after a solve, the transposed view of
+    # the solver's shift-major (m+1, n) x block, not a copy
+    directions: np.ndarray
     residual_norms: np.ndarray      # |sigma| at freeze time
     statuses: tuple
     iterations: np.ndarray
@@ -225,8 +249,9 @@ class MultishiftSolution:
     def direction(self, i) -> np.ndarray:
         return self.directions[:, i].copy()
 
-    @property
+    @cached_property
     def step_norms(self) -> np.ndarray:
+        """Per-shift ||d||, computed on first use and kept."""
         return np.linalg.norm(self.directions, axis=0)
 
     def usable(self, i) -> bool:
@@ -237,10 +262,11 @@ class MultishiftSolution:
                 and self.residual_norms[i] <= self.tolerances[i])
 
 
-def _solution(state: MultishiftState) -> MultishiftSolution:
+def _solution(state) -> MultishiftSolution:
+    """Package a finished joint solve; the directions view its x block."""
     return MultishiftSolution(
         lambdas=state.lambdas.copy(),
-        directions=state.x.copy(),
+        directions=state.x.T,
         residual_norms=np.abs(state.sigma),
         statuses=tuple(state.status),
         iterations=state.iterations.copy(),
@@ -276,7 +302,7 @@ def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,
     if np.linalg.norm(b) == 0.0:
         return MultishiftSolution(
             lambdas=grid.lambdas.copy(),
-            directions=np.zeros((b.size, m1)),
+            directions=np.zeros((m1, b.size)).T,
             residual_norms=np.zeros(m1),
             statuses=(CONVERGED,) * m1,
             iterations=np.zeros(m1, dtype=int),

@@ -11,79 +11,61 @@ from __future__ import annotations
 
 import numpy as np
 
-from .shifted_cg import (CAPPED, CONVERGED, RUNNING, MultishiftSolution,
-                         ShiftGrid, _as_tolerances, _EPS)
+from .shifted_cg import (CAPPED, CONVERGED, MultishiftSolution, ShiftGrid,
+                         _as_tolerances, _EPS, _init_shift_block,
+                         _shift_block_step, _solution)
 
 
 class CglsState:
     """Joint iteration state of the shifted CGLS recurrences.
 
-    The CG-side block arrays are as in the plain multishift solver; the
-    Lanczos plumbing runs through auxiliary row-space vectors u_j, with one
-    product by A and one by A' per joint iteration.
+    The per-shift arrays and the shift-major (m+1, n) ``x``/``p`` blocks are
+    those of the plain multishift solver and go through the same shift-block
+    update; only the Lanczos source differs.  It runs through auxiliary
+    row-space vectors u_j, with one product by A and one by A' per joint
+    iteration.
     """
 
     def __init__(self, apply_A, apply_At, b, grid: ShiftGrid, tol, max_iter,
-                 callback=None, track_residual=False):
+                 callback=None):
         b = np.asarray(b, dtype=float)
-        m1 = len(grid)
         self.lambdas = grid.lambdas
-        self.tol = _as_tolerances(tol, m1)
+        self.tol = _as_tolerances(tol, len(grid))
         self._apply_A = apply_A
         self._apply_At = apply_At
         self._callback = callback
-        self.a_products = 0
-        self.at_products = 0
+        self.operator_products = 0           # products with A
 
         u = b.copy()
         atb = self._tprod(u)
-        beta0 = float(np.linalg.norm(atb))
-        self.b_norm = beta0                 # norm of the normal-equations rhs
+        beta0 = float(np.linalg.norm(atb))  # norm of the normal-equations rhs
         n = atb.size
         self.max_iter = int(2 * n if max_iter is None else max_iter)
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        self.x = np.zeros((n, m1))
-        self.sigma = np.full(m1, beta0)
-        self.sigma_prev = self.sigma.copy()
-        self.omega = np.zeros(m1)
-        self.gamma = np.ones(m1)
-        self.pi = np.full(m1, beta0 ** 2)
-        self.delta = 0.0
-        self.delta_shifted = np.zeros(m1)
-        self.denom = np.zeros(m1)
-        self.iterations = np.zeros(m1, dtype=int)
-        self.track_residual = bool(track_residual)
-        self.ls_residual_norms = (np.full(m1, float(np.linalg.norm(b)))
-                                  if track_residual else None)
-        self.j = -1
-        self.breakdown = False
+        _init_shift_block(self, atb, beta0)
         if beta0 == 0.0:
             # A'b = 0: the zero vector solves every shifted system.
-            self.status = np.full(m1, CONVERGED, dtype="<U16")
+            self.status[:] = CONVERGED
             self.done = True
             return
         self.v = atb / beta0
         self.u = u / beta0
         self.u_prev = np.zeros(b.size)
         self.beta = beta0                   # multiplies u_{j-1}; unused at j=0
-        self.p = np.tile(atb[:, None], (1, m1))
-        self.status = np.full(m1, RUNNING, dtype="<U16")
-        self.done = False
         self.q = self._prod(self.v)         # u-tilde for the first pass
 
     def _prod(self, w):
         out = np.asarray(self._apply_A(w), dtype=float)
         if not np.all(np.isfinite(out)):
             raise ValueError("operator A returned non-finite values")
-        self.a_products += 1
+        self.operator_products += 1
         return out
 
     def _tprod(self, w):
         out = np.asarray(self._apply_At(w), dtype=float)
         if not np.all(np.isfinite(out)):
             raise ValueError("operator A' returned non-finite values")
-        self.at_products += 1
         return out
 
     def step(self):
@@ -100,94 +82,36 @@ class CglsState:
         atu = self._tprod(u_next)
         beta_next = float(np.linalg.norm(atu))
         breakdown = beta_next <= _EPS * (1.0 + delta)
-        if not breakdown:
-            v_next = atu / beta_next
-            u_next = u_next / beta_next
-
-        running = self.status == RUNNING
-        self.delta = delta
-        self.delta_shifted[running] = delta + self.lambdas[running]
-        self.denom[running] = (self.delta_shifted[running]
-                               - self.omega[running] / self.gamma[running])
-        self.sigma_prev[running] = self.sigma[running]
+        v_next = None if breakdown else atu / beta_next
 
         # The Gram operator is positive semidefinite; a nonpositive pivot can
         # only be a rounding artifact, so freeze that shift instead of
         # reporting indefiniteness.
-        stalled = running & (self.denom <= 0.0)
-        self.status[stalled] = CAPPED
-        act = running & ~stalled
-
-        if np.any(act):
-            g = 1.0 / self.denom[act]
-            self.gamma[act] = g
-            om = (beta_next * g) ** 2
-            self.x[:, act] += self.p[:, act] * g
-            sig = -beta_next * g * self.sigma[act]
-            self.sigma[act] = sig
-            self.pi[act] = sig ** 2 + om ** 2 * self.pi[act]
-            if breakdown:
-                self.p[:, act] *= om
-            else:
-                self.p[:, act] = v_next[:, None] * sig + om * self.p[:, act]
-            self.omega[act] = om
-            self.iterations[act] = j + 1
-            if self.track_residual and not breakdown:
-                # Recurred estimate sigma*u of the data-space residual; its
-                # norm is formed explicitly because the u_j are not orthogonal.
-                self.ls_residual_norms[act] = np.abs(sig) * float(np.linalg.norm(u_next))
-            conv = act.copy()
-            conv[act] = np.abs(sig) <= self.tol[act]
-            self.status[conv] = CONVERGED
-
-        self.j = j
-        if breakdown:
-            self.breakdown = True
-            self.status[self.status == RUNNING] = CONVERGED
-            self.done = True
-        elif j + 1 >= self.max_iter:
-            self.status[self.status == RUNNING] = CAPPED
-            self.done = True
-        else:
+        if _shift_block_step(self, j, delta, beta_next, v_next, breakdown,
+                             CAPPED):
             self.u_prev = self.u
-            self.u = u_next
+            self.u = u_next / beta_next
             self.v = v_next
             self.beta = beta_next
             self.q = self._prod(v_next)
-            if not np.any(self.status == RUNNING):
-                self.done = True
 
         if self._callback is not None:
             self._callback(j, np.abs(self.sigma), tuple(self.status))
 
 
 def multishift_cgls(apply_A, apply_At, b, grid: ShiftGrid, tol=1e-8,
-                    max_iter=None, callback=None,
-                    track_residual=False) -> MultishiftSolution:
+                    max_iter=None, callback=None) -> MultishiftSolution:
     """Solve (A'A + lambda_i I) x = A'b for every shift of the grid.
 
     ``apply_A`` maps length-n vectors to length-m vectors and ``apply_At``
     must be its adjoint (validated by the problem-level adjoint check, not
-    here).  Each joint iteration costs one product with A and one with A'.
-    Convergence is gated on the shifted-system residual
-    ||A'b - (A'A + lambda_i I) x||, whose norm is recurred as |sigma|.
+    here).  Each joint iteration costs one product with A and one with A';
+    ``operator_products`` counts the products with A.  Convergence is gated
+    on the shifted-system residual ||A'b - (A'A + lambda_i I) x||, whose
+    norm is recurred as |sigma|.
     """
-    b = np.asarray(b, dtype=float)
     state = CglsState(apply_A, apply_At, b, grid, tol, max_iter,
-                      callback=callback, track_residual=track_residual)
+                      callback=callback)
     while not state.done:
         state.step()
-    sol = MultishiftSolution(
-        lambdas=state.lambdas.copy(),
-        directions=state.x.copy(),
-        residual_norms=np.abs(state.sigma),
-        statuses=tuple(state.status),
-        iterations=state.iterations.copy(),
-        tolerances=state.tol.copy(),
-        operator_products=state.a_products,
-        total_iterations=state.j + 1)
-    sol.a_products = state.a_products
-    sol.at_products = state.at_products
-    if track_residual:
-        sol.ls_residual_norms = state.ls_residual_norms.copy()
-    return sol
+    return _solution(state)

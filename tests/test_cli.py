@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import arcqk
 from arcqk.cli import main
 
 
@@ -108,8 +111,11 @@ class TestCheck:
 
 
 def test_module_entry_point():
+    # the child imports the same arcqk as the tests, installed or not
+    src = str(Path(arcqk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "arcqk", "solve", "--problem", "sphere"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "status: success" in proc.stdout

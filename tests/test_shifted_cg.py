@@ -159,7 +159,7 @@ class TestCountingContracts:
 
 
 class TestRecurrenceInvariants:
-    def test_sigma_matches_residual_and_pi_matches_p(self):
+    def test_sigma_matches_residual(self):
         rng = np.random.default_rng(10)
         n = 15
         M = random_spd(n, rng)
@@ -171,12 +171,9 @@ class TestRecurrenceInvariants:
             for i, lam in enumerate(grid.lambdas):
                 if state.status[i] not in ("running", CONVERGED):
                     continue
-                r = b - (M + lam * np.eye(n)) @ state.x[:, i]
+                r = b - (M + lam * np.eye(n)) @ state.x[i]
                 assert abs(abs(state.sigma[i]) - np.linalg.norm(r)) <= \
                     1e-8 * np.linalg.norm(b)
-                if state.status[i] == "running":
-                    pn2 = np.linalg.norm(state.p[:, i]) ** 2
-                    assert abs(state.pi[i] - pn2) <= 1e-8 * max(1.0, pn2)
 
     def test_lanczos_vectors_orthonormal(self):
         # uniform spectrum so no Ritz pair converges within 30 iterations
@@ -208,14 +205,43 @@ class TestRecurrenceInvariants:
             state.step()
             for i in range(2):
                 if state.status[i] == CONVERGED and i not in frozen:
-                    frozen[i] = (state.x[:, i].copy(), state.sigma[i],
+                    frozen[i] = (state.x[i].copy(), state.sigma[i],
                                  state.iterations[i])
                 elif i in frozen:
                     x, sig, it = frozen[i]
-                    assert_allclose(state.x[:, i], x)
+                    assert_allclose(state.x[i], x)
                     assert state.sigma[i] == sig
                     assert state.iterations[i] == it
         assert 1 in frozen
+
+    def test_frozen_middle_shift_between_running_ones(self):
+        # the loose middle tolerance freezes shift 1 while shifts 0 and 2
+        # still run, so their rows are updated through a row index
+        rng = np.random.default_rng(16)
+        n = 20
+        M = random_spd(n, rng)
+        b = 10.0 * rng.standard_normal(n)
+        grid = ShiftGrid([0.1, 1.0, 10.0])
+        state = MultishiftState(lambda v: M @ v, b, grid,
+                                [1e-12, 1.0, 1e-12], 2 * n)
+        frozen = None
+        split_steps = 0
+        while not state.done:
+            state.step()
+            if frozen is None and state.status[1] == CONVERGED:
+                frozen = (state.x[1].copy(), state.sigma[1], state.iterations[1])
+            elif frozen is not None:
+                x, sig, it = frozen
+                assert np.array_equal(state.x[1], x)
+                assert state.sigma[1] == sig
+                assert state.iterations[1] == it
+            split_steps += tuple(state.status) == ("running", CONVERGED,
+                                                   "running")
+        assert split_steps > 0
+        for i in (0, 2):
+            assert state.status[i] == CONVERGED
+            exact = np.linalg.solve(M + grid[i] * np.eye(n), b)
+            assert_allclose(state.x[i], exact, rtol=1e-9)
 
     def test_step_norms_monotone_in_shift(self):
         rng = np.random.default_rng(13)
@@ -273,7 +299,7 @@ class TestCurvatureCertificate:
         b = rng.standard_normal(n)
         state = MultishiftState(lambda v: M @ v, b, ShiftGrid([lam]), 0.0, n)
         while not state.done:
-            p = state.p[:, 0].copy()
+            p = state.p[0].copy()
             active = state.status[0] == "running"
             state.step()
             if not active:
