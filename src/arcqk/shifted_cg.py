@@ -171,9 +171,9 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
     shift whose pivot is nonpositive is frozen with ``pivot_status`` before
     dividing, keeping its last iterate.  The running shifts' rows of ``x``
     and ``p`` are updated as one row slice when they are contiguous, and
-    through a row index otherwise.  Returns True when the solve goes on, so
-    the caller must advance its Lanczos source; ``state.done`` then tells
-    whether any shift still runs.
+    through a row index otherwise.  Returns True when some shift still runs,
+    so the caller must advance its Lanczos source and form the next product;
+    once every shift has frozen no further product is needed.
     """
     running = state.status == RUNNING
     state.denom[running] = (delta + state.lambdas[running]
@@ -217,7 +217,7 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
         state.done = True
         return False
     state.done = not np.any(state.status == RUNNING)
-    return True
+    return not state.done
 
 
 def curvature_certificate(state: MultishiftState, i: int) -> float:

@@ -2,18 +2,13 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arc import (STATUS_MAX_ITER, STATUS_RUNNING, STATUS_STATIONARY,
-                  STATUS_TIME, STATUS_UNBOUNDED, SolverParams,
-                  inner_tolerance, stationarity_threshold)
+from .arc import (STATUS_RUNNING, SolverParams, _outer_loop,
+                  _positive_finite, _ratio, _SmoothDriver, inner_tolerance)
 from .problems import SmoothProblem
-from .records import BenchRecord, record_status
-
-_EPS = float(np.finfo(float).eps)
 
 EXIT_INTERIOR = "interior"
 EXIT_BOUNDARY = "boundary"
@@ -29,8 +24,7 @@ class TrParams(SolverParams):
 
     def __post_init__(self):
         self.validate()
-        if self.delta0 <= 0:
-            raise ValueError("delta0 must be positive")
+        _positive_finite("delta0", self.delta0)
 
 
 @dataclass
@@ -137,84 +131,31 @@ def st_minimize(problem: SmoothProblem, params: TrParams = None,
                 callback=None):
     """Classical trust-region loop; returns ``(TrState, BenchRecord)``.
 
-    Uses the same acceptance thresholds, inner accuracy rule and stopping
-    test as the cubic-regularization solver so the two are comparable.
+    Runs the cubic-regularization solver's outer loop with a truncated-CG
+    step and a radius update in place of the multishift step and the alpha
+    update, so the stopping test, inner accuracy rule and acceptance
+    thresholds are the same code.
     """
     params = TrParams() if params is None else params
-    t0 = time.perf_counter()
-    counters0 = problem.counters.snapshot()
-    x = problem.x0.copy()
-    state = TrState(x=x, delta=params.delta0)
+    state = TrState(x=problem.x0.copy(), delta=params.delta0)
 
-    f = problem.eval_f(x)
-    g = problem.eval_grad(x)
-    if not (np.isfinite(f) and np.all(np.isfinite(g))):
-        raise ValueError(f"{problem.name}: non-finite objective or gradient "
-                         "at the start point")
-    state.g0_norm = float(np.linalg.norm(g))
-    threshold = stationarity_threshold(state.g0_norm, params)
-
-    while True:
-        gnorm = float(np.linalg.norm(g))
-        state.f_val, state.grad_norm, state.x = f, gnorm, x
-        if gnorm <= threshold:
-            state.status = STATUS_STATIONARY
-            break
-        if state.k >= params.max_outer_iter:
-            state.status = STATUS_MAX_ITER
-            break
-        if (params.time_budget is not None
-                and time.perf_counter() - t0 > params.time_budget):
-            state.status = STATUS_TIME
-            break
-
-        tol = inner_tolerance(gnorm, params.zeta)
+    def propose(x, f, g, gnorm):
         res = truncated_cg(lambda w: problem.eval_hvp(x, w), g, state.delta,
-                           tol)
+                           inner_tolerance(gnorm, params.zeta))
         d = res.d
         delta_q = -float(g @ d) - 0.5 * float(d @ res.hd)
-        degenerate = delta_q <= 64.0 * _EPS * (1.0 + abs(f))
-        if degenerate:
-            rho, f_trial = -np.inf, None
-        else:
-            f_trial = problem.eval_f(x + d)
-            if np.isnan(f_trial) or f_trial == -np.inf:
-                state.status = STATUS_UNBOUNDED
-                state.k += 1
-                break
-            rho = (f - f_trial) / delta_q
-        success = not degenerate and rho >= params.eta1
-
-        rec = TrTraceRecord(
+        ev = _ratio(f, delta_q, lambda: (problem.eval_f(x + d), None))
+        return d, ev, TrTraceRecord(
             k=state.k, delta=state.delta, step_norm=float(np.linalg.norm(d)),
-            rho=rho, success=success, exit=res.exit, delta_q=delta_q,
-            f_before=f, grad_norm=gnorm, inner_iterations=res.iterations,
-            step=d)
-        state.trace.append(rec)
-        state.k += 1
-        if callback is not None:
-            callback(rec, state)
+            rho=ev.rho, success=False,  # set by the outer loop
+            exit=res.exit, delta_q=delta_q, f_before=f, grad_norm=gnorm,
+            inner_iterations=res.iterations, step=d)
 
-        if success:
-            x = x + d
-            f = f_trial
-            g = problem.eval_grad(x)
-            if not np.all(np.isfinite(g)):
-                raise ValueError(f"{problem.name}: gradient became "
-                                 "non-finite after an accepted step")
-            if rho > params.eta2:
-                state.delta = params.gamma2 * state.delta
-        else:
+    def update(success, rho):
+        if not success:
             state.delta = params.gamma1 * state.delta
+        elif rho > params.eta2:
+            state.delta = params.gamma2 * state.delta
 
-    state.elapsed_seconds = time.perf_counter() - t0
-    counters = problem.counters.snapshot()
-    record = BenchRecord(
-        name=problem.name, nvar=problem.n,
-        f=state.f_val, grad_norm=state.grad_norm, iter=state.k,
-        neval_f=counters["neval_f"] - counters0["neval_f"],
-        neval_grad=counters["neval_grad"] - counters0["neval_grad"],
-        neval_hvp=counters["neval_hvp"] - counters0["neval_hvp"],
-        elapsed_seconds=state.elapsed_seconds,
-        status=record_status(state.status))
-    return state, record
+    return _outer_loop(problem, _SmoothDriver(problem, params), params, state,
+                       propose, update, callback)

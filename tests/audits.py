@@ -5,6 +5,10 @@ import numpy as np
 from arcqk.problems import LeastSquaresProblem
 from arcqk.arc import per_shift_tolerance
 
+# statuses that may end a run whose last trial was rejected
+TERMINAL_AFTER_FAILURE = ("grid_exhausted", "max_iter", "time_exceeded",
+                          "unbounded_below")
+
 
 def replay_iterates(problem, state):
     """Reconstruct the iterate x_k at the start of every recorded trial."""
@@ -87,9 +91,28 @@ def audit_alpha_dynamics(state, params):
                 bad.append(f"k={prev.k}: failed trial alpha {prev.alpha} -> "
                            f"{nxt.alpha} above gamma1 bound")
     if trace and not trace[-1].success:
-        if state.status not in ("grid_exhausted", "max_iter", "time_exceeded",
-                                "unbounded_below"):
+        if state.status not in TERMINAL_AFTER_FAILURE:
             bad.append("run ends on a failed trial without a terminal status")
+    return bad
+
+
+def audit_trace_contract(state, record):
+    """Check the trace bookkeeping both solvers share.
+
+    Every trial, including one that ends the run, is recorded once and
+    counted once: ``record.iter == state.k == len(state.trace)`` with trace
+    indices 0..k-1, and a run whose last trial failed ends with a terminal
+    status.
+    """
+    bad = []
+    if not record.iter == state.k == len(state.trace):
+        bad.append(f"record.iter {record.iter}, state.k {state.k} and "
+                   f"{len(state.trace)} trace entries disagree")
+    if [rec.k for rec in state.trace] != list(range(len(state.trace))):
+        bad.append("trace indices do not run 0..k-1")
+    if state.trace and not state.trace[-1].success:
+        if state.status not in TERMINAL_AFTER_FAILURE:
+            bad.append(f"last trial failed but the run ends {state.status}")
     return bad
 
 

@@ -18,7 +18,7 @@ from arcqk.shifted_cgls import multishift_cgls
 from arcqk.steihaug import TrParams, st_minimize, truncated_cg
 
 from audits import (accepted_gradient_path, audit_accepted_steps,
-                    audit_alpha_dynamics)
+                    audit_alpha_dynamics, audit_trace_contract)
 
 ARC_PARAMS = ArcParams()
 # the baseline carries no iteration criterion of its own; give it room on
@@ -96,11 +96,11 @@ def test_criterion_02_single_product_guarantee():
             return M @ v
 
         sol = multishift_cg(op, b, ShiftGrid(lams), tol=1e-9)
-        ok &= calls["n"] == int(np.max(sol.iterations)) + 1
+        ok &= calls["n"] == int(np.max(sol.iterations))
         ok &= calls["n"] == sol.operator_products
         counts[size] = calls["n"]
     ok &= counts[1] == counts[3] == counts[31]
-    _report(2, ok, f"operator products = max iterations + 1; counts across "
+    _report(2, ok, f"operator products = max iterations; counts across "
                    f"grid sizes 1/3/31: {counts[1]}/{counts[3]}/{counts[31]}")
 
 
@@ -323,3 +323,12 @@ def test_criterion_12_gauss_newton_path(arc_runs):
             "linear least squares hits the oracle in <= 3 iterations and "
             "zero-residual fits reach f <= 1e-12" +
             (f"; failures: {failures}" if failures else ""))
+
+
+def test_trace_contract_both_solvers(arc_runs, st_runs):
+    violations = []
+    for solver, runs in (("arcqk", arc_runs), ("st", st_runs)):
+        for name, (_, state, record) in runs.items():
+            violations += [f"{solver}/{name}: {v}"
+                           for v in audit_trace_contract(state, record)]
+    assert violations == []

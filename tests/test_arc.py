@@ -1,9 +1,11 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import arcqk.arc as arc_mod
 from arcqk.arc import (AllShiftsIndefinite, ArcParams, GridExhausted,
                        acceptance_ratio, advance_shift_on_failure,
                        arcqk_minimize, arcqk_minimize_gauss_newton,
@@ -14,7 +16,7 @@ from arcqk.problems import (SmoothProblem, make_diagquad, make_himmelblau,
 from arcqk.shifted_cg import ShiftGrid, multishift_cg
 
 from audits import (accepted_gradient_path, audit_accepted_steps,
-                    audit_alpha_dynamics)
+                    audit_alpha_dynamics, audit_trace_contract)
 
 
 def seeded_sphere(n=5, seed=42):
@@ -57,6 +59,10 @@ class TestParams:
         {"eta1": 0.8, "eta2": 0.5}, {"eta1": 0.0}, {"eta2": 1.0},
         {"gamma1": 1.5}, {"gamma2": 0.5}, {"zeta": 0.0}, {"zeta": 1.5},
         {"alpha0": -1.0}, {"max_outer_iter": 0}, {"time_budget": -1.0},
+        {"eps_abs": np.nan}, {"eps_rel": np.nan}, {"time_budget": np.nan},
+        {"alpha0": np.nan}, {"alpha0": np.inf}, {"xi": np.nan},
+        {"xi": np.inf}, {"max_outer_iter": 2.5},
+        {"grid": 5}, {"gamma2": np.inf},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -267,6 +273,7 @@ class TestArcMinimize:
         st, rec = arcqk_minimize(p)
         assert st.status == "unbounded_below"
         assert rec.status == "other"
+        assert audit_trace_contract(st, rec) == []
 
     def test_too_indefinite_when_hessian_outgrows_grid(self):
         # the Hessian of -exp(|x|^2) eventually has negative eigenvalues
@@ -298,6 +305,26 @@ class TestArcMinimize:
         st, rec = arcqk_minimize(slow, ArcParams(time_budget=0.01))
         assert st.status == "time_exceeded"
         assert rec.status == "time_exceeded"
+
+    def test_time_budget_checked_after_rejected_trial(self, monkeypatch):
+        # the clock jumps past the budget during the first rejected trial, so
+        # the run must stop before the shift walk makes another trial
+        offset = [0.0]
+        real = time.perf_counter
+        monkeypatch.setattr(arc_mod, "time", SimpleNamespace(
+            perf_counter=lambda: real() + offset[0]))
+
+        def jump_on_rejection(rec, state):
+            if not rec.success:
+                offset[0] = 1e6
+
+        st, rec = arcqk_minimize(make_rosenbrock(),
+                                 ArcParams(time_budget=1e3),
+                                 callback=jump_on_rejection)
+        assert st.status == rec.status == "time_exceeded"
+        assert [r.success for r in st.trace].count(False) == 1
+        assert not st.trace[-1].success
+        assert audit_trace_contract(st, rec) == []
 
     def test_max_iter(self):
         st, _ = arcqk_minimize(make_rosenbrock(), ArcParams(max_outer_iter=3))

@@ -46,6 +46,9 @@ class TestSolve:
         assert run_cli("solve", "--problem", "sphere",
                        "--param", "bogus=1") == 2
         assert "unknown parameter" in capsys.readouterr().err
+        assert run_cli("solve", "--problem", "sphere",
+                       "--param", "grid=5") == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_least_squares_dispatch(self, capsys):
         assert run_cli("solve", "--problem", "expfitls") == 0

@@ -8,6 +8,8 @@ from arcqk.steihaug import (EXIT_BOUNDARY, EXIT_CAPPED, EXIT_INTERIOR,
                             EXIT_NEGATIVE_CURVATURE, TrParams, st_minimize,
                             truncated_cg)
 
+from audits import audit_trace_contract
+
 
 class TestTruncatedCg:
     def test_interior_newton_step(self):
@@ -138,12 +140,18 @@ class TestStMinimize:
                           grad=lambda x: -x, hvp=lambda x, v: -v)
         st, rec = st_minimize(p)
         assert st.status == "unbounded_below"
+        assert audit_trace_contract(st, rec) == []
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
             TrParams(delta0=0.0)
         with pytest.raises(ValueError):
             TrParams(eta1=0.9, eta2=0.5)
+        for kwargs in ({"delta0": np.nan}, {"delta0": np.inf},
+                       {"eps_abs": np.nan}, {"time_budget": np.nan},
+                       {"max_outer_iter": 2.5}, {"gamma2": np.inf}):
+            with pytest.raises(ValueError):
+                TrParams(**kwargs)
 
     def test_same_result_schema_as_arc(self):
         from arcqk.records import BENCH_FIELDS
