@@ -20,22 +20,20 @@ PROFILE_METRICS = ("time", "neval_f", "neval_grad", "neval_hvp",
                    "neval_f_plus_3g")
 
 
-def _filter_kwargs(cls, overrides):
-    if not overrides:
-        return {}
-    names = set(cls.__dataclass_fields__)
-    bad = set(overrides) - names
+def _build_params(cls, time_budget, overrides):
+    """Solver parameters from the overrides; a bad name or value raises."""
+    kwargs = dict(overrides or {})
+    bad = set(kwargs) - set(cls.__dataclass_fields__)
     if bad:
         raise ValueError(f"unknown parameter(s) for {cls.__name__}: "
                          f"{', '.join(sorted(bad))}")
-    return dict(overrides)
+    kwargs.setdefault("time_budget", time_budget)
+    return cls(**kwargs)
 
 
 def solve_arcqk(problem, time_budget=None, overrides=None):
     """Run the cubic-regularization solver on one problem instance."""
-    kwargs = _filter_kwargs(ArcParams, overrides)
-    kwargs.setdefault("time_budget", time_budget)
-    params = ArcParams(**kwargs)
+    params = _build_params(ArcParams, time_budget, overrides)
     if isinstance(problem, LeastSquaresProblem):
         _, record = arcqk_minimize_gauss_newton(problem, params)
     else:
@@ -45,9 +43,7 @@ def solve_arcqk(problem, time_budget=None, overrides=None):
 
 def solve_st(problem, time_budget=None, overrides=None):
     """Run the trust-region baseline on one problem instance."""
-    kwargs = _filter_kwargs(TrParams, overrides)
-    kwargs.setdefault("time_budget", time_budget)
-    params = TrParams(**kwargs)
+    params = _build_params(TrParams, time_budget, overrides)
     if isinstance(problem, LeastSquaresProblem):
         problem = problem.as_smooth()
     _, record = st_minimize(problem, params)
@@ -55,6 +51,7 @@ def solve_st(problem, time_budget=None, overrides=None):
 
 
 SOLVERS = {"arcqk": solve_arcqk, "st": solve_st}
+_PARAMS = {solve_arcqk: ArcParams, solve_st: TrParams}
 
 
 def _resolve_solvers(solvers):
@@ -76,11 +73,16 @@ def run_matrix(problems, solvers, budget_per_run=None, overrides=None):
 
     Returns ``{solver_id: [BenchRecord, ...]}`` with rows sorted by problem
     name.  A solver raising on one problem yields a record with status
-    ``exception`` and never aborts the rest of the matrix.
+    ``exception`` and never aborts the rest of the matrix.  The overrides
+    are checked against each built-in solver's parameters before the first
+    run, so a bad name or value raises ``ValueError`` instead.
     """
     if not problems or not solvers:
         raise ValueError("problems and solvers must be non-empty")
     resolved = _resolve_solvers(solvers)
+    for fn in resolved.values():
+        if fn in _PARAMS:
+            _build_params(_PARAMS[fn], budget_per_run, overrides)
     out = {name: [] for name in resolved}
     for problem in sorted(problems, key=lambda p: p.name):
         for name, fn in resolved.items():

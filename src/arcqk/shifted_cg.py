@@ -79,15 +79,45 @@ def _as_tolerances(tol, m1):
     return t
 
 
-class MultishiftState:
+class _ShiftBlock:
+    """Shift-major (m+1, n) iterate and direction blocks of a joint solve.
+
+    Every shifted iterate lies in the Krylov space of the shared Lanczos
+    vectors (the shift invariance of multishift Krylov solvers), so the
+    blocks are kept as flushed rows ``_X``, ``_P`` plus coefficients over a
+    window ``W`` of at most K = m+1 basis vectors::
+
+        x[i] = _X[i] + Y[i, 0] * _P[i] + Y[i, 1:kw+1] @ W[:kw]
+        p[i] =         C[i, 0] * _P[i] + C[i, 1:kw+1] @ W[:kw]
+
+    ``Y`` and ``C`` are (m+1, K+1); column 0 weighs a row's own ``_P``.  A
+    joint iteration updates only these coefficients and copies one vector
+    into the window, O(n) + O((m+1) K) work however many shifts run.
+    ``_X`` and ``_P`` are formed by one matrix product each when the window
+    is full, and ``_X`` alone when ``x`` is read; a solve that ends within
+    K iterations never forms ``_P`` and writes ``_X`` once.
+    """
+
+    @property
+    def x(self):
+        _form_x(self)
+        return self._X
+
+    @property
+    def p(self):
+        _flush(self)
+        return self._P
+
+
+class MultishiftState(_ShiftBlock):
     """Joint iteration state for all shifted systems.
 
     Per-shift scalars are (m+1,) arrays; the iterate and direction blocks
-    ``x`` and ``p`` are stored shift-major as (m+1, n) C-contiguous arrays,
-    one row per shift, so a shift's vector is contiguous in memory.  The
-    Lanczos vectors are shared.  ``step`` advances every still-running shift
-    by one CG update at the cost of one operator product.  Rows of shifts
-    that converged, were flagged indefinite or hit the cap are frozen.
+    ``x`` and ``p`` are shift-major (m+1, n), one row per shift, held as a
+    coefficient window over the shared Lanczos vectors (see
+    ``_ShiftBlock``).  ``step`` advances every still-running shift by one CG
+    update at the cost of one operator product.  Rows of shifts that
+    converged, were flagged indefinite or hit the cap are frozen.
     """
 
     def __init__(self, apply_op, b, grid: ShiftGrid, tol, max_iter,
@@ -148,8 +178,14 @@ class MultishiftState:
 def _init_shift_block(state, rhs, beta0):
     """Per-shift recurrence state of a joint solve with right-hand side rhs."""
     m1 = state.lambdas.size
-    state.x = np.zeros((m1, rhs.size))
-    state.p = np.tile(rhs, (m1, 1))
+    state.W = np.empty((m1, rhs.size))    # window of basis vectors
+    state.W[0] = rhs                      # p_0 = rhs for every shift
+    state.kw = 1                          # vectors in the window
+    state.Y = np.zeros((m1, m1 + 1))
+    state.C = np.zeros((m1, m1 + 1))      # C[:, 0] = 0: no _P yet
+    state.C[:, 1] = 1.0
+    state._X = None
+    state._P = None
     state.sigma = np.full(m1, beta0)      # signed; |sigma_j| = ||r_j||
     state.sigma_prev = state.sigma.copy()
     state.omega = np.zeros(m1)
@@ -162,6 +198,34 @@ def _init_shift_block(state, rhs, beta0):
     state.done = False
 
 
+def _form_x(state):
+    """Fold the window's x coefficients into ``_X``; the window stays."""
+    k = state.kw
+    yw = state.Y[:, 1:k + 1] @ state.W[:k]
+    if state._X is None:
+        state._X = yw                 # Y[:, 0] is zero while no _P exists
+    else:
+        state._X += yw
+        if state._P is not None:
+            state._X += np.multiply(state.Y[:, :1], state._P, out=yw)
+    state.Y[:] = 0.0
+
+
+def _flush(state):
+    """Form ``_X`` and ``_P`` from the window, then empty it."""
+    _form_x(state)
+    k = state.kw
+    cw = state.C[:, 1:k + 1] @ state.W[:k]
+    if state._P is None:
+        state._P = cw
+    else:
+        state._P *= state.C[:, :1]
+        state._P += cw
+    state.C[:] = 0.0
+    state.C[:, 0] = 1.0
+    state.kw = 0
+
+
 def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
                       pivot_status):
     """Advance every running shift by one CG update from Lanczos pass j.
@@ -169,9 +233,10 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
     ``delta`` and ``beta_next`` are the Lanczos coefficients of the pass and
     ``v_next`` the next Lanczos vector (``None`` on breakdown).  A running
     shift whose pivot is nonpositive is frozen with ``pivot_status`` before
-    dividing, keeping its last iterate.  The running shifts' rows of ``x``
-    and ``p`` are updated as one row slice when they are contiguous, and
-    through a row index otherwise.  Returns True when some shift still runs,
+    dividing, keeping its last iterate.  The update ``x += g p``,
+    ``p = om p + sig v_next`` acts on the window coefficients of every row,
+    with g = 0 and om = 1 on frozen rows, so their coefficients gain exact
+    zeros and keep their values.  Returns True when some shift still runs,
     so the caller must advance its Lanczos source and form the next product;
     once every shift has frozen no further product is needed.
     """
@@ -181,28 +246,27 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
     state.sigma_prev[running] = state.sigma[running]
     state.status[running & (state.denom <= 0.0)] = pivot_status
 
-    act = np.flatnonzero(state.status == RUNNING)
-    if act.size:
-        g = 1.0 / state.denom[act]
-        state.gamma[act] = g
-        om = (beta_next * g) ** 2
-        sig = -beta_next * g * state.sigma[act]
-        state.sigma[act] = sig
-        # A row slice is a view updated in place; a row index gathers
-        # copies of whole rows, written back below.
-        contiguous = act[-1] + 1 - act[0] == act.size
-        rows = slice(act[0], act[-1] + 1) if contiguous else act
-        x, p = state.x[rows], state.p[rows]
-        x += p * g[:, None]
-        p *= om[:, None]
-        if not breakdown:
-            p += sig[:, None] * v_next
-        if not contiguous:
-            state.x[rows] = x
-            state.p[rows] = p
-        state.omega[act] = om
+    act = state.status == RUNNING
+    if act.any():
+        g = np.divide(1.0, state.denom, out=np.zeros(act.size), where=act)
+        om = np.where(act, (beta_next * g) ** 2, 1.0)
+        sig = -beta_next * g * state.sigma
+        np.copyto(state.gamma, g, where=act)
+        np.copyto(state.omega, om, where=act)
+        np.copyto(state.sigma, sig, where=act)
         state.iterations[act] = j + 1
-        state.status[act[np.abs(sig) <= state.tol[act]]] = CONVERGED
+        state.status[act & (np.abs(state.sigma) <= state.tol)] = CONVERGED
+
+        state.Y += g[:, None] * state.C       # x += g p
+        state.C *= om[:, None]                # p = om p + sig v_next
+        if not breakdown:
+            k = state.kw
+            if k == len(state.W):
+                _flush(state)
+                k = 0
+            state.W[k] = v_next
+            state.C[:, k + 1] = sig
+            state.kw = k + 1
 
     state.j = j
     if breakdown:
@@ -252,7 +316,8 @@ class MultishiftSolution:
     @cached_property
     def step_norms(self) -> np.ndarray:
         """Per-shift ||d||, computed on first use and kept."""
-        return np.linalg.norm(self.directions, axis=0)
+        x = self.directions.T               # shift-major rows
+        return np.sqrt(np.vecdot(x, x))
 
     def usable(self, i) -> bool:
         """Whether shift i produced a direction fit for step selection."""

@@ -13,17 +13,17 @@ import numpy as np
 
 from .shifted_cg import (CAPPED, CONVERGED, MultishiftSolution, ShiftGrid,
                          _as_tolerances, _EPS, _init_shift_block,
-                         _shift_block_step, _solution)
+                         _shift_block_step, _ShiftBlock, _solution)
 
 
-class CglsState:
+class CglsState(_ShiftBlock):
     """Joint iteration state of the shifted CGLS recurrences.
 
-    The per-shift arrays and the shift-major (m+1, n) ``x``/``p`` blocks are
-    those of the plain multishift solver and go through the same shift-block
-    update; only the Lanczos source differs.  It runs through auxiliary
-    row-space vectors u_j, with one product by A and one by A' per joint
-    iteration.
+    The per-shift arrays and the shift-major (m+1, n) ``x``/``p`` blocks,
+    held as a coefficient window, are those of the plain multishift solver
+    and go through the same shift-block update; only the Lanczos source
+    differs.  It runs through auxiliary row-space vectors u_j, with one
+    product by A and one by A' per joint iteration.
     """
 
     def __init__(self, apply_A, apply_At, b, grid: ShiftGrid, tol, max_iter,

@@ -58,6 +58,18 @@ class TestRunMatrix:
         with pytest.raises(ValueError):
             run_matrix([], ["arcqk"])
 
+    @pytest.mark.parametrize("overrides, match", [
+        ({"xi": 2.0}, "unknown parameter.*TrParams: xi"),
+        ({"xi": float("nan")}, "xi must be positive and finite"),
+    ], ids=["xi=2", "xi=nan"])
+    def test_bad_override_raises_before_any_run(self, overrides, match):
+        # xi is an ArcParams field only, and NaN is no valid value for it:
+        # both are configuration errors, not solver failures.
+        problems = suite_problems("sphere")
+        with pytest.raises(ValueError, match=match):
+            run_matrix(problems, ["arcqk", "st"], overrides=overrides)
+        assert not any(problems[0].counters.snapshot().values())
+
     def test_budget_and_overrides_forwarded(self):
         out = run_matrix(suite_problems("rosenbrock"), ["arcqk"],
                          overrides={"max_outer_iter": 2})

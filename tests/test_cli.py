@@ -93,6 +93,14 @@ class TestBenchAndProfile:
         r2 = json.loads((out2 / "records.json").read_text())["arcqk"][0]
         assert r1["f"] != r2["f"]
 
+    @pytest.mark.parametrize("param", ["xi=2", "xi=nan"])
+    def test_bench_bad_param_exits_2(self, tmp_path, capsys, param):
+        out = tmp_path / "b"
+        assert run_cli("bench", "--suite", "sphere", "--param", param,
+                       "--out", str(out)) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_profile_bad_extension(self, tmp_path):
         out = tmp_path / "b"
         run_cli("bench", "--suite", "sphere", "--solvers", "arcqk",
