@@ -41,6 +41,9 @@ def solve_arcqk(problem, time_budget=None, overrides=None):
     return record
 
 
+solve_arcqk.params = ArcParams
+
+
 def solve_st(problem, time_budget=None, overrides=None):
     """Run the trust-region baseline on one problem instance."""
     params = _build_params(TrParams, time_budget, overrides)
@@ -50,8 +53,9 @@ def solve_st(problem, time_budget=None, overrides=None):
     return record
 
 
+solve_st.params = TrParams
+
 SOLVERS = {"arcqk": solve_arcqk, "st": solve_st}
-_PARAMS = {solve_arcqk: ArcParams, solve_st: TrParams}
 
 
 def _resolve_solvers(solvers):
@@ -74,15 +78,16 @@ def run_matrix(problems, solvers, budget_per_run=None, overrides=None):
     Returns ``{solver_id: [BenchRecord, ...]}`` with rows sorted by problem
     name.  A solver raising on one problem yields a record with status
     ``exception`` and never aborts the rest of the matrix.  The overrides
-    are checked against each built-in solver's parameters before the first
-    run, so a bad name or value raises ``ValueError`` instead.
+    are checked against the ``params`` class of every solver that has one
+    (both built-in solvers do) before the first run, so a bad name or value
+    raises ``ValueError`` instead.
     """
     if not problems or not solvers:
         raise ValueError("problems and solvers must be non-empty")
     resolved = _resolve_solvers(solvers)
     for fn in resolved.values():
-        if fn in _PARAMS:
-            _build_params(_PARAMS[fn], budget_per_run, overrides)
+        if hasattr(fn, "params"):
+            _build_params(fn.params, budget_per_run, overrides)
     out = {name: [] for name in resolved}
     for problem in sorted(problems, key=lambda p: p.name):
         for name, fn in resolved.items():

@@ -92,10 +92,11 @@ class _ShiftBlock:
 
     ``Y`` and ``C`` are (m+1, K+1); column 0 weighs a row's own ``_P``.  A
     joint iteration updates only these coefficients and copies one vector
-    into the window, O(n) + O((m+1) K) work however many shifts run.
-    ``_X`` and ``_P`` are formed by one matrix product each when the window
-    is full, and ``_X`` alone when ``x`` is read; a solve that ends within
-    K iterations never forms ``_P`` and writes ``_X`` once.
+    into the window, O(n) + O((m+1) K) work.  ``_X`` and ``_P`` are formed
+    by one (m+1) x K x n matrix product each, over all rows, when the
+    window is full (O((m+1) n) flops per iteration spread over the window),
+    and ``_X`` alone when ``x`` is read; a solve that ends within K
+    iterations never forms ``_P`` and writes ``_X`` once.
     """
 
     @property
@@ -317,7 +318,8 @@ class MultishiftSolution:
     def step_norms(self) -> np.ndarray:
         """Per-shift ||d||, computed on first use and kept."""
         x = self.directions.T               # shift-major rows
-        return np.sqrt(np.vecdot(x, x))
+        # batched row dot products: no (m+1, n) temporary
+        return np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
 
     def usable(self, i) -> bool:
         """Whether shift i produced a direction fit for step selection."""
