@@ -409,9 +409,13 @@ def _arc_loop(problem, driver, params: ArcParams, callback=None):
     A solve is made when no shift is selected (``j is None``), that is at
     the start and after each accepted step; rejected steps walk the same
     solution's shifts.  The spent solution stays referenced until the next
-    solve replaces it: freeing its (m+1, n) block earlier lets the allocator
-    return the pages to the system, and faulting them back in made ARC
-    about 16% slower on the Gauss-Newton benchmark workload.
+    solve replaces it.  Dropping it at the accepted step instead was
+    measured on the benchmark (``perfbench/run.py``, alternating pairs,
+    2-core machine) with solutions that hold the window: ARC ran faster on
+    gn (9 of 10 pairs, medians 6-17% lower) but slower on scaled (6 of 7
+    pairs, medians 9-17% higher), desk moved within its noise, and peak RSS
+    fell on both (scaled 124 -> 108 MB).  Keeping it favours scaled, where
+    ARC spends the most time.
     """
     state = ArcState(x=problem.x0.copy(), alpha=params.alpha0,
                      max_alpha=params.alpha0)
@@ -423,8 +427,9 @@ def _arc_loop(problem, driver, params: ArcParams, callback=None):
             tol = inner_tolerance(gnorm, params.zeta, params.xi)
             sols = driver.solve(x, g, tol)
             state.n_solves += 1
-            _, j, _ = select_step(sols, state.alpha)
-        d = sols.direction(j)
+            _, j, d = select_step(sols, state.alpha)
+        else:
+            d = sols.direction(j)
         ev = driver.ratio(x, d, f, g)
         return d, ev, TraceRecord(
             k=state.k, alpha=state.alpha, shift_index=j,

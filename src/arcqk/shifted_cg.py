@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -95,8 +96,10 @@ class _ShiftBlock:
     into the window, O(n) + O((m+1) K) work.  ``_X`` and ``_P`` are formed
     by one (m+1) x K x n matrix product each, over all rows, when the
     window is full (O((m+1) n) flops per iteration spread over the window),
-    and ``_X`` alone when ``x`` is read; a solve that ends within K
-    iterations never forms ``_P`` and writes ``_X`` once.
+    and ``_X`` alone when ``x`` is read.  A finished solve hands the block
+    to its ``MultishiftSolution`` as it stands, so the (m+1, n) rows are
+    written never, unless a flush happened or the solution's
+    ``directions`` is read.
     """
 
     @property
@@ -298,25 +301,62 @@ def curvature_certificate(state: MultishiftState, i: int) -> float:
 
 @dataclass
 class MultishiftSolution:
-    """Per-shift directions and diagnostics of one multishift solve."""
+    """Per-shift directions and diagnostics of one multishift solve.
+
+    The directions stay in the solver's shift block (see ``_ShiftBlock``)::
+
+        d_i = X[i] + Y[i, 0] * P[i] + Y[i, 1:] @ W
+
+    with the flushed rows ``X`` and ``P`` present only when the window was
+    flushed.  The (m+1, n) block is never formed unless a flush happened
+    or ``directions`` is read: without a flush ``step_norms`` comes from
+    the window's Gram matrix, and ``direction(i)`` forms row i alone.
+    """
 
     lambdas: np.ndarray
-    # (n, m+1), one column per shift; after a solve, the transposed view of
-    # the solver's shift-major (m+1, n) x block, not a copy
-    directions: np.ndarray
     residual_norms: np.ndarray      # |sigma| at freeze time
     statuses: tuple
     iterations: np.ndarray
     tolerances: np.ndarray
     operator_products: int
     total_iterations: int
+    W: np.ndarray                   # (kw, n) window of basis vectors
+    Y: np.ndarray                   # (m+1, kw+1) weights of [P; W]
+    X: Optional[np.ndarray] = None  # (m+1, n) flushed rows, if any
+    P: Optional[np.ndarray] = None
+
+    def _rows(self, rows):
+        x = self.Y[rows, 1:] @ self.W
+        if self.X is not None:
+            x += self.X[rows]
+        if self.P is not None:
+            x += self.Y[rows, :1] * self.P[rows]
+        return x
 
     def direction(self, i) -> np.ndarray:
-        return self.directions[:, i].copy()
+        """Direction of shift i, formed from the block as a new vector."""
+        return self._rows(i)
+
+    @cached_property
+    def directions(self) -> np.ndarray:
+        """(n, m+1), one column per shift: every row formed once and kept."""
+        return self._rows(slice(None)).T
 
     @cached_property
     def step_norms(self) -> np.ndarray:
-        """Per-shift ||d||, computed on first use and kept."""
+        """Per-shift ||d||, computed on first use and kept.
+
+        Without flushed rows, ||d_i||^2 = y_i' G y_i with y_i = Y[i, 1:] and
+        the Gram matrix G = W W' of the window: O(kw^2 n) work, and no
+        orthogonality of the basis vectors is assumed.  A flushed solve
+        forms ``directions`` and takes batched row dot products.
+        """
+        if self.X is None:
+            y = self.Y[:, 1:]
+            z = y @ (self.W @ self.W.T)
+            # batched row dot products, cheaper than a row sum at small n
+            sq = (z[:, None, :] @ y[:, :, None]).ravel()
+            return np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
         x = self.directions.T               # shift-major rows
         # batched row dot products: no (m+1, n) temporary
         return np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
@@ -330,16 +370,17 @@ class MultishiftSolution:
 
 
 def _solution(state) -> MultishiftSolution:
-    """Package a finished joint solve; the directions view its x block."""
+    """Package a finished joint solve with its shift block, forming no row."""
+    k = state.kw
     return MultishiftSolution(
         lambdas=state.lambdas.copy(),
-        directions=state.x.T,
         residual_norms=np.abs(state.sigma),
         statuses=tuple(state.status),
         iterations=state.iterations.copy(),
         tolerances=state.tol.copy(),
         operator_products=state.operator_products,
-        total_iterations=state.j + 1)
+        total_iterations=state.j + 1,
+        W=state.W[:k], Y=state.Y[:, :k + 1].copy(), X=state._X, P=state._P)
 
 
 def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,
@@ -369,13 +410,13 @@ def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,
     if np.linalg.norm(b) == 0.0:
         return MultishiftSolution(
             lambdas=grid.lambdas.copy(),
-            directions=np.zeros((m1, b.size)).T,
             residual_norms=np.zeros(m1),
             statuses=(CONVERGED,) * m1,
             iterations=np.zeros(m1, dtype=int),
             tolerances=_as_tolerances(tol, m1),
             operator_products=0,
-            total_iterations=0)
+            total_iterations=0,
+            W=np.empty((0, b.size)), Y=np.zeros((m1, 1)))
 
     state = MultishiftState(apply_M, b, grid, tol, max_iter, callback=callback)
     while not state.done:

@@ -33,7 +33,6 @@ class TruncatedCgResult:
     exit: str
     iterations: int
     hd: np.ndarray          # H @ d, maintained for free from the recurrence
-    residual_norm: float
 
 
 def _boundary_tau(d, p, delta):
@@ -75,15 +74,13 @@ def truncated_cg(apply_H, g, delta, tol, max_iter=None,
         if kappa <= 0.0:
             tau = _boundary_tau(d, p, delta)
             return TruncatedCgResult(d + tau * p, EXIT_NEGATIVE_CURVATURE,
-                                     j + 1, hd + tau * hp,
-                                     float(np.linalg.norm(g + hd + tau * hp)))
+                                     j + 1, hd + tau * hp)
         alpha = rr / kappa
         d_next = d + alpha * p
         if float(np.linalg.norm(d_next)) >= delta:
             tau = _boundary_tau(d, p, delta)
             return TruncatedCgResult(d + tau * p, EXIT_BOUNDARY, j + 1,
-                                     hd + tau * hp,
-                                     float(np.linalg.norm(g + hd + tau * hp)))
+                                     hd + tau * hp)
         d = d_next
         hd = hd + alpha * hp
         r = r + alpha * hp
@@ -91,12 +88,10 @@ def truncated_cg(apply_H, g, delta, tol, max_iter=None,
         if callback is not None:
             callback(j, d)
         if np.sqrt(rr_next) <= tol:
-            return TruncatedCgResult(d, EXIT_INTERIOR, j + 1, hd,
-                                     float(np.sqrt(rr_next)))
+            return TruncatedCgResult(d, EXIT_INTERIOR, j + 1, hd)
         p = -r + (rr_next / rr) * p
         rr = rr_next
-    return TruncatedCgResult(d, EXIT_CAPPED, max_iter, hd,
-                             float(np.linalg.norm(g + hd)))
+    return TruncatedCgResult(d, EXIT_CAPPED, max_iter, hd)
 
 
 @dataclass

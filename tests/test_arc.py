@@ -164,7 +164,8 @@ class TestSelectStep:
         from arcqk.shifted_cg import MultishiftSolution
         sol = MultishiftSolution(
             lambdas=np.array([1.0, 2.0]),
-            directions=np.array([[2.0, 4.0], [0.0, 0.0]]),
+            X=np.array([[2.0, 0.0], [4.0, 0.0]]),
+            W=np.empty((0, 2)), Y=np.zeros((2, 1)),
             residual_norms=np.zeros(2), statuses=("converged", "converged"),
             iterations=np.array([1, 1]), tolerances=np.full(2, 1e-8),
             operator_products=2, total_iterations=1)
@@ -181,7 +182,8 @@ def fabricated_solution(lambdas, norms, statuses=None, tol=1e-8):
     directions = np.zeros((2, m1))
     directions[0, :] = np.asarray(norms, float)
     return MultishiftSolution(
-        lambdas=lambdas, directions=directions,
+        lambdas=lambdas, X=directions.T,
+        W=np.empty((0, 2)), Y=np.zeros((m1, 1)),
         residual_norms=np.zeros(m1),
         statuses=tuple(statuses or ["converged"] * m1),
         iterations=np.ones(m1, dtype=int), tolerances=np.full(m1, tol),

@@ -5,16 +5,24 @@ over a window of Lanczos vectors and form them by a matrix product when the
 window fills.  Here every Lanczos pass a solve makes is recorded and replayed
 through the explicit per-row recurrence ``x += g p``, ``p = om p + sig v``
 on full (m+1, n) arrays, over solves long enough to fill the window at least
-twice.
+twice.  The solution of a solve keeps that block unformed: its step norms
+and single rows are checked against the replayed rows and the formed
+block on property-drawn solves.
 """
+
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arcqk.shifted_cg as cg_mod
 import arcqk.shifted_cgls as cgls_mod
 from arcqk.shifted_cg import (CAPPED, CONVERGED, INDEFINITE, RUNNING,
                               ShiftGrid, multishift_cg)
+from arcqk.arc import select_step
 from arcqk.shifted_cgls import multishift_cgls
 
 
@@ -112,3 +120,168 @@ def test_window_matches_row_update(monkeypatch, case):
         if sol.statuses[i] == CONVERGED:
             exact = np.linalg.solve(shifted(sol.lambdas[i]), dense_rhs)
             assert np.linalg.norm(d - exact) <= 1e-6 * np.linalg.norm(exact)
+
+
+# -- the lazy solution: norms and rows taken from the block ----------------
+
+def _record_passes(mp):
+    """Record every Lanczos pass the kernels make while ``mp`` is active."""
+    passes = []
+    real_step = cg_mod._shift_block_step
+
+    def recording_step(state, j, delta, beta_next, v_next, breakdown,
+                       pivot_status):
+        passes.append((j, delta, beta_next,
+                       None if v_next is None else v_next.copy(), breakdown))
+        return real_step(state, j, delta, beta_next, v_next, breakdown,
+                         pivot_status)
+
+    mp.setattr(cg_mod, "_shift_block_step", recording_step)
+    mp.setattr(cgls_mod, "_shift_block_step", recording_step)
+    return passes
+
+
+def solve_case(kernel, n, spectrum, rhs_kind, seed):
+    """A seeded CG or CGLS solve on the default grid.
+
+    ``spectrum`` is "spread" (log-uniform over 8 decades), "clustered" (a
+    few tight clusters) or "indefinite": for CG the eigenvalues below 1
+    take random signs, for CGLS some singular values are zero.
+    ``rhs_kind`` "invariant" puts the right-hand side in the span of at
+    most three eigenvectors (right singular vectors for CGLS), so the
+    Krylov space has dimension at most three in exact arithmetic.
+    Returns the solution, the normal-equations right-hand side and the
+    status a nonpositive pivot gives.
+    """
+    rng = np.random.default_rng(seed)
+    vals = 10.0 ** rng.uniform(-4, 4, n)
+    if spectrum == "clustered":
+        centres = 10.0 ** rng.uniform(-2, 2, rng.integers(1, 4))
+        vals = rng.choice(centres, n) * (1.0 + 1e-9 * rng.standard_normal(n))
+    elif spectrum == "indefinite":
+        if kernel == "cg":
+            vals[vals < 1.0] *= rng.choice([-1.0, 1.0], np.sum(vals < 1.0))
+        else:
+            vals[rng.random(n) < 0.3] = 0.0
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    r = min(3, n)
+    grid = ShiftGrid.default()
+    if kernel == "cg":
+        M = (q * vals) @ q.T
+        b = (q[:, :r] @ rng.standard_normal(r) if rhs_kind == "invariant"
+             else rng.standard_normal(n))
+        b = 0.0 * b if rhs_kind == "zero" else b
+        sol = multishift_cg(lambda v: M @ v, b, grid,
+                            tol=1e-10 * max(np.linalg.norm(b), 1.0))
+        return sol, b, INDEFINITE
+    u, _ = np.linalg.qr(rng.standard_normal((n + 2, n)))
+    A = (u * vals) @ q.T
+    b = (u[:, :r] @ rng.standard_normal(r) if rhs_kind == "invariant"
+         else rng.standard_normal(n + 2))
+    b = 0.0 * b if rhs_kind == "zero" else b
+    rhs = A.T @ b
+    sol = multishift_cgls(lambda w: A @ w, lambda w: A.T @ w, b, grid,
+                          tol=1e-10 * max(np.linalg.norm(rhs), 1.0))
+    return sol, rhs, CAPPED
+
+
+# Cases the random draws must not miss: long solves that flush the window,
+# n = 1, an invariant-subspace right-hand side and a zero one.
+COVERAGE = {
+    "cg-flush": ("cg", 48, "spread", "random", 3),
+    "cgls-flush": ("cgls", 48, "spread", "random", 3),
+    "cg-indefinite-flush": ("cg", 48, "indefinite", "random", 5),
+    "cg-n1": ("cg", 1, "spread", "random", 0),
+    "cgls-invariant": ("cgls", 30, "clustered", "invariant", 1),
+    "cg-zero": ("cg", 7, "spread", "zero", 0),
+}
+
+
+def test_coverage_cases_reach_their_regimes():
+    sols = {k: solve_case(*case)[0] for k, case in COVERAGE.items()}
+    m1 = len(ShiftGrid.default())
+    for k in ("cg-flush", "cgls-flush", "cg-indefinite-flush"):
+        assert sols[k].total_iterations > m1 and sols[k].X is not None, k
+    assert INDEFINITE in sols["cg-indefinite-flush"].statuses
+    assert sols["cgls-invariant"].total_iterations <= 3
+    assert sols["cg-zero"].total_iterations == 0
+
+
+def _lazy_block_matches_formed_rows(kernel, n, spectrum, rhs_kind, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        passes = _record_passes(mp)
+        sol, rhs, pivot_status = solve_case(kernel, n, spectrum, rhs_kind,
+                                            seed)
+        lazy = dataclasses.replace(sol)     # a fresh copy, nothing cached
+    m1 = sol.lambdas.size
+
+    # Rows formed one at a time, before any block exists, against the
+    # explicit row update replayed from the recorded passes.
+    rows = [lazy.direction(i) for i in range(m1)]
+    norms = lazy.step_norms
+    assert "directions" not in vars(lazy) or lazy.X is not None
+    if not np.any(rhs):                     # b = 0, or A'b = 0 for CGLS
+        assert not passes and sol.statuses == (CONVERGED,) * m1
+        reference = np.zeros((m1, n))
+    else:
+        reference, statuses, _, _ = reference_replay(
+            sol.lambdas, sol.tolerances, 2 * n, rhs, passes, pivot_status)
+        assert sol.statuses == statuses
+    ref_norms = np.linalg.norm(reference, axis=1)
+    for i in range(m1):
+        assert (np.linalg.norm(rows[i] - reference[i])
+                <= 1e-12 * ref_norms[i]), i
+
+    # The formed block of a fresh solution against the lazy answers.
+    formed = sol.directions
+    formed_norms = np.linalg.norm(formed, axis=0)
+    assert np.all(np.abs(norms - formed_norms) <= 1e-12 * formed_norms)
+    for i in range(m1):
+        assert (np.linalg.norm(rows[i] - formed[:, i])
+                <= 1e-12 * formed_norms[i]), i
+
+
+@pytest.mark.parametrize("case", COVERAGE.values(), ids=COVERAGE.keys())
+def test_lazy_block_matches_formed_rows_on_coverage_cases(case):
+    _lazy_block_matches_formed_rows(*case)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel=st.sampled_from(["cg", "cgls"]), n=st.integers(1, 48),
+       spectrum=st.sampled_from(["spread", "clustered", "indefinite"]),
+       rhs_kind=st.sampled_from(["random", "invariant", "zero"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lazy_block_matches_formed_rows(kernel, n, spectrum, rhs_kind, seed):
+    _lazy_block_matches_formed_rows(kernel, n, spectrum, rhs_kind, seed)
+
+
+@pytest.mark.parametrize("kernel", ["cg", "cgls"])
+def test_selection_forms_no_block(monkeypatch, kernel):
+    """select_step plus one direction stays within the window's memory."""
+    def no_form_x(state):
+        raise AssertionError("the (m+1, n) iterate block was formed")
+
+    monkeypatch.setattr(cg_mod, "_form_x", no_form_x)
+    n = 20000
+    rng = np.random.default_rng(2)
+    diag = rng.uniform(1.0, 2.0, n)
+    b = rng.standard_normal(n)
+    grid = ShiftGrid.default()
+    if kernel == "cg":
+        sol = multishift_cg(lambda v: diag * v, b, grid, tol=1e-8)
+    else:
+        sol = multishift_cgls(lambda v: diag * v, lambda u: diag * u, b,
+                              grid, tol=1e-8)
+    m1 = sol.lambdas.size
+    assert sol.total_iterations < m1 and sol.X is None and sol.P is None
+
+    tracemalloc.start()
+    try:
+        _, j, d = select_step(sol, 1.0)
+        d_again = sol.direction(j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m1 * n * 8 // 4
+    assert "directions" not in vars(sol)
+    assert np.array_equal(d, d_again)
