@@ -154,17 +154,23 @@ class RatioEval:
     aux: object = None
 
 
-def acceptance_ratio(problem: SmoothProblem, x, d, f_x, g_x) -> RatioEval:
+def acceptance_ratio(f_x, g_x, d, lam, trial) -> RatioEval:
     """Quadratic-model acceptance ratio rho = (f(x) - f(x+d)) / delta_q.
 
-    Costs one Hessian-vector product for the model decrease and exactly one
-    new objective evaluation.  A model decrease at rounding level marks the
-    evaluation degenerate, which callers treat as an unsuccessful step.
+    ``d`` must be a Galerkin CG (or CGLS) iterate for (H + lam I) d = -g,
+    as every direction of a multishift solve is: its residual is then
+    orthogonal to d, so d'Hd = -g'd - lam ||d||^2 (||Jd||^2 on the
+    Gauss-Newton path) and the model decrease
+
+        delta_q = -g'd - d'Hd / 2 = (lam ||d||^2 - g'd) / 2
+
+    costs no operator product.  ``trial()`` returns ``(f(x + d), aux)`` and
+    is the one objective evaluation; a model decrease at rounding level
+    marks the evaluation degenerate, which callers treat as an unsuccessful
+    step.
     """
-    d = np.asarray(d, dtype=float)
-    hd = problem.eval_hvp(x, d)
-    delta_q = -float(g_x @ d) - 0.5 * float(d @ hd)
-    return _ratio(f_x, delta_q, lambda: (problem.eval_f(x + d), None))
+    delta_q = 0.5 * (lam * float(d @ d) - float(g_x @ d))
+    return _ratio(f_x, delta_q, trial)
 
 
 def _ratio(f_x, delta_q, trial) -> RatioEval:
@@ -281,12 +287,12 @@ class _SmoothDriver:
     def grad(self, x, aux=None):
         return self.problem.eval_grad(x)
 
-    def solve(self, x, g, tol):
+    def solve(self, x, g, tol, alpha):
         return multishift_cg(lambda w: self.problem.eval_hvp(x, w), -g,
-                             self.params.grid, tol=tol)
+                             self.params.grid, tol=tol, alpha=alpha)
 
-    def ratio(self, x, d, f_x, g_x):
-        return acceptance_ratio(self.problem, x, d, f_x, g_x)
+    def trial(self, x):
+        return self.problem.eval_f(x), None
 
 
 class _GaussNewtonDriver:
@@ -307,21 +313,16 @@ class _GaussNewtonDriver:
         self._residual = r
         return self.problem.eval_jtprod(x, r)
 
-    def solve(self, x, g, tol):
+    def solve(self, x, g, tol, alpha):
         p = self.problem
         return multishift_cgls(lambda v: p.eval_jprod(x, v),
                                lambda u: p.eval_jtprod(x, u),
-                               -self._residual, self.params.grid, tol=tol)
+                               -self._residual, self.params.grid, tol=tol,
+                               alpha=alpha)
 
-    def ratio(self, x, d, f_x, g_x):
-        jd = self.problem.eval_jprod(x, d)
-        delta_q = -float(g_x @ d) - 0.5 * float(jd @ jd)
-
-        def trial():
-            r_trial = self.problem.eval_residual(x + d)
-            return 0.5 * float(r_trial @ r_trial), r_trial
-
-        return _ratio(f_x, delta_q, trial)
+    def trial(self, x):
+        r = self.problem.eval_residual(x)
+        return 0.5 * float(r @ r), r
 
 
 def _outer_loop(problem, driver, params: SolverParams, state, propose,
@@ -399,7 +400,7 @@ def _outer_loop(problem, driver, params: SolverParams, state, propose,
         f=state.f_val, grad_norm=state.grad_norm, iter=state.k,
         neval_f=nf, neval_grad=ng, neval_hvp=nhv,
         elapsed_seconds=state.elapsed_seconds,
-        status=record_status(state.status))
+        status=record_status(state.status), detail=state.status)
     return state, record
 
 
@@ -408,14 +409,19 @@ def _arc_loop(problem, driver, params: ArcParams, callback=None):
 
     A solve is made when no shift is selected (``j is None``), that is at
     the start and after each accepted step; rejected steps walk the same
-    solution's shifts.  The spent solution stays referenced until the next
-    solve replaces it.  Dropping it at the accepted step instead was
-    measured on the benchmark (``perfbench/run.py``, alternating pairs,
-    2-core machine) with solutions that hold the window: ARC ran faster on
-    gn (9 of 10 pairs, medians 6-17% lower) but slower on scaled (6 of 7
-    pairs, medians 9-17% higher), desk moved within its noise, and peak RSS
-    fell on both (scaled 124 -> 108 MB).  Keeping it favours scaled, where
-    ARC spends the most time.
+    solution's shifts.  The solve gets the current alpha, so it retires
+    the shifts this selection can no longer pick and stops once none of
+    the others runs.  A trial then costs one objective evaluation and no
+    operator product: ``acceptance_ratio`` prices the model decrease from
+    the selected shift's Galerkin identity.  The spent solution stays
+    referenced until the next solve replaces it.  Dropping it at the
+    accepted step instead was measured on the benchmark
+    (``perfbench/run.py``, alternating pairs, 2-core machine) with
+    solutions that hold the window: ARC ran faster on gn (9 of 10 pairs,
+    medians 6-17% lower) but slower on scaled (6 of 7 pairs, medians 9-17%
+    higher), desk moved within its noise, and peak RSS fell on both
+    (scaled 124 -> 108 MB).  Keeping it favours scaled, where ARC spends
+    the most time.
     """
     state = ArcState(x=problem.x0.copy(), alpha=params.alpha0,
                      max_alpha=params.alpha0)
@@ -425,15 +431,16 @@ def _arc_loop(problem, driver, params: ArcParams, callback=None):
         nonlocal sols, j
         if j is None:
             tol = inner_tolerance(gnorm, params.zeta, params.xi)
-            sols = driver.solve(x, g, tol)
+            sols = driver.solve(x, g, tol, state.alpha)
             state.n_solves += 1
             _, j, d = select_step(sols, state.alpha)
         else:
             d = sols.direction(j)
-        ev = driver.ratio(x, d, f, g)
+        lam = float(sols.lambdas[j])
+        ev = acceptance_ratio(f, g, d, lam, lambda: driver.trial(x + d))
         return d, ev, TraceRecord(
             k=state.k, alpha=state.alpha, shift_index=j,
-            shift=float(sols.lambdas[j]), step_norm=float(np.linalg.norm(d)),
+            shift=lam, step_norm=float(np.linalg.norm(d)),
             rho=ev.rho, success=False,  # set by the outer loop
             delta_q=ev.delta_q, f_before=f,
             grad_norm=gnorm, shift_statuses=sols.statuses,

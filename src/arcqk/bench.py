@@ -77,7 +77,9 @@ def run_matrix(problems, solvers, budget_per_run=None, overrides=None):
 
     Returns ``{solver_id: [BenchRecord, ...]}`` with rows sorted by problem
     name.  A solver raising on one problem yields a record with status
-    ``exception`` and never aborts the rest of the matrix.  The overrides
+    ``exception``, the exception's ``Type: message`` as its ``detail``,
+    and never aborts the rest of the matrix; a solver's own record carries
+    its fine status in ``detail``.  The overrides
     are checked against the ``params`` class of every solver that has one
     (both built-in solvers do) before the first run, so a bad name or value
     raises ``ValueError`` instead.
@@ -95,13 +97,14 @@ def run_matrix(problems, solvers, budget_per_run=None, overrides=None):
             t0 = time.perf_counter()
             try:
                 record = fn(problem, budget_per_run, overrides)
-            except Exception:
+            except Exception as exc:
                 record = BenchRecord(
                     name=problem.name, nvar=problem.n,
                     f=np.nan, grad_norm=np.nan, iter=0,
                     neval_f=0, neval_grad=0, neval_hvp=0,
                     elapsed_seconds=time.perf_counter() - t0,
-                    status=RECORD_EXCEPTION)
+                    status=RECORD_EXCEPTION,
+                    detail=f"{type(exc).__name__}: {exc}")
             out[name].append(record)
     return out
 

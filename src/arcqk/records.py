@@ -22,7 +22,13 @@ def record_status(solver_status: str) -> str:
 
 @dataclass
 class BenchRecord:
-    """One benchmark row: final values, counters, time and coarse status."""
+    """One benchmark row: final values, counters, time and coarse status.
+
+    ``detail`` says why the run ended: the solver's own status (for example
+    ``grid_exhausted`` or ``max_iter``, which ``status`` folds into
+    ``other``) or, for a run that raised, the exception as
+    ``Type: message``.
+    """
 
     name: str
     nvar: int
@@ -34,6 +40,7 @@ class BenchRecord:
     neval_hvp: int
     elapsed_seconds: float
     status: str
+    detail: str = ""
 
 
 BENCH_FIELDS = tuple(f.name for f in fields(BenchRecord))
@@ -47,8 +54,12 @@ def record_to_dict(rec: BenchRecord) -> dict:
 
 
 def record_from_dict(row: dict) -> BenchRecord:
+    """Record from a json or csv row; rows written before ``detail`` existed
+    lack it and read back with its default."""
     kwargs = {}
     for name in BENCH_FIELDS:
+        if name == "detail" and name not in row:
+            continue
         value = row[name]
         if name in INT_FIELDS:
             value = int(value)

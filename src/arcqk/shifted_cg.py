@@ -20,6 +20,7 @@ RUNNING = "running"
 CONVERGED = "converged"
 INDEFINITE = "indefinite"
 CAPPED = "capped"
+RETIRED = "retired"
 
 _EPS = float(np.finfo(float).eps)
 
@@ -125,7 +126,7 @@ class MultishiftState(_ShiftBlock):
     """
 
     def __init__(self, apply_op, b, grid: ShiftGrid, tol, max_iter,
-                 callback=None):
+                 callback=None, alpha=None):
         b = np.asarray(b, dtype=float)
         n = b.size
         m1 = len(grid)
@@ -141,7 +142,7 @@ class MultishiftState(_ShiftBlock):
         self.v = b / beta0
         self.v_prev = np.zeros(n)
         self.beta = 0.0                       # multiplies v_{j-1}; unused at j=0
-        _init_shift_block(self, b, beta0)
+        _init_shift_block(self, b, beta0, alpha)
         self.operator_products = 0
         self.q = self._product(self.v)
 
@@ -179,8 +180,12 @@ class MultishiftState(_ShiftBlock):
             self._callback(j, np.abs(self.sigma), tuple(self.status))
 
 
-def _init_shift_block(state, rhs, beta0):
-    """Per-shift recurrence state of a joint solve with right-hand side rhs."""
+def _init_shift_block(state, rhs, beta0, alpha):
+    """Per-shift recurrence state of a joint solve with right-hand side rhs.
+
+    ``alpha`` is the regularization weight the caller will select with;
+    ``None`` retires no shift (see ``_shift_block_step``).
+    """
     m1 = state.lambdas.size
     state.W = np.empty((m1, rhs.size))    # window of basis vectors
     state.W[0] = rhs                      # p_0 = rhs for every shift
@@ -200,6 +205,14 @@ def _init_shift_block(state, rhs, beta0):
     state.j = -1
     state.breakdown = False
     state.done = False
+    # alpha * lambda_i, the selection's target norms; None retires nothing
+    state.alpha_lam = None if alpha is None else alpha * state.lambdas
+    state.bound = np.zeros(m1)            # ||x_i|| - alpha lambda_i
+    state.score = np.full(m1, np.inf)     # |bound| once converged
+    # Squared norms of what the columns of Y weigh before any flush: no
+    # _P (its column of Y is zero), W[0] = rhs, then unit Lanczos vectors.
+    state.wsq = np.ones(m1 + 1)
+    state.wsq[:2] = 0.0, beta0 * beta0
 
 
 def _form_x(state):
@@ -243,6 +256,47 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
     zeros and keep their values.  Returns True when some shift still runs,
     so the caller must advance its Lanczos source and form the next product;
     once every shift has frozen no further product is needed.
+
+    Given the caller's alpha, shifts that ARC's selection at that alpha can
+    no longer pick are retired: frozen with status ``retired``, which is
+    never usable.  With b the frozen usable shift of lowest selection score
+    s_b = |alpha lambda_b - ||x_b||| (ties to the smaller index), a running
+    shift r is retired when
+
+    1. r < b,
+    2. ||x_r|| - alpha lambda_r > s_b, strictly, and
+    3. every running shift below r is retired with it (the prefix rule).
+
+    Neither ``select_step`` nor ``advance_shift_on_failure`` can tell the
+    difference from the solve without alpha:
+
+    - A running shift has taken only CG steps with positive pivots, along
+      which ||x_r|| grows monotonically (Steihaug, SIAM J. Numer. Anal. 20,
+      1983).  Had r run on and ended usable, its score would be at least
+      ||d_r|| - alpha lambda_r >= ||x_r|| - alpha lambda_r > s_b, and b,
+      frozen and usable, is a candidate of both solves: only losers retire.
+    - Every other shift freezes at the same pass with the same status and
+      iterate, since the Lanczos recurrence and each shift's update ignore
+      the other shifts; the solve only ends sooner.
+    - i_plus, the first shift without a negative-curvature certificate, can
+      only move down onto a retired shift, and every shift it passes is
+      indefinite or retired, so no candidate is added.
+    - By the prefix rule everything below a retired shift is frozen or
+      retired for good, and a frozen usable shift below b scores above s_b
+      by the choice of b.  So the selected j lies above every retired
+      shift, and the failure walk, which only moves up from j, never meets
+      one.
+
+    The test costs O(1) numpy calls per pass.  Every pass reads all norms
+    from the window coefficients, taking the window's rows as orthogonal
+    (W[0] is the right-hand side, later rows unit Lanczos vectors), and
+    keeps the score of each shift from the pass it converges in.  Only
+    converged shifts are usable among the frozen ones before the solve
+    ends (a running shift's residual is above its tolerance, so one frozen
+    at its pivot is not usable).  When the lowest running shift passes the
+    test on these norms, the rule is applied with exact norms from the
+    window's Gram matrix, as ``step_norms`` computes them.  Nothing is
+    retired once the window has been flushed.
     """
     running = state.status == RUNNING
     state.denom[running] = (delta + state.lambdas[running]
@@ -259,9 +313,15 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
         np.copyto(state.omega, om, where=act)
         np.copyto(state.sigma, sig, where=act)
         state.iterations[act] = j + 1
-        state.status[act & (np.abs(state.sigma) <= state.tol)] = CONVERGED
+        conv = act & (np.abs(state.sigma) <= state.tol)
+        state.status[conv] = CONVERGED
 
         state.Y += g[:, None] * state.C       # x += g p
+        if state.alpha_lam is not None and state._X is None:
+            # whole rows of Y: the columns past the window are zero
+            state.bound = (np.sqrt(np.dot(state.Y * state.Y, state.wsq))
+                           - state.alpha_lam)
+            np.copyto(state.score, np.abs(state.bound), where=conv)
         state.C *= om[:, None]                # p = om p + sig v_next
         if not breakdown:
             k = state.kw
@@ -284,8 +344,57 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
         state.status[state.status == RUNNING] = CAPPED
         state.done = True
         return False
-    state.done = not np.any(state.status == RUNNING)
+    run = state.status == RUNNING
+    if state.alpha_lam is not None and state._X is None:
+        _retire(state, run)
+    state.done = not run.any()
     return not state.done
+
+
+def _window_norms(W, y):
+    """||y_i' W|| of every row i from the Gram matrix W W'.
+
+    O(k^2 n) work for a (k, n) window; no orthogonality of its rows is
+    assumed.
+    """
+    z = y @ (W @ W.T)
+    # batched row dot products, cheaper than a row sum at small n
+    sq = (z[:, None, :] @ y[:, :, None]).ravel()
+    return np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
+
+
+def _retirees(bound, usable, run):
+    """Indices of the running shifts (mask ``run``) the rule retires.
+
+    ``bound`` holds ||x_i|| - alpha lambda_i, so a usable shift scores
+    |bound|.  The rule of ``_shift_block_step``: b is the usable shift of
+    lowest score (the first, so ties go to the smaller shift, as in
+    ``arc.select_step``), and the result is the longest prefix of the
+    running shifts below b whose bound lies strictly above b's score.
+    With nothing usable b = 0 and nothing retires.
+    """
+    scores = np.where(usable, np.abs(bound), np.inf)
+    b = int(scores.argmin())
+    below = np.flatnonzero(run[:b])
+    ok = bound[below] > scores[b]
+    return below if ok.all() else below[:int(ok.argmin())]
+
+
+def _retire(state, run):
+    """Retire running shifts selection cannot pick; clears them in ``run``.
+
+    The pass's coefficient norms decide whether the rule is applied with
+    exact norms (see ``_shift_block_step``).
+    """
+    b = int(state.score.argmin())
+    r = int(run.argmax())
+    if not (run[r] and r < b and state.bound[r] > state.score[b]):
+        return
+    k = state.kw
+    bound = _window_norms(state.W[:k], state.Y[:, 1:k + 1]) - state.alpha_lam
+    out = _retirees(bound, state.status == CONVERGED, run)
+    state.status[out] = RETIRED
+    run[out] = False
 
 
 def curvature_certificate(state: MultishiftState, i: int) -> float:
@@ -352,17 +461,17 @@ class MultishiftSolution:
         forms ``directions`` and takes batched row dot products.
         """
         if self.X is None:
-            y = self.Y[:, 1:]
-            z = y @ (self.W @ self.W.T)
-            # batched row dot products, cheaper than a row sum at small n
-            sq = (z[:, None, :] @ y[:, :, None]).ravel()
-            return np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
+            return _window_norms(self.W, self.Y[:, 1:])
         x = self.directions.T               # shift-major rows
         # batched row dot products: no (m+1, n) temporary
         return np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
 
     def usable(self, i) -> bool:
-        """Whether shift i produced a direction fit for step selection."""
+        """Whether shift i produced a direction fit for step selection.
+
+        That is a converged shift, or one capped within its tolerance;
+        indefinite, over-tolerance capped and ``retired`` shifts are not.
+        """
         if self.statuses[i] == CONVERGED:
             return True
         return (self.statuses[i] == CAPPED
@@ -384,7 +493,7 @@ def _solution(state) -> MultishiftSolution:
 
 
 def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,
-                  callback=None) -> MultishiftSolution:
+                  callback=None, alpha=None) -> MultishiftSolution:
     """Solve (M + lambda_i I) x = b for every shift of the grid.
 
     Parameters
@@ -402,6 +511,11 @@ def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,
     callback : callable, optional
         Called after each joint iteration with
         ``(j, per-shift |sigma|, statuses)``.
+    alpha : float, optional
+        The cubic-regularization weight the caller selects with.  Shifts
+        that ``arc.select_step`` at this alpha can no longer pick are then
+        retired, and the solve ends once no selectable shift runs (see
+        ``_shift_block_step``).  ``None`` retires nothing.
     """
     b = np.asarray(b, dtype=float)
     m1 = len(grid)
@@ -418,7 +532,8 @@ def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,
             total_iterations=0,
             W=np.empty((0, b.size)), Y=np.zeros((m1, 1)))
 
-    state = MultishiftState(apply_M, b, grid, tol, max_iter, callback=callback)
+    state = MultishiftState(apply_M, b, grid, tol, max_iter, callback=callback,
+                            alpha=alpha)
     while not state.done:
         state.step()
     return _solution(state)

@@ -27,7 +27,7 @@ class CglsState(_ShiftBlock):
     """
 
     def __init__(self, apply_A, apply_At, b, grid: ShiftGrid, tol, max_iter,
-                 callback=None):
+                 callback=None, alpha=None):
         b = np.asarray(b, dtype=float)
         self.lambdas = grid.lambdas
         self.tol = _as_tolerances(tol, len(grid))
@@ -43,7 +43,7 @@ class CglsState(_ShiftBlock):
         self.max_iter = int(2 * n if max_iter is None else max_iter)
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        _init_shift_block(self, atb, beta0)
+        _init_shift_block(self, atb, beta0, alpha)
         if beta0 == 0.0:
             # A'b = 0: the zero vector solves every shifted system.
             self.status[:] = CONVERGED
@@ -100,7 +100,8 @@ class CglsState(_ShiftBlock):
 
 
 def multishift_cgls(apply_A, apply_At, b, grid: ShiftGrid, tol=1e-8,
-                    max_iter=None, callback=None) -> MultishiftSolution:
+                    max_iter=None, callback=None,
+                    alpha=None) -> MultishiftSolution:
     """Solve (A'A + lambda_i I) x = A'b for every shift of the grid.
 
     ``apply_A`` maps length-n vectors to length-m vectors and ``apply_At``
@@ -108,10 +109,11 @@ def multishift_cgls(apply_A, apply_At, b, grid: ShiftGrid, tol=1e-8,
     here).  Each joint iteration costs one product with A and one with A';
     ``operator_products`` counts the products with A.  Convergence is gated
     on the shifted-system residual ||A'b - (A'A + lambda_i I) x||, whose
-    norm is recurred as |sigma|.
+    norm is recurred as |sigma|.  ``alpha`` retires shifts as in
+    ``multishift_cg``.
     """
     state = CglsState(apply_A, apply_At, b, grid, tol, max_iter,
-                      callback=callback)
+                      callback=callback, alpha=alpha)
     while not state.done:
         state.step()
     return _solution(state)

@@ -87,43 +87,74 @@ class TestCubicModel:
                         rtol=1e-12)
 
 
+def shifted_step(problem, x, grid, pick=0, tol=1e-12):
+    """A real multishift solve at x: (lambda, d, g) for one converged shift.
+
+    ``pick`` indexes the converged shifts in increasing order.
+    """
+    g = problem.eval_grad(x)
+    sol = multishift_cg(lambda v: problem.eval_hvp(x, v), -g,
+                        ShiftGrid(grid), tol=tol)
+    converged = [i for i, s in enumerate(sol.statuses) if s == "converged"]
+    i = converged[pick]
+    return float(sol.lambdas[i]), sol.direction(i), g
+
+
 class TestAcceptanceRatio:
     def test_exact_quadratic_gives_one(self):
         p = make_diagquad(6)
         x = np.array([1.0, -2.0, 0.5, 3.0, -1.0, 2.0])
-        g = p.eval_grad(x)
-        ev = acceptance_ratio(p, x, -0.3 * x, p.eval_f(x), g)
-        assert ev.rho == pytest.approx(1.0, abs=1e-10)
+        f = p.eval_f(x)
+        for pick in range(3):
+            lam, d, g = shifted_step(p, x, [0.1, 1.0, 10.0], pick)
+            ev = acceptance_ratio(f, g, d, lam,
+                                  lambda: (p.eval_f(x + d), None))
+            # the product-free decrease equals the oracle's model decrease
+            oracle = -float(g @ d) - 0.5 * float(d @ p.eval_hvp(x, d))
+            assert ev.delta_q == pytest.approx(oracle, rel=1e-12)
+            assert ev.rho == pytest.approx(1.0, abs=1e-10)
 
     def test_no_progress_is_unsuccessful(self):
-        # objective flat along the step, model decrease strictly positive
+        # objective flat along the step, model decrease strictly positive:
+        # the Hessian oracle claims curvature 2 in x[0], f ignores x[0]
         p = SmoothProblem("flat", 2, [1.0, 0.0],
                           f=lambda x: float(x[1] ** 2),
-                          grad=lambda x: np.array([0.0, 2.0 * x[1]]),
+                          grad=lambda x: np.array([1.0, 2.0 * x[1]]),
                           hvp=lambda x, v: np.array([2.0 * v[0], 2.0 * v[1]]))
         x = np.array([1.0, 0.0])
-        d = np.array([-0.5, 0.0])
-        g = np.array([1.0, 0.0])       # consistent with the shifted system
-        ev = acceptance_ratio(p, x, d, p.eval_f(x), g)
+        lam, d, g = shifted_step(p, x, [1.0])
+        assert_allclose(d, [-1.0 / 3.0, 0.0], rtol=1e-14)
+        ev = acceptance_ratio(p.eval_f(x), g, d, lam,
+                              lambda: (p.eval_f(x + d), None))
+        assert ev.delta_q > 0.0
         assert ev.rho == pytest.approx(0.0)
         assert ev.rho < 0.1
 
     def test_degenerate_decrease_forced_unsuccessful(self):
+        # a tiny gradient against the largest shift: delta_q ~ 1e-35
         p = make_sphere(2)
-        ev = acceptance_ratio(p, np.array([1.0, 1.0]), np.zeros(2), 1.0,
-                              np.array([1.0, 1.0]))
+        x = np.array([1e-10, 1e-10])
+        lam, d, g = shifted_step(p, x, [1e15])
+        calls = []
+        ev = acceptance_ratio(p.eval_f(x), g, d, lam,
+                              lambda: calls.append(1) or (0.0, None))
+        assert np.linalg.norm(d) > 0.0
         assert ev.degenerate
         assert ev.rho == -np.inf
         assert ev.f_trial is None
+        assert calls == []
 
     def test_exactly_one_objective_evaluation(self):
         p = seeded_sphere()
-        x, d = p.x0, -0.5 * p.x0
-        g = p.eval_grad(x)
+        x = p.x0
         f = p.eval_f(x)
-        before = p.counters.neval_f
-        acceptance_ratio(p, x, d, f, g)
-        assert p.counters.neval_f == before + 1
+        lam, d, g = shifted_step(p, x, [0.1, 1.0])
+        before = p.counters.snapshot()
+        acceptance_ratio(f, g, d, lam, lambda: (p.eval_f(x + d), None))
+        after = p.counters.snapshot()
+        assert after["neval_f"] == before["neval_f"] + 1
+        assert after["neval_hvp"] == before["neval_hvp"]
+        assert after["neval_grad"] == before["neval_grad"]
 
 
 def solution_for(H, g, grid, tol=1e-12):
@@ -369,6 +400,16 @@ class TestArcMinimize:
             (p,) = suite_problems(name)
             st, _ = arcqk_minimize(p, params)
             assert audit_accepted_steps(p, st, params) == [], name
+
+    def test_audit_flags_model_decrease_drift(self):
+        params = ArcParams()
+        (p,) = suite_problems("rosenbrock")
+        st, _ = arcqk_minimize(p, params)
+        assert audit_accepted_steps(p, st, params) == []
+        k = next(rec.k for rec in st.trace if rec.success)
+        st.trace[k].delta_q *= 1.0 + 1e-2
+        assert [v for v in audit_accepted_steps(p, st, params)
+                if "drifted" in v] != []
 
     def test_shift_step_soft_bracket(self):
         # grid quantization keeps alpha*lambda within a factor beta^2 = 10

@@ -7,7 +7,9 @@ from numpy.testing import assert_allclose
 from arcqk.bench import (emit, performance_profile, read_records_csv,
                          read_records_json, run_matrix)
 from arcqk.problems import suite_problems
-from arcqk.records import BENCH_FIELDS, BenchRecord
+from arcqk.records import (BENCH_FIELDS, BenchRecord, record_from_dict,
+                           record_to_dict)
+from arcqk.shifted_cg import ShiftGrid
 
 
 def rec(name, solver_time=1.0, status="success", **kw):
@@ -47,7 +49,9 @@ class TestRunMatrix:
         out = run_matrix(problems, [("bad", bad_solver), "arcqk"])
         by_name = {r.name: r for r in out["bad"]}
         assert by_name["sphere"].status == "exception"
+        assert by_name["sphere"].detail == "RuntimeError: boom"
         assert by_name["beale"].status == "success"
+        assert by_name["beale"].detail == "first_order_stationary"
         assert all(r.status == "success" for r in out["arcqk"])
 
     def test_unknown_solver(self):
@@ -75,6 +79,18 @@ class TestRunMatrix:
                          overrides={"max_outer_iter": 2})
         assert out["arcqk"][0].status == "other"
         assert out["arcqk"][0].iter == 2
+
+    def test_detail_keeps_fine_status(self):
+        # max_iter and grid_exhausted both read "other" in status
+        out = run_matrix(suite_problems("rosenbrock"), ["arcqk", "st"],
+                         overrides={"max_outer_iter": 2})
+        assert [(r.status, r.detail) for r in out["arcqk"] + out["st"]] == [
+            ("other", "max_iter")] * 2
+        (p,) = suite_problems("himmelblau")
+        out = run_matrix([p], ["arcqk"], overrides={
+            "grid": ShiftGrid([1.0, 10.0])})
+        assert (out["arcqk"][0].status, out["arcqk"][0].detail) == (
+            "other", "hessian_too_indefinite")
 
 
 class TestPerformanceProfile:
@@ -180,6 +196,29 @@ class TestEmit:
         emit(read_records_csv(p1), "json", p2)
         emit(read_records_json(p2), "csv", p3)
         assert p1.read_bytes() == p3.read_bytes()
+
+    def test_detail_round_trip(self, tmp_path):
+        records = [rec("p1", detail="max_iter"),
+                   rec("p2", status="exception", detail="ValueError: a, b")]
+        for fmt, read in (("csv", read_records_csv),
+                          ("json", read_records_json)):
+            path = tmp_path / f"r.{fmt}"
+            emit(records, fmt, path)
+            assert read(path) == records
+
+    def test_rows_without_detail_read_back(self, tmp_path):
+        # rows written before the field existed
+        old = {f: v for f, v in record_to_dict(rec("p1")).items()
+               if f != "detail"}
+        assert record_from_dict(old) == rec("p1")
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"A": [old]}))
+        assert read_records_json(path) == {"A": [rec("p1")]}
+        path = tmp_path / "old.csv"
+        path.write_text(",".join(old) + "\n"
+                        + ",".join(str(v) for v in old.values()) + "\n")
+        assert read_records_csv(path) == [rec("p1")]
+        assert rec("p1").detail == ""
 
     def test_seventeen_digit_floats(self, tmp_path):
         path = tmp_path / "r.csv"

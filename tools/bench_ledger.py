@@ -14,7 +14,11 @@ of the repository holding this script unless ``--ledger`` names another
 file::
 
     {"commit", "label", "workload", "seed", "trace", "seconds",
-     "correct", "failed", "metrics": {name: value}}
+     "correct", "failed", "metrics": {name: value}, "products": [line]}
+
+``products`` keeps the run's per-problem ``# products <workload> <name>
+n=...`` lines (ARC's and ST's operator products and final statuses on
+every n >= 100 instance of the first pass; desk and scaled print them).
 
 ``commit`` is ``git describe --always --dirty`` of the run's directory, so
 a run on uncommitted changes reads ``<parent>-dirty``.  The ledger is
@@ -63,7 +67,8 @@ def describe(path):
 
 
 def run_once(path, workload, seed, seconds, trace):
-    """One benchmark run in ``path``; returns its final JSON line."""
+    """One benchmark run in ``path``: its final JSON line, parsed, and its
+    per-problem product lines without the leading ``# ``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
@@ -71,7 +76,9 @@ def run_once(path, workload, seed, seconds, trace):
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} failed in {path}:\n"
                            f"{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    products = [line[2:] for line in lines if line.startswith("# products ")]
+    return json.loads(lines[-1]), products
 
 
 def main(argv=None):
@@ -83,7 +90,8 @@ def main(argv=None):
         for k, seed in enumerate(args.seeds):
             shift = k % len(args.sides)
             for label, path in args.sides[shift:] + args.sides[:shift]:
-                out = run_once(path, workload, seed, args.seconds, args.trace)
+                out, products = run_once(path, workload, seed,
+                                         args.seconds, args.trace)
                 entry = {
                     "commit": commits[label], "label": label,
                     "workload": workload, "seed": seed, "trace": args.trace,
@@ -91,6 +99,7 @@ def main(argv=None):
                     "failed": out["failed"],
                     "metrics": {name: m["value"]
                                 for name, m in out["metrics"].items()},
+                    "products": products,
                 }
                 ledger.append(entry)
                 args.ledger.write_text(json.dumps(ledger, indent=1) + "\n")
