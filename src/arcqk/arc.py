@@ -270,7 +270,6 @@ class ArcState:
     trace: list = field(default_factory=list)
     n_solves: int = 0
     g0_norm: float = np.nan
-    max_alpha: float = 0.0
     elapsed_seconds: float = 0.0
 
 
@@ -423,8 +422,7 @@ def _arc_loop(problem, driver, params: ArcParams, callback=None):
     (scaled 124 -> 108 MB).  Keeping it favours scaled, where ARC spends
     the most time.
     """
-    state = ArcState(x=problem.x0.copy(), alpha=params.alpha0,
-                     max_alpha=params.alpha0)
+    state = ArcState(x=problem.x0.copy(), alpha=params.alpha0)
     sols = j = None
 
     def propose(x, f, g, gnorm):
@@ -454,7 +452,6 @@ def _arc_loop(problem, driver, params: ArcParams, callback=None):
             return
         if rho > params.eta2:
             state.alpha = params.gamma2 * state.alpha
-        state.max_alpha = max(state.max_alpha, state.alpha)
         j = None
 
     return _outer_loop(problem, driver, params, state, propose, update,

@@ -44,7 +44,6 @@ class BenchRecord:
 
 
 BENCH_FIELDS = tuple(f.name for f in fields(BenchRecord))
-_FIELD_TYPES = {f.name: f.type for f in fields(BenchRecord)}
 INT_FIELDS = ("nvar", "iter", "neval_f", "neval_grad", "neval_hvp")
 FLOAT_FIELDS = ("f", "grad_norm", "elapsed_seconds")
 

@@ -26,16 +26,12 @@ _EPS = float(np.finfo(float).eps)
 
 
 class ShiftGrid:
-    """Strictly increasing positive shifts, bounded for double precision.
-
-    ``beta`` is the sampling factor: consecutive shifts grow by beta**2.
-    When not supplied it is inferred from the largest consecutive ratio.
-    """
+    """Strictly increasing positive shifts, bounded for double precision."""
 
     MIN_SHIFT = 1e-15
     MAX_SHIFT = 1e15
 
-    def __init__(self, lambdas, beta=None):
+    def __init__(self, lambdas):
         lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("lambdas must be a non-empty 1-d sequence")
@@ -47,16 +43,11 @@ class ShiftGrid:
         if lam.size > 1 and np.any(np.diff(lam) <= 0):
             raise ValueError("shift values must be strictly increasing")
         self.lambdas = lam
-        if beta is None:
-            beta = float(np.sqrt(np.max(lam[1:] / lam[:-1]))) if lam.size > 1 else np.sqrt(10.0)
-        if not beta >= 1.0:
-            raise ValueError("sampling factor beta must be >= 1")
-        self.beta = float(beta)
 
     @classmethod
     def default(cls) -> "ShiftGrid":
         """Powers of ten covering the full double-precision range."""
-        return cls(np.logspace(-15, 15, 31), beta=np.sqrt(10.0))
+        return cls(np.logspace(-15, 15, 31))
 
     def __len__(self):
         return self.lambdas.size
@@ -66,28 +57,31 @@ class ShiftGrid:
 
     def __repr__(self):
         lam = self.lambdas
-        return (f"ShiftGrid({lam[0]:g}..{lam[-1]:g}, m+1={lam.size}, "
-                f"beta={self.beta:g})")
-
-
-def _as_tolerances(tol, m1):
-    t = np.asarray(tol, dtype=float)
-    if t.ndim == 0:
-        t = np.full(m1, float(t))
-    if t.shape != (m1,):
-        raise ValueError(f"tol must be scalar or have {m1} entries")
-    if np.any(t < 0) or not np.all(np.isfinite(t)):
-        raise ValueError("tolerances must be finite and nonnegative")
-    return t
+        return f"ShiftGrid({lam[0]:g}..{lam[-1]:g}, m+1={lam.size})"
 
 
 class _ShiftBlock:
-    """Shift-major (m+1, n) iterate and direction blocks of a joint solve.
+    """The per-shift CG recurrences of one joint solve over a Lanczos source.
 
-    Every shifted iterate lies in the Krylov space of the shared Lanczos
-    vectors (the shift invariance of multishift Krylov solvers), so the
-    blocks are kept as flushed rows ``_X``, ``_P`` plus coefficients over a
-    window ``W`` of at most K = m+1 basis vectors::
+    A subclass is the Lanczos source: its ``__init__`` calls ``_open`` with
+    the right-hand side of the shifted systems and, unless the solve is
+    already done, forms the first Lanczos vector and product; its ``step``
+    makes one Lanczos pass, hands the pass's coefficients to
+    ``_shift_block_step`` and advances the source while that returns True.
+    ``solve`` steps to the end and returns the ``MultishiftSolution``.
+    Each joint iteration costs one product with the counted operator
+    (``operator_products``), and none is formed after the last running
+    shift freezes.  A zero right-hand side is solved by zero: every shift
+    is ``converged`` from the start, and the solve forms no product.
+
+    Per-shift scalars are (m+1,) arrays.  A shift that converged, was
+    frozen at a nonpositive pivot, retired or hit the cap keeps its row.
+    The shift-major (m+1, n) iterate and direction blocks ``x`` and ``p``
+    are never stored whole.  Every shifted iterate lies in the Krylov space
+    of the shared Lanczos vectors (the shift invariance of multishift
+    Krylov solvers), so the blocks are kept as flushed rows ``_X``, ``_P``
+    plus coefficients over a window ``W`` of at most K = m+1 basis
+    vectors::
 
         x[i] = _X[i] + Y[i, 0] * _P[i] + Y[i, 1:kw+1] @ W[:kw]
         p[i] =         C[i, 0] * _P[i] + C[i, 1:kw+1] @ W[:kw]
@@ -96,62 +90,124 @@ class _ShiftBlock:
     joint iteration updates only these coefficients and copies one vector
     into the window, O(n) + O((m+1) K) work.  ``_X`` and ``_P`` are formed
     by one (m+1) x K x n matrix product each, over all rows, when the
-    window is full (O((m+1) n) flops per iteration spread over the window),
-    and ``_X`` alone when ``x`` is read.  A finished solve hands the block
-    to its ``MultishiftSolution`` as it stands, so the (m+1, n) rows are
-    written never, unless a flush happened or the solution's
-    ``directions`` is read.
+    window is full (O((m+1) n) flops per iteration spread over the window);
+    so ``_X is not None`` means that a flush happened.  Reading ``x`` or
+    ``p`` forms the block as a new array and leaves the solve as it was.
+    A finished solve hands the block to its ``MultishiftSolution`` as it
+    stands, so the (m+1, n) rows are written never, unless a flush
+    happened or the solution's ``directions`` is read.
     """
+
+    def _open(self, rhs, grid: ShiftGrid, tol, max_iter, callback, alpha):
+        """Check the arguments and start the block on ``rhs``; returns ||rhs||.
+
+        ``max_iter`` defaults to 2 n.  ``alpha`` is the regularization
+        weight the caller will select with; ``None`` retires no shift (see
+        ``_shift_block_step``).
+        """
+        m1 = len(grid)
+        self.lambdas = grid.lambdas
+        tol = np.asarray(tol, dtype=float)
+        self.tol = np.full(m1, float(tol)) if tol.ndim == 0 else tol
+        if self.tol.shape != (m1,):
+            raise ValueError(f"tol must be scalar or have {m1} entries")
+        if np.any(self.tol < 0) or not np.all(np.isfinite(self.tol)):
+            raise ValueError("tolerances must be finite and nonnegative")
+        self.max_iter = int(2 * rhs.size if max_iter is None else max_iter)
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        self._callback = callback
+        self.operator_products = 0            # counted operator's products
+
+        beta0 = float(np.linalg.norm(rhs))
+        self.W = np.empty((m1, rhs.size))     # window of basis vectors
+        self.W[0] = rhs                       # p_0 = rhs for every shift
+        self.kw = 1                           # vectors in the window
+        self.Y = np.zeros((m1, m1 + 1))
+        self.C = np.zeros((m1, m1 + 1))       # C[:, 0] = 0: no _P yet
+        self.C[:, 1] = 1.0
+        self._X = None
+        self._P = None
+        self.sigma = np.full(m1, beta0)       # signed; |sigma_j| = ||r_j||
+        self.sigma_prev = self.sigma.copy()
+        self.omega = np.zeros(m1)
+        self.gamma = np.ones(m1)
+        self.denom = np.zeros(m1)             # last CG pivot delta+lam-omega/gamma
+        self.done = beta0 == 0.0              # zero solves every system
+        self.status = np.full(m1, CONVERGED if self.done else RUNNING,
+                              dtype="<U16")
+        self.iterations = np.zeros(m1, dtype=int)
+        self.j = -1
+        # alpha * lambda_i, the selection's target norms; None retires nothing
+        self.alpha_lam = None if alpha is None else alpha * self.lambdas
+        self.bound = np.zeros(m1)             # ||x_i|| - alpha lambda_i
+        self.score = np.full(m1, np.inf)      # |bound| once converged
+        # Squared norms of what the columns of Y weigh before any flush: no
+        # _P (its column of Y is zero), W[0] = rhs, then unit Lanczos vectors.
+        self.wsq = np.ones(m1 + 1)
+        self.wsq[:2] = 0.0, beta0 * beta0
+        return beta0
+
+    def _product(self, apply, w, counted=True):
+        """``apply(w)`` as a float array, raising on a non-finite value.
+
+        The product counts in ``operator_products`` unless ``counted`` is
+        false (the products with A' of CGLS).
+        """
+        out = np.asarray(apply(w), dtype=float)
+        if not np.all(np.isfinite(out)):
+            raise ValueError("operator returned non-finite values")
+        if counted:
+            self.operator_products += 1
+        return out
 
     @property
     def x(self):
-        _form_x(self)
-        return self._X
+        """The (m+1, n) iterate block, formed as a new array."""
+        k = self.kw
+        return _rows(self.W[:k], self.Y[:, :k + 1], self._X, self._P,
+                     slice(None))
 
     @property
     def p(self):
-        _flush(self)
-        return self._P
+        """The (m+1, n) direction block, formed as a new array."""
+        k = self.kw
+        return _rows(self.W[:k], self.C[:, :k + 1], None, self._P,
+                     slice(None))
+
+    def solve(self) -> "MultishiftSolution":
+        """Step to the end, calling the callback after every joint iteration
+        with ``(j, per-shift |sigma|, statuses)``; returns the solution."""
+        while not self.done:
+            self.step()
+            if self._callback is not None:
+                self._callback(self.j, np.abs(self.sigma), tuple(self.status))
+        k = self.kw
+        return MultishiftSolution(
+            lambdas=self.lambdas.copy(),
+            residual_norms=np.abs(self.sigma),
+            statuses=tuple(self.status),
+            iterations=self.iterations.copy(),
+            tolerances=self.tol.copy(),
+            operator_products=self.operator_products,
+            total_iterations=self.j + 1,
+            W=self.W[:k], Y=self.Y[:, :k + 1].copy(), X=self._X, P=self._P)
 
 
 class MultishiftState(_ShiftBlock):
-    """Joint iteration state for all shifted systems.
-
-    Per-shift scalars are (m+1,) arrays; the iterate and direction blocks
-    ``x`` and ``p`` are shift-major (m+1, n), one row per shift, held as a
-    coefficient window over the shared Lanczos vectors (see
-    ``_ShiftBlock``).  ``step`` advances every still-running shift by one CG
-    update at the cost of one operator product.  Rows of shifts that
-    converged, were flagged indefinite or hit the cap are frozen.
-    """
+    """Joint Lanczos-CG on a symmetric operator M, for right-hand side b."""
 
     def __init__(self, apply_op, b, grid: ShiftGrid, tol, max_iter,
                  callback=None, alpha=None):
         b = np.asarray(b, dtype=float)
-        n = b.size
-        m1 = len(grid)
-        self.lambdas = grid.lambdas
-        self.tol = _as_tolerances(tol, m1)
-        self.max_iter = int(max_iter)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
         self._apply_op = apply_op
-        self._callback = callback
-
-        beta0 = float(np.linalg.norm(b))
+        beta0 = self._open(b, grid, tol, max_iter, callback, alpha)
+        if self.done:
+            return
         self.v = b / beta0
-        self.v_prev = np.zeros(n)
+        self.v_prev = np.zeros(b.size)
         self.beta = 0.0                       # multiplies v_{j-1}; unused at j=0
-        _init_shift_block(self, b, beta0, alpha)
-        self.operator_products = 0
-        self.q = self._product(self.v)
-
-    def _product(self, w):
-        out = np.asarray(self._apply_op(w), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise ValueError("operator returned non-finite values")
-        self.operator_products += 1
-        return out
+        self.q = self._product(apply_op, self.v)
 
     def step(self):
         """One joint Lanczos pass updating every running shift."""
@@ -174,45 +230,21 @@ class MultishiftState(_ShiftBlock):
             self.v_prev = v
             self.v = v_next
             self.beta = beta_next
-            self.q = self._product(v_next)
-
-        if self._callback is not None:
-            self._callback(j, np.abs(self.sigma), tuple(self.status))
+            self.q = self._product(self._apply_op, v_next)
 
 
-def _init_shift_block(state, rhs, beta0, alpha):
-    """Per-shift recurrence state of a joint solve with right-hand side rhs.
+def _rows(W, Y, X, P, rows):
+    """Rows ``rows`` of X + Y[:, :1] * P + Y[:, 1:] @ W as a new array.
 
-    ``alpha`` is the regularization weight the caller will select with;
-    ``None`` retires no shift (see ``_shift_block_step``).
+    The row formula of ``_ShiftBlock``; ``X`` and ``P`` are None before a
+    flush.
     """
-    m1 = state.lambdas.size
-    state.W = np.empty((m1, rhs.size))    # window of basis vectors
-    state.W[0] = rhs                      # p_0 = rhs for every shift
-    state.kw = 1                          # vectors in the window
-    state.Y = np.zeros((m1, m1 + 1))
-    state.C = np.zeros((m1, m1 + 1))      # C[:, 0] = 0: no _P yet
-    state.C[:, 1] = 1.0
-    state._X = None
-    state._P = None
-    state.sigma = np.full(m1, beta0)      # signed; |sigma_j| = ||r_j||
-    state.sigma_prev = state.sigma.copy()
-    state.omega = np.zeros(m1)
-    state.gamma = np.ones(m1)
-    state.denom = np.zeros(m1)            # last CG pivot delta+lam-omega/gamma
-    state.status = np.full(m1, RUNNING, dtype="<U16")
-    state.iterations = np.zeros(m1, dtype=int)
-    state.j = -1
-    state.breakdown = False
-    state.done = False
-    # alpha * lambda_i, the selection's target norms; None retires nothing
-    state.alpha_lam = None if alpha is None else alpha * state.lambdas
-    state.bound = np.zeros(m1)            # ||x_i|| - alpha lambda_i
-    state.score = np.full(m1, np.inf)     # |bound| once converged
-    # Squared norms of what the columns of Y weigh before any flush: no
-    # _P (its column of Y is zero), W[0] = rhs, then unit Lanczos vectors.
-    state.wsq = np.ones(m1 + 1)
-    state.wsq[:2] = 0.0, beta0 * beta0
+    x = Y[rows, 1:] @ W
+    if X is not None:
+        x += X[rows]
+    if P is not None:
+        x += Y[rows, :1] * P[rows]
+    return x
 
 
 def _form_x(state):
@@ -223,8 +255,7 @@ def _form_x(state):
         state._X = yw                 # Y[:, 0] is zero while no _P exists
     else:
         state._X += yw
-        if state._P is not None:
-            state._X += np.multiply(state.Y[:, :1], state._P, out=yw)
+        state._X += np.multiply(state.Y[:, :1], state._P, out=yw)
     state.Y[:] = 0.0
 
 
@@ -336,7 +367,6 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
     if breakdown:
         # Krylov space exhausted: remaining systems are solved exactly
         # within it, so finalize them as converged.
-        state.breakdown = True
         state.status[state.status == RUNNING] = CONVERGED
         state.done = True
         return False
@@ -412,14 +442,12 @@ def curvature_certificate(state: MultishiftState, i: int) -> float:
 class MultishiftSolution:
     """Per-shift directions and diagnostics of one multishift solve.
 
-    The directions stay in the solver's shift block (see ``_ShiftBlock``)::
-
-        d_i = X[i] + Y[i, 0] * P[i] + Y[i, 1:] @ W
-
-    with the flushed rows ``X`` and ``P`` present only when the window was
-    flushed.  The (m+1, n) block is never formed unless a flush happened
-    or ``directions`` is read: without a flush ``step_norms`` comes from
-    the window's Gram matrix, and ``direction(i)`` forms row i alone.
+    The directions stay in the solver's shift block as the solve ended (see
+    ``_ShiftBlock``): d_i is row i of x, with the flushed rows ``X`` and
+    ``P`` present only when the window was flushed.  The (m+1, n) block is
+    never formed unless a flush happened or ``directions`` is read: without
+    a flush ``step_norms`` comes from the window's Gram matrix, and
+    ``direction(i)`` forms row i alone.
     """
 
     lambdas: np.ndarray
@@ -434,22 +462,14 @@ class MultishiftSolution:
     X: Optional[np.ndarray] = None  # (m+1, n) flushed rows, if any
     P: Optional[np.ndarray] = None
 
-    def _rows(self, rows):
-        x = self.Y[rows, 1:] @ self.W
-        if self.X is not None:
-            x += self.X[rows]
-        if self.P is not None:
-            x += self.Y[rows, :1] * self.P[rows]
-        return x
-
     def direction(self, i) -> np.ndarray:
         """Direction of shift i, formed from the block as a new vector."""
-        return self._rows(i)
+        return _rows(self.W, self.Y, self.X, self.P, i)
 
     @cached_property
     def directions(self) -> np.ndarray:
         """(n, m+1), one column per shift: every row formed once and kept."""
-        return self._rows(slice(None)).T
+        return _rows(self.W, self.Y, self.X, self.P, slice(None)).T
 
     @cached_property
     def step_norms(self) -> np.ndarray:
@@ -478,20 +498,6 @@ class MultishiftSolution:
                 and self.residual_norms[i] <= self.tolerances[i])
 
 
-def _solution(state) -> MultishiftSolution:
-    """Package a finished joint solve with its shift block, forming no row."""
-    k = state.kw
-    return MultishiftSolution(
-        lambdas=state.lambdas.copy(),
-        residual_norms=np.abs(state.sigma),
-        statuses=tuple(state.status),
-        iterations=state.iterations.copy(),
-        tolerances=state.tol.copy(),
-        operator_products=state.operator_products,
-        total_iterations=state.j + 1,
-        W=state.W[:k], Y=state.Y[:, :k + 1].copy(), X=state._X, P=state._P)
-
-
 def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,
                   callback=None, alpha=None) -> MultishiftSolution:
     """Solve (M + lambda_i I) x = b for every shift of the grid.
@@ -502,7 +508,8 @@ def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,
         Symmetric operator, ``apply_M(v) -> M @ v``.  Symmetry is the
         caller's contract and is not checked here.
     b : array
-        Right-hand side.  A zero b yields all-zero converged solutions.
+        Right-hand side.  A zero b yields all-zero converged solutions and
+        forms no product.
     grid : ShiftGrid
     tol : float or array
         Per-shift absolute residual tolerance.
@@ -517,23 +524,5 @@ def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,
         retired, and the solve ends once no selectable shift runs (see
         ``_shift_block_step``).  ``None`` retires nothing.
     """
-    b = np.asarray(b, dtype=float)
-    m1 = len(grid)
-    if max_iter is None:
-        max_iter = 2 * b.size
-    if np.linalg.norm(b) == 0.0:
-        return MultishiftSolution(
-            lambdas=grid.lambdas.copy(),
-            residual_norms=np.zeros(m1),
-            statuses=(CONVERGED,) * m1,
-            iterations=np.zeros(m1, dtype=int),
-            tolerances=_as_tolerances(tol, m1),
-            operator_products=0,
-            total_iterations=0,
-            W=np.empty((0, b.size)), Y=np.zeros((m1, 1)))
-
-    state = MultishiftState(apply_M, b, grid, tol, max_iter, callback=callback,
-                            alpha=alpha)
-    while not state.done:
-        state.step()
-    return _solution(state)
+    return MultishiftState(apply_M, b, grid, tol, max_iter, callback=callback,
+                           alpha=alpha).solve()

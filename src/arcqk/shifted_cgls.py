@@ -11,62 +11,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from .shifted_cg import (CAPPED, CONVERGED, MultishiftSolution, ShiftGrid,
-                         _as_tolerances, _EPS, _init_shift_block,
-                         _shift_block_step, _ShiftBlock, _solution)
+from .shifted_cg import (CAPPED, MultishiftSolution, ShiftGrid, _EPS,
+                         _shift_block_step, _ShiftBlock)
 
 
 class CglsState(_ShiftBlock):
-    """Joint iteration state of the shifted CGLS recurrences.
+    """Joint Lanczos-CGLS on A'A, for the right-hand side A'b.
 
-    The per-shift arrays and the shift-major (m+1, n) ``x``/``p`` blocks,
-    held as a coefficient window, are those of the plain multishift solver
-    and go through the same shift-block update; only the Lanczos source
-    differs.  It runs through auxiliary row-space vectors u_j, with one
-    product by A and one by A' per joint iteration.
+    The Lanczos source runs through auxiliary row-space vectors u_j, with
+    one product by A (counted) and one by A' per joint iteration.
     """
 
     def __init__(self, apply_A, apply_At, b, grid: ShiftGrid, tol, max_iter,
                  callback=None, alpha=None):
         b = np.asarray(b, dtype=float)
-        self.lambdas = grid.lambdas
-        self.tol = _as_tolerances(tol, len(grid))
         self._apply_A = apply_A
         self._apply_At = apply_At
-        self._callback = callback
-        self.operator_products = 0           # products with A
-
-        u = b.copy()
-        atb = self._tprod(u)
-        beta0 = float(np.linalg.norm(atb))  # norm of the normal-equations rhs
-        n = atb.size
-        self.max_iter = int(2 * n if max_iter is None else max_iter)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        _init_shift_block(self, atb, beta0, alpha)
-        if beta0 == 0.0:
-            # A'b = 0: the zero vector solves every shifted system.
-            self.status[:] = CONVERGED
-            self.done = True
+        atb = self._product(apply_At, b, counted=False)
+        # beta0 = ||A'b||, the norm of the normal-equations rhs
+        beta0 = self._open(atb, grid, tol, max_iter, callback, alpha)
+        if self.done:
             return
         self.v = atb / beta0
-        self.u = u / beta0
+        self.u = b / beta0
         self.u_prev = np.zeros(b.size)
         self.beta = beta0                   # multiplies u_{j-1}; unused at j=0
-        self.q = self._prod(self.v)         # u-tilde for the first pass
-
-    def _prod(self, w):
-        out = np.asarray(self._apply_A(w), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise ValueError("operator A returned non-finite values")
-        self.operator_products += 1
-        return out
-
-    def _tprod(self, w):
-        out = np.asarray(self._apply_At(w), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise ValueError("operator A' returned non-finite values")
-        return out
+        self.q = self._product(apply_A, self.v)   # u-tilde for the first pass
 
     def step(self):
         """One joint pass: one A product, one A' product, block updates."""
@@ -79,7 +49,7 @@ class CglsState(_ShiftBlock):
         u_next = ut - delta * self.u
         if j > 0:
             u_next = u_next - self.beta * self.u_prev
-        atu = self._tprod(u_next)
+        atu = self._product(self._apply_At, u_next, counted=False)
         beta_next = float(np.linalg.norm(atu))
         breakdown = beta_next <= _EPS * (1.0 + delta)
         v_next = None if breakdown else atu / beta_next
@@ -93,10 +63,7 @@ class CglsState(_ShiftBlock):
             self.u = u_next / beta_next
             self.v = v_next
             self.beta = beta_next
-            self.q = self._prod(v_next)
-
-        if self._callback is not None:
-            self._callback(j, np.abs(self.sigma), tuple(self.status))
+            self.q = self._product(self._apply_A, v_next)
 
 
 def multishift_cgls(apply_A, apply_At, b, grid: ShiftGrid, tol=1e-8,
@@ -112,8 +79,5 @@ def multishift_cgls(apply_A, apply_At, b, grid: ShiftGrid, tol=1e-8,
     norm is recurred as |sigma|.  ``alpha`` retires shifts as in
     ``multishift_cg``.
     """
-    state = CglsState(apply_A, apply_At, b, grid, tol, max_iter,
-                      callback=callback, alpha=alpha)
-    while not state.done:
-        state.step()
-    return _solution(state)
+    return CglsState(apply_A, apply_At, b, grid, tol, max_iter,
+                     callback=callback, alpha=alpha).solve()

@@ -427,10 +427,6 @@ class TestArcMinimize:
         checked = [(a, b) for a, b in tail if a <= 1e-2]
         assert checked and all(b <= a ** 1.2 for a, b in checked)
 
-    def test_max_alpha_logged(self):
-        st, _ = arcqk_minimize(seeded_sphere())
-        assert st.max_alpha >= max(r.alpha for r in st.trace)
-
     def test_sufficient_decrease_and_positive_alpha(self):
         params = ArcParams()
         st, _ = arcqk_minimize(make_rosenbrock(), params)

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from arcqk.arc import (AllShiftsIndefinite, GridExhausted,
                        advance_shift_on_failure, select_step)
-from arcqk.shifted_cg import (RETIRED, RUNNING, ShiftGrid, _retirees,
-                              multishift_cg)
-from arcqk.shifted_cgls import multishift_cgls
+from arcqk.shifted_cg import (RETIRED, RUNNING, MultishiftState, ShiftGrid,
+                              _retirees, multishift_cg)
+from arcqk.shifted_cgls import CglsState, multishift_cgls
 
 
 def make_solver(kernel, n, spectrum, seed, tol_frac):
@@ -165,6 +165,51 @@ def test_fixed_case_retires_and_stops(kernel):
     assert RUNNING not in passes[-1] and RETIRED in passes[-1]
     assert all(RUNNING in statuses for statuses in passes[:-1])
     assert sol.operator_products == len(passes)
+
+
+def new_state(kernel, alpha, seed=0, n=60):
+    """A seeded CG or CGLS state on the default grid, stepped by hand.
+
+    The operator's spectrum (of A'A for CGLS) is log-uniform over
+    [1e-3, 1e3] and the tolerance 1e-8 of the right-hand side's norm.
+    """
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    grid = ShiftGrid.default()
+    if kernel == "cg":
+        M = (q * np.logspace(-3, 3, n)) @ q.T
+        b = rng.standard_normal(n)
+        return MultishiftState(lambda v: M @ v, b, grid,
+                               1e-8 * np.linalg.norm(b), None, alpha=alpha)
+    u, _ = np.linalg.qr(rng.standard_normal((n + 10, n)))
+    A = (u * np.logspace(-1.5, 1.5, n)) @ q.T
+    b = rng.standard_normal(n + 10)
+    return CglsState(lambda v: A @ v, lambda w: A.T @ w, b, grid,
+                     1e-8 * np.linalg.norm(A.T @ b), None, alpha=alpha)
+
+
+@pytest.mark.parametrize("kernel", ["cg", "cgls"])
+def test_reading_x_and_p_leaves_the_solve_alone(kernel):
+    """Reading ``x`` and ``p`` after every pass changes nothing in the solve.
+
+    Retirement reads the window coefficients, and stops for good once the
+    window has been flushed.  A read that folded the window into the
+    flushed rows switched it off, and this solve then ran to its 2n cap.
+    """
+    plain = new_state(kernel, 1e-3).solve()
+    state = new_state(kernel, 1e-3)
+    while not state.done:
+        state.step()
+        state.x, state.p
+    seen = state.solve()
+    assert RETIRED in plain.statuses
+    assert plain.total_iterations < 2 * plain.W.shape[1]
+    assert seen.statuses == plain.statuses
+    assert np.array_equal(seen.iterations, plain.iterations)
+    assert seen.operator_products == plain.operator_products
+    assert seen.total_iterations == plain.total_iterations
+    for i in range(plain.lambdas.size):
+        assert np.array_equal(seen.direction(i), plain.direction(i)), i
 
 
 def test_rule_retires_a_prefix_below_the_best_frozen_shift():

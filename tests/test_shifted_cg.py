@@ -27,7 +27,6 @@ class TestShiftGrid:
         assert len(grid) == 31
         assert grid[0] == pytest.approx(1e-15)
         assert grid[30] == pytest.approx(1e15)
-        assert grid.beta == pytest.approx(np.sqrt(10.0))
         ratios = grid.lambdas[1:] / grid.lambdas[:-1]
         assert_allclose(ratios, 10.0, rtol=1e-12)
 
@@ -40,11 +39,6 @@ class TestShiftGrid:
             ShiftGrid([1.0, 1.0])
         with pytest.raises(ValueError, match="finite"):
             ShiftGrid([1.0, np.inf])
-
-    def test_beta_inferred(self):
-        assert ShiftGrid([1.0, 4.0]).beta == pytest.approx(2.0)
-        with pytest.raises(ValueError, match="beta"):
-            ShiftGrid([1.0, 2.0], beta=0.5)
 
 
 class TestMultishiftCg:
@@ -83,10 +77,20 @@ class TestMultishiftCg:
             assert err <= 1e-8, f"shift {lam}"
 
     def test_zero_rhs_trivial(self):
-        sol = multishift_cg(lambda v: v, np.zeros(4), ShiftGrid([1.0]), tol=1e-8)
-        assert sol.statuses == (CONVERGED,)
-        assert sol.operator_products == 0
-        assert_allclose(sol.directions, 0.0)
+        op, calls = counting_op(np.eye(4))
+        grid = ShiftGrid([0.1, 1.0, 10.0])
+        for alpha in (None, 1.0):
+            sol = multishift_cg(op, np.zeros(4), grid, tol=1e-8, alpha=alpha)
+            assert sol.statuses == (CONVERGED,) * 3
+            assert sol.total_iterations == 0
+            assert sol.operator_products == calls["n"] == 0
+            assert np.all(sol.step_norms == 0.0)
+            for i in range(3):
+                assert np.all(sol.direction(i) == 0.0)
+            assert sol.directions.shape == (4, 3)
+            assert np.all(sol.directions == 0.0)
+            with pytest.raises(ValueError, match="max_iter"):
+                multishift_cg(op, np.zeros(4), grid, max_iter=0, alpha=alpha)
 
     def test_nonfinite_operator_raises(self):
         with pytest.raises(ValueError, match="non-finite"):

@@ -163,11 +163,18 @@ class TestMultishiftCgls:
         # b orthogonal to range(A): A'b = 0, zero is the solution
         A = np.array([[1.0], [0.0]])
         apply_A, apply_At, calls = ops(A)
-        sol = multishift_cgls(apply_A, apply_At, np.array([0.0, 5.0]),
-                              ShiftGrid([1.0]), tol=1e-10)
-        assert sol.statuses == (CONVERGED,)
-        assert_allclose(sol.directions, 0.0)
-        assert sol.total_iterations == 0
+        for alpha in (None, 1.0):
+            sol = multishift_cgls(apply_A, apply_At, np.array([0.0, 5.0]),
+                                  ShiftGrid([0.1, 1.0, 10.0]), tol=1e-10,
+                                  alpha=alpha)
+            assert sol.statuses == (CONVERGED,) * 3
+            assert sol.total_iterations == 0
+            assert sol.operator_products == calls["A"] == 0
+            assert np.all(sol.step_norms == 0.0)
+            for i in range(3):
+                assert np.all(sol.direction(i) == 0.0)
+            assert sol.directions.shape == (1, 3)
+            assert np.all(sol.directions == 0.0)
 
     def test_nonfinite_raises(self):
         with pytest.raises(ValueError, match="non-finite"):

@@ -9,7 +9,10 @@ class breaks the traced benchmark run; this test catches it first.
 import importlib.util
 from pathlib import Path
 
-from arcqk.shifted_cg import MultishiftState
+import numpy as np
+
+import arcqk.arc as arc
+from arcqk.shifted_cg import MultishiftState, ShiftGrid
 from arcqk.shifted_cgls import CglsState
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -37,3 +40,25 @@ def test_tracer_install_and_restore():
         tracer.restore()
     assert tracer.originals_in_place()
     assert (MultishiftState.step, CglsState.step) == originals
+
+
+def test_every_joint_iteration_is_a_step_span():
+    """A solve through the wrapped entry points records one ``step`` span
+    per joint iteration, so its loop goes through each class's ``step``."""
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((30, 20))
+    M = A.T @ A
+    b = rng.standard_normal(30)
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        cg = arc.multishift_cg(lambda v: M @ v, A.T @ b, ShiftGrid.default(),
+                               tol=1e-8, alpha=1.0)
+        cgls = arc.multishift_cgls(lambda v: A @ v, lambda u: A.T @ u, b,
+                                   ShiftGrid.default(), tol=1e-8, alpha=1.0)
+    finally:
+        tracer.restore()
+    count = dict(zip(tracer.names, tracer.summary()["count"]))
+    assert cg.total_iterations > 1 and cgls.total_iterations > 1
+    assert count["shifted_cg.step"] == cg.total_iterations
+    assert count["shifted_cgls.step"] == cgls.total_iterations
