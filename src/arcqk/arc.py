@@ -19,8 +19,8 @@ import numpy as np
 
 from .problems import LeastSquaresProblem, SmoothProblem
 from .records import BenchRecord, record_status
-from .shifted_cg import (INDEFINITE, MultishiftSolution, ShiftGrid,
-                         multishift_cg)
+from .shifted_cg import (_INDEFINITE, MultishiftSolution, ShiftGrid,
+                         TimeExceeded, multishift_cg)
 from .shifted_cgls import multishift_cgls
 
 _EPS = float(np.finfo(float).eps)
@@ -28,7 +28,7 @@ _EPS = float(np.finfo(float).eps)
 STATUS_RUNNING = "running"
 STATUS_STATIONARY = "first_order_stationary"
 STATUS_MAX_ITER = "max_iter"
-STATUS_TIME = "time_exceeded"
+STATUS_TIME = TimeExceeded.status
 STATUS_UNBOUNDED = "unbounded_below"
 STATUS_GRID_EXHAUSTED = "grid_exhausted"
 STATUS_TOO_INDEFINITE = "hessian_too_indefinite"
@@ -192,21 +192,21 @@ def select_step(solutions: MultishiftSolution, alpha: float):
     Returns ``(i_plus, j, d)`` where ``i_plus`` is the smallest shift index
     without a negative-curvature certificate and ``j`` minimizes
     ``|alpha * lambda_i - ||d_i|||`` over usable shifts at or above it,
-    ties resolved toward the smaller shift.
+    ties resolved toward the smaller shift.  The shifts are read from the
+    solution's status codes and ``usable_mask``.
     """
-    statuses = solutions.statuses
-    candidates = [i for i, s in enumerate(statuses) if s != INDEFINITE]
-    if not candidates:
+    definite = (solutions.codes != _INDEFINITE).nonzero()[0]
+    if not definite.size:
         raise AllShiftsIndefinite(
             "negative curvature certified for every shift in the grid")
-    i_plus = candidates[0]
-    norms = solutions.step_norms
-    usable = [i for i in range(i_plus, len(statuses)) if solutions.usable(i)]
-    if not usable:
+    i_plus = int(definite[0])
+    usable = solutions.usable_mask[i_plus:].nonzero()[0] + i_plus
+    if not usable.size:
         raise GridExhausted(
             "no shift at or above the first definite one met its tolerance")
-    scores = np.abs(alpha * solutions.lambdas[usable] - norms[usable])
-    j = usable[int(np.argmin(scores))]
+    scores = np.abs(alpha * solutions.lambdas[usable]
+                    - solutions.step_norms[usable])
+    j = int(usable[scores.argmin()])
     return i_plus, j, solutions.direction(j)
 
 
@@ -217,25 +217,17 @@ def advance_shift_on_failure(solutions: MultishiftSolution, j: int,
     Walks ``j`` upward through usable shifts, setting
     ``alpha = ||d(lambda_j)|| / lambda_j`` at each stop, until the new alpha
     is at most ``gamma1`` times the old one.  Raises :class:`GridExhausted`
-    when the grid runs out first.
+    when the grid runs out first.  The first move always happens, also when
+    alpha has overflowed to inf.
     """
-    target = gamma1 * alpha
-    jj = j
-    m1 = len(solutions.statuses)
-    norms = solutions.step_norms
-    # do-while: the first advance always happens (for finite alpha the loop
-    # condition alpha > gamma1*alpha starts true; this also keeps the walk
-    # moving if alpha ever overflows to inf).
-    while True:
-        jj += 1
-        while jj < m1 and not solutions.usable(jj):
-            jj += 1
-        if jj >= m1:
-            raise GridExhausted(
-                "the shift grid holds no sufficiently large values")
-        a = float(norms[jj] / solutions.lambdas[jj])
-        if not a > target:
-            return jj, a
+    above = solutions.usable_mask[j + 1:].nonzero()[0] + (j + 1)
+    alphas = solutions.step_norms[above] / solutions.lambdas[above]
+    stops = (~(alphas > gamma1 * alpha)).nonzero()[0]
+    if not stops.size:
+        raise GridExhausted(
+            "the shift grid holds no sufficiently large values")
+    k = stops[0]
+    return int(above[k]), float(alphas[k])
 
 
 @dataclass
@@ -286,9 +278,10 @@ class _SmoothDriver:
     def grad(self, x, aux=None):
         return self.problem.eval_grad(x)
 
-    def solve(self, x, g, tol, alpha):
+    def solve(self, x, g, tol, alpha, deadline):
         return multishift_cg(lambda w: self.problem.eval_hvp(x, w), -g,
-                             self.params.grid, tol=tol, alpha=alpha)
+                             self.params.grid, tol=tol, alpha=alpha,
+                             deadline=deadline)
 
     def trial(self, x):
         return self.problem.eval_f(x), None
@@ -312,12 +305,12 @@ class _GaussNewtonDriver:
         self._residual = r
         return self.problem.eval_jtprod(x, r)
 
-    def solve(self, x, g, tol, alpha):
+    def solve(self, x, g, tol, alpha, deadline):
         p = self.problem
         return multishift_cgls(lambda v: p.eval_jprod(x, v),
                                lambda u: p.eval_jtprod(x, u),
                                -self._residual, self.params.grid, tol=tol,
-                               alpha=alpha)
+                               alpha=alpha, deadline=deadline)
 
     def trial(self, x):
         r = self.problem.eval_residual(x)
@@ -331,7 +324,8 @@ def _outer_loop(problem, driver, params: SolverParams, state, propose,
     ``propose(x, f, g, gnorm)`` returns ``(d, RatioEval, trace_record)`` for
     the next trial and ``update(success, rho)`` adjusts the solver's weight
     (alpha or the radius) after it.  ``propose`` may raise
-    :class:`GridExhausted` or :class:`AllShiftsIndefinite` and ``update``
+    :class:`GridExhausted`, :class:`AllShiftsIndefinite` or, from a solve
+    that ran past the time budget, ``TimeExceeded``, and ``update``
     :class:`GridExhausted`; the exception's ``status`` ends the run.
     Everything else (the stopping tests, acceptance, the move to the new
     iterate, the trace and the record) is common, so both solvers stop,
@@ -362,7 +356,7 @@ def _outer_loop(problem, driver, params: SolverParams, state, propose,
 
         try:
             d, ev, rec = propose(x, f, g, gnorm)
-        except (GridExhausted, AllShiftsIndefinite) as exc:
+        except (GridExhausted, AllShiftsIndefinite, TimeExceeded) as exc:
             state.status = exc.status
             break
         unbounded = ev.f_trial is not None and (
@@ -410,7 +404,9 @@ def _arc_loop(problem, driver, params: ArcParams, callback=None):
     the start and after each accepted step; rejected steps walk the same
     solution's shifts.  The solve gets the current alpha, so it retires
     the shifts this selection can no longer pick and stops once none of
-    the others runs.  A trial then costs one objective evaluation and no
+    the others runs; with a ``time_budget`` it also gets the run's
+    deadline, and a solve still running past it ends the run with
+    ``time_exceeded``.  A trial then costs one objective evaluation and no
     operator product: ``acceptance_ratio`` prices the model decrease from
     the selected shift's Galerkin identity.  The spent solution stays
     referenced until the next solve replaces it.  Dropping it at the
@@ -424,12 +420,14 @@ def _arc_loop(problem, driver, params: ArcParams, callback=None):
     """
     state = ArcState(x=problem.x0.copy(), alpha=params.alpha0)
     sols = j = None
+    deadline = (None if params.time_budget is None
+                else time.perf_counter() + params.time_budget)
 
     def propose(x, f, g, gnorm):
         nonlocal sols, j
         if j is None:
             tol = inner_tolerance(gnorm, params.zeta, params.xi)
-            sols = driver.solve(x, g, tol, state.alpha)
+            sols = driver.solve(x, g, tol, state.alpha, deadline)
             state.n_solves += 1
             _, j, d = select_step(sols, state.alpha)
         else:

@@ -10,7 +10,9 @@ curvature is certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import time
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -22,7 +24,19 @@ INDEFINITE = "indefinite"
 CAPPED = "capped"
 RETIRED = "retired"
 
+# The kernel keeps int8 status codes; the names are what callers see
+# (``state.status``, the callback and ``MultishiftSolution.statuses``).
+_NAMES = (RUNNING, CONVERGED, INDEFINITE, CAPPED, RETIRED)
+_RUNNING, _CONVERGED, _INDEFINITE, _CAPPED, _RETIRED = range(len(_NAMES))
+_CODES = {name: code for code, name in enumerate(_NAMES)}
+
 _EPS = float(np.finfo(float).eps)
+
+
+class TimeExceeded(Exception):
+    """The caller's deadline passed during a multishift solve."""
+
+    status = "time_exceeded"
 
 
 class ShiftGrid:
@@ -59,6 +73,19 @@ class ShiftGrid:
         lam = self.lambdas
         return f"ShiftGrid({lam[0]:g}..{lam[-1]:g}, m+1={lam.size})"
 
+    @cached_property
+    def _templates(self):
+        """Starting arrays of a shift block on this grid, which
+        ``_ShiftBlock._open`` copies: per-shift rows, the (Y, C) blocks and
+        the status codes; O((m+1)^2) floats."""
+        m1 = self.lambdas.size
+        rows = np.zeros((10, m1))
+        rows[[1, 3]] = 1.0                    # om and gamma
+        rows[8] = np.inf                      # score
+        yc = np.zeros((2, m1, m1 + 1))
+        yc[1, :, 1] = 1.0                     # C: p_0 = W[0] for every shift
+        return rows, yc, np.zeros(m1, dtype=np.int8)
+
 
 class _ShiftBlock:
     """The per-shift CG recurrences of one joint solve over a Lanczos source.
@@ -74,8 +101,17 @@ class _ShiftBlock:
     shift freezes.  A zero right-hand side is solved by zero: every shift
     is ``converged`` from the start, and the solve forms no product.
 
-    Per-shift scalars are (m+1,) arrays.  A shift that converged, was
-    frozen at a nonpositive pivot, retired or hit the cap keeps its row.
+    Per-shift scalars are (m+1,) rows of one array: the stacked
+    ``S = (gamma, omega, sigma)`` of the recurrence, the pass's new values
+    ``N = (g, om, sig)`` and ``sigma_prev``, ``denom`` and ``score``.  The
+    status of each shift is an int8 code in ``code`` (the ``_NAMES`` index;
+    ``status`` gives the names), and ``run`` masks the running shifts.  A
+    shift that converged, was frozen at a nonpositive pivot, retired or hit
+    the cap keeps its row; ``_freeze`` clears it in ``run`` and sets its g
+    and om to 0 and 1, so that the coefficient updates leave it unchanged
+    without a mask.  A solve on ``grid`` starts from copies of the grid's
+    ``_templates``.  ``iterations[i]`` is set when shift i freezes.
+
     The shift-major (m+1, n) iterate and direction blocks ``x`` and ``p``
     are never stored whole.  Every shifted iterate lies in the Krylov space
     of the shared Lanczos vectors (the shift invariance of multishift
@@ -98,50 +134,57 @@ class _ShiftBlock:
     happened or the solution's ``directions`` is read.
     """
 
-    def _open(self, rhs, grid: ShiftGrid, tol, max_iter, callback, alpha):
+    def _open(self, rhs, grid: ShiftGrid, tol, max_iter, callback, alpha,
+              deadline):
         """Check the arguments and start the block on ``rhs``; returns ||rhs||.
 
         ``max_iter`` defaults to 2 n.  ``alpha`` is the regularization
         weight the caller will select with; ``None`` retires no shift (see
-        ``_shift_block_step``).
+        ``_shift_block_step``).  ``deadline`` is a ``time.perf_counter``
+        value after which ``solve`` raises ``TimeExceeded``; ``None`` sets
+        no limit.
         """
         m1 = len(grid)
         self.lambdas = grid.lambdas
         tol = np.asarray(tol, dtype=float)
-        self.tol = np.full(m1, float(tol)) if tol.ndim == 0 else tol
-        if self.tol.shape != (m1,):
+        if tol.shape not in ((), (m1,)):
             raise ValueError(f"tol must be scalar or have {m1} entries")
-        if np.any(self.tol < 0) or not np.all(np.isfinite(self.tol)):
+        lo, hi = (tol, tol) if tol.ndim == 0 else (tol.min(), tol.max())
+        if not 0.0 <= lo <= hi < np.inf:
             raise ValueError("tolerances must be finite and nonnegative")
         self.max_iter = int(2 * rhs.size if max_iter is None else max_iter)
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         self._callback = callback
+        self._deadline = deadline
         self.operator_products = 0            # counted operator's products
 
-        beta0 = float(np.linalg.norm(rhs))
+        beta0 = math.sqrt(rhs @ rhs)
         self.W = np.empty((m1, rhs.size))     # window of basis vectors
         self.W[0] = rhs                       # p_0 = rhs for every shift
         self.kw = 1                           # vectors in the window
-        self.Y = np.zeros((m1, m1 + 1))
-        self.C = np.zeros((m1, m1 + 1))       # C[:, 0] = 0: no _P yet
-        self.C[:, 1] = 1.0
+        rows, yc, code = (a.copy() for a in grid._templates)
+        self.Y, self.C = yc[0], yc[1]         # C[:, 0] = 0: no _P yet
         self._X = None
         self._P = None
-        self.sigma = np.full(m1, beta0)       # signed; |sigma_j| = ||r_j||
-        self.sigma_prev = self.sigma.copy()
-        self.omega = np.zeros(m1)
-        self.gamma = np.ones(m1)
-        self.denom = np.zeros(m1)             # last CG pivot delta+lam-omega/gamma
+        self.N, self.S = rows[0:3], rows[3:6]
+        self.g, self.om, self.sig = rows[0], rows[1], rows[2]
+        rows[5:7] = beta0                     # sigma and sigma_prev
+        self.sigma = rows[5]                  # signed; |sigma_j| = ||r_j||
+        self.sigma_prev = rows[6]
+        self.denom = rows[7]                  # last CG pivot delta+lam-omega/gamma
+        self.score = rows[8]                  # |bound| once converged
+        self.tol = rows[9]
+        self.tol[:] = tol
         self.done = beta0 == 0.0              # zero solves every system
-        self.status = np.full(m1, CONVERGED if self.done else RUNNING,
-                              dtype="<U16")
-        self.iterations = np.zeros(m1, dtype=int)
+        if self.done:
+            code[:] = _CONVERGED
+        self.code = code                      # _RUNNING is 0
+        self.run = code == _RUNNING
+        self.iterations = np.zeros(m1, dtype=int)   # set as a shift freezes
         self.j = -1
         # alpha * lambda_i, the selection's target norms; None retires nothing
         self.alpha_lam = None if alpha is None else alpha * self.lambdas
-        self.bound = np.zeros(m1)             # ||x_i|| - alpha lambda_i
-        self.score = np.full(m1, np.inf)      # |bound| once converged
         # Squared norms of what the columns of Y weigh before any flush: no
         # _P (its column of Y is zero), W[0] = rhs, then unit Lanczos vectors.
         self.wsq = np.ones(m1 + 1)
@@ -155,11 +198,16 @@ class _ShiftBlock:
         false (the products with A' of CGLS).
         """
         out = np.asarray(apply(w), dtype=float)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise ValueError("operator returned non-finite values")
         if counted:
             self.operator_products += 1
         return out
+
+    @property
+    def status(self):
+        """Per-shift status names, a tuple of the module's constants."""
+        return tuple(map(_NAMES.__getitem__, self.code.tolist()))
 
     @property
     def x(self):
@@ -177,31 +225,39 @@ class _ShiftBlock:
 
     def solve(self) -> "MultishiftSolution":
         """Step to the end, calling the callback after every joint iteration
-        with ``(j, per-shift |sigma|, statuses)``; returns the solution."""
+        with ``(j, per-shift |sigma|, statuses)``; returns the solution.
+
+        Raises ``TimeExceeded`` when a joint iteration ends past the
+        deadline.
+        """
+        deadline = self._deadline
         while not self.done:
             self.step()
             if self._callback is not None:
-                self._callback(self.j, np.abs(self.sigma), tuple(self.status))
+                self._callback(self.j, np.abs(self.sigma), self.status)
+            if deadline is not None and time.perf_counter() > deadline:
+                raise TimeExceeded(f"deadline passed in iteration {self.j}")
         k = self.kw
         return MultishiftSolution(
             lambdas=self.lambdas.copy(),
             residual_norms=np.abs(self.sigma),
-            statuses=tuple(self.status),
+            statuses=self.status,
             iterations=self.iterations.copy(),
             tolerances=self.tol.copy(),
             operator_products=self.operator_products,
             total_iterations=self.j + 1,
-            W=self.W[:k], Y=self.Y[:, :k + 1].copy(), X=self._X, P=self._P)
+            W=self.W[:k], Y=self.Y[:, :k + 1].copy(), X=self._X, P=self._P,
+            codes=self.code)
 
 
 class MultishiftState(_ShiftBlock):
     """Joint Lanczos-CG on a symmetric operator M, for right-hand side b."""
 
     def __init__(self, apply_op, b, grid: ShiftGrid, tol, max_iter,
-                 callback=None, alpha=None):
+                 callback=None, alpha=None, deadline=None):
         b = np.asarray(b, dtype=float)
         self._apply_op = apply_op
-        beta0 = self._open(b, grid, tol, max_iter, callback, alpha)
+        beta0 = self._open(b, grid, tol, max_iter, callback, alpha, deadline)
         if self.done:
             return
         self.v = b / beta0
@@ -219,14 +275,14 @@ class MultishiftState(_ShiftBlock):
         delta = float(v @ q)
         w = q - delta * v
         if j > 0:
-            w = w - self.beta * self.v_prev
-        beta_next = float(np.linalg.norm(w))
-        breakdown = beta_next <= _EPS * (1.0 + float(np.linalg.norm(q)))
+            w -= self.beta * self.v_prev
+        beta_next = math.sqrt(w @ w)
+        breakdown = beta_next <= _EPS * (1.0 + math.sqrt(q @ q))
         v_next = None if breakdown else w / beta_next
 
         # Nonpositive pivot certifies p'(M + lam I)p <= 0 for that shift.
         if _shift_block_step(self, j, delta, beta_next, v_next, breakdown,
-                             INDEFINITE):
+                             _INDEFINITE):
             self.v_prev = v
             self.v = v_next
             self.beta = beta_next
@@ -280,13 +336,23 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
 
     ``delta`` and ``beta_next`` are the Lanczos coefficients of the pass and
     ``v_next`` the next Lanczos vector (``None`` on breakdown).  A running
-    shift whose pivot is nonpositive is frozen with ``pivot_status`` before
-    dividing, keeping its last iterate.  The update ``x += g p``,
-    ``p = om p + sig v_next`` acts on the window coefficients of every row,
-    with g = 0 and om = 1 on frozen rows, so their coefficients gain exact
-    zeros and keep their values.  Returns True when some shift still runs,
-    so the caller must advance its Lanczos source and form the next product;
-    once every shift has frozen no further product is needed.
+    shift whose pivot is nonpositive is frozen with the status code
+    ``pivot_status`` before dividing, keeping its last iterate.  The update
+    ``x += g p``, ``p = om p + sig v_next`` acts on the window coefficients
+    of every row, with g = 0 and om = 1 on frozen rows, so their
+    coefficients gain exact zeros and keep their values.  Returns True when
+    some shift still runs, so the caller must advance its Lanczos source
+    and form the next product; once every shift has frozen no further
+    product is needed.
+
+    A pass makes a fixed number of numpy calls (31 when no shift freezes),
+    however many shifts run: the pivots of every row are computed and
+    copied into the running rows under the kept mask ``run``, g, om and sig
+    are written in place into ``N`` and copied into ``S`` by one masked
+    copy, and ``run``, the codes, ``iterations`` and the g/om rows change
+    only in ``_freeze``, when some shift freezes.  Every floating-point
+    expression is the one of the masked per-row update, so the iterates
+    and counts do not depend on this layout.
 
     Given the caller's alpha, shifts that ARC's selection at that alpha can
     no longer pick are retired: frozen with status ``retired``, which is
@@ -329,30 +395,30 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
     window's Gram matrix, as ``step_norms`` computes them.  Nothing is
     retired once the window has been flushed.
     """
-    running = state.status == RUNNING
-    state.denom[running] = (delta + state.lambdas[running]
-                            - state.omega[running] / state.gamma[running])
-    state.sigma_prev[running] = state.sigma[running]
-    state.status[running & (state.denom <= 0.0)] = pivot_status
+    run, S, g, om, sig = state.run, state.S, state.g, state.om, state.sig
+    denom = delta + state.lambdas - S[1] / S[0]
+    np.copyto(state.denom, denom, where=run)
+    np.copyto(state.sigma_prev, S[2], where=run)
+    pivot = (denom <= 0.0) & run
+    if np.count_nonzero(pivot):
+        _freeze(state, pivot, pivot_status)
+    state.j = j                               # frozen from here: j+1 passes
 
-    act = state.status == RUNNING
-    if act.any():
-        g = np.divide(1.0, state.denom, out=np.zeros(act.size), where=act)
-        om = np.where(act, (beta_next * g) ** 2, 1.0)
-        sig = -beta_next * g * state.sigma
-        np.copyto(state.gamma, g, where=act)
-        np.copyto(state.omega, om, where=act)
-        np.copyto(state.sigma, sig, where=act)
-        state.iterations[act] = j + 1
-        conv = act & (np.abs(state.sigma) <= state.tol)
-        state.status[conv] = CONVERGED
+    if np.count_nonzero(run):
+        np.divide(1.0, denom, out=g, where=run)
+        np.square(beta_next * g, out=om, where=run)
+        np.multiply(-beta_next * g, S[2], out=sig)
+        np.copyto(S, state.N, where=run)       # gamma, omega, sigma
+        conv = (np.abs(S[2]) <= state.tol) & run
+        converged = np.count_nonzero(conv)
 
         state.Y += g[:, None] * state.C       # x += g p
         if state.alpha_lam is not None and state._X is None:
             # whole rows of Y: the columns past the window are zero
             state.bound = (np.sqrt(np.dot(state.Y * state.Y, state.wsq))
                            - state.alpha_lam)
-            np.copyto(state.score, np.abs(state.bound), where=conv)
+            if converged:
+                np.copyto(state.score, np.abs(state.bound), where=conv)
         state.C *= om[:, None]                # p = om p + sig v_next
         if not breakdown:
             k = state.kw
@@ -362,23 +428,31 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
             state.W[k] = v_next
             state.C[:, k + 1] = sig
             state.kw = k + 1
+        if converged:
+            _freeze(state, conv, _CONVERGED)
 
-    state.j = j
-    if breakdown:
-        # Krylov space exhausted: remaining systems are solved exactly
-        # within it, so finalize them as converged.
-        state.status[state.status == RUNNING] = CONVERGED
+    if breakdown or j + 1 >= state.max_iter:
+        # On breakdown the Krylov space is exhausted: the remaining systems
+        # are solved exactly within it, so they are finalized as converged.
+        _freeze(state, run, _CONVERGED if breakdown else _CAPPED)
         state.done = True
         return False
-    if j + 1 >= state.max_iter:
-        state.status[state.status == RUNNING] = CAPPED
-        state.done = True
-        return False
-    run = state.status == RUNNING
     if state.alpha_lam is not None and state._X is None:
-        _retire(state, run)
-    state.done = not run.any()
+        _retire(state)
+    state.done = not np.count_nonzero(run)
     return not state.done
+
+
+def _freeze(state, rows, code):
+    """Freeze the running shifts ``rows`` (a mask or indices) with ``code``.
+
+    ``rows`` may be ``state.run`` itself, so ``run`` is cleared last.  The
+    shifts took part in ``state.j + 1`` joint iterations.
+    """
+    state.code[rows] = code
+    state.iterations[rows] = state.j + 1
+    state.N[:2, rows] = ((0.0,), (1.0,))      # g, om: x += 0 p, p = 1 p + 0 v
+    state.run[rows] = False
 
 
 def _window_norms(W, y):
@@ -410,21 +484,20 @@ def _retirees(bound, usable, run):
     return below if ok.all() else below[:int(ok.argmin())]
 
 
-def _retire(state, run):
-    """Retire running shifts selection cannot pick; clears them in ``run``.
+def _retire(state):
+    """Retire the running shifts that selection cannot pick.
 
     The pass's coefficient norms decide whether the rule is applied with
     exact norms (see ``_shift_block_step``).
     """
     b = int(state.score.argmin())
-    r = int(run.argmax())
-    if not (run[r] and r < b and state.bound[r] > state.score[b]):
+    r = int(state.run.argmax())
+    if not (state.run[r] and r < b and state.bound[r] > state.score[b]):
         return
     k = state.kw
     bound = _window_norms(state.W[:k], state.Y[:, 1:k + 1]) - state.alpha_lam
-    out = _retirees(bound, state.status == CONVERGED, run)
-    state.status[out] = RETIRED
-    run[out] = False
+    usable = state.code == _CONVERGED
+    _freeze(state, _retirees(bound, usable, state.run), _RETIRED)
 
 
 def curvature_certificate(state: MultishiftState, i: int) -> float:
@@ -447,7 +520,11 @@ class MultishiftSolution:
     ``P`` present only when the window was flushed.  The (m+1, n) block is
     never formed unless a flush happened or ``directions`` is read: without
     a flush ``step_norms`` comes from the window's Gram matrix, and
-    ``direction(i)`` forms row i alone.
+    ``direction(i)`` forms row i alone.  ``codes`` holds the int8 status
+    codes behind ``statuses``; a solution built by hand may give the names
+    alone, and the codes are then taken from them.  ``usable_mask`` holds
+    ``usable(i)`` of every shift, taken from the codes when the solution is
+    made; ``arc.select_step`` and ``arc.advance_shift_on_failure`` read it.
     """
 
     lambdas: np.ndarray
@@ -461,6 +538,15 @@ class MultishiftSolution:
     Y: np.ndarray                   # (m+1, kw+1) weights of [P; W]
     X: Optional[np.ndarray] = None  # (m+1, n) flushed rows, if any
     P: Optional[np.ndarray] = None
+    codes: Optional[np.ndarray] = None
+    usable_mask: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.codes is None:
+            self.codes = np.array([_CODES[s] for s in self.statuses], np.int8)
+        c = self.codes
+        self.usable_mask = (c == _CONVERGED) | (
+            (c == _CAPPED) & (self.residual_norms <= self.tolerances))
 
     def direction(self, i) -> np.ndarray:
         """Direction of shift i, formed from the block as a new vector."""
@@ -499,7 +585,8 @@ class MultishiftSolution:
 
 
 def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,
-                  callback=None, alpha=None) -> MultishiftSolution:
+                  callback=None, alpha=None,
+                  deadline=None) -> MultishiftSolution:
     """Solve (M + lambda_i I) x = b for every shift of the grid.
 
     Parameters
@@ -523,6 +610,9 @@ def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,
         that ``arc.select_step`` at this alpha can no longer pick are then
         retired, and the solve ends once no selectable shift runs (see
         ``_shift_block_step``).  ``None`` retires nothing.
+    deadline : float, optional
+        A ``time.perf_counter()`` value: the solve raises ``TimeExceeded``
+        after the first joint iteration that ends past it.
     """
     return MultishiftState(apply_M, b, grid, tol, max_iter, callback=callback,
-                           alpha=alpha).solve()
+                           alpha=alpha, deadline=deadline).solve()

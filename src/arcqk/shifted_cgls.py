@@ -9,9 +9,11 @@ occur for positive shifts.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .shifted_cg import (CAPPED, MultishiftSolution, ShiftGrid, _EPS,
+from .shifted_cg import (_CAPPED, _EPS, MultishiftSolution, ShiftGrid,
                          _shift_block_step, _ShiftBlock)
 
 
@@ -23,13 +25,14 @@ class CglsState(_ShiftBlock):
     """
 
     def __init__(self, apply_A, apply_At, b, grid: ShiftGrid, tol, max_iter,
-                 callback=None, alpha=None):
+                 callback=None, alpha=None, deadline=None):
         b = np.asarray(b, dtype=float)
         self._apply_A = apply_A
         self._apply_At = apply_At
         atb = self._product(apply_At, b, counted=False)
         # beta0 = ||A'b||, the norm of the normal-equations rhs
-        beta0 = self._open(atb, grid, tol, max_iter, callback, alpha)
+        beta0 = self._open(atb, grid, tol, max_iter, callback, alpha,
+                           deadline)
         if self.done:
             return
         self.v = atb / beta0
@@ -48,9 +51,9 @@ class CglsState(_ShiftBlock):
         delta = float(ut @ ut)
         u_next = ut - delta * self.u
         if j > 0:
-            u_next = u_next - self.beta * self.u_prev
+            u_next -= self.beta * self.u_prev
         atu = self._product(self._apply_At, u_next, counted=False)
-        beta_next = float(np.linalg.norm(atu))
+        beta_next = math.sqrt(atu @ atu)
         breakdown = beta_next <= _EPS * (1.0 + delta)
         v_next = None if breakdown else atu / beta_next
 
@@ -58,7 +61,7 @@ class CglsState(_ShiftBlock):
         # only be a rounding artifact, so freeze that shift instead of
         # reporting indefiniteness.
         if _shift_block_step(self, j, delta, beta_next, v_next, breakdown,
-                             CAPPED):
+                             _CAPPED):
             self.u_prev = self.u
             self.u = u_next / beta_next
             self.v = v_next
@@ -67,8 +70,8 @@ class CglsState(_ShiftBlock):
 
 
 def multishift_cgls(apply_A, apply_At, b, grid: ShiftGrid, tol=1e-8,
-                    max_iter=None, callback=None,
-                    alpha=None) -> MultishiftSolution:
+                    max_iter=None, callback=None, alpha=None,
+                    deadline=None) -> MultishiftSolution:
     """Solve (A'A + lambda_i I) x = A'b for every shift of the grid.
 
     ``apply_A`` maps length-n vectors to length-m vectors and ``apply_At``
@@ -76,8 +79,9 @@ def multishift_cgls(apply_A, apply_At, b, grid: ShiftGrid, tol=1e-8,
     here).  Each joint iteration costs one product with A and one with A';
     ``operator_products`` counts the products with A.  Convergence is gated
     on the shifted-system residual ||A'b - (A'A + lambda_i I) x||, whose
-    norm is recurred as |sigma|.  ``alpha`` retires shifts as in
-    ``multishift_cg``.
+    norm is recurred as |sigma|.  ``alpha`` retires shifts and ``deadline``
+    ends the solve as in ``multishift_cg``.
     """
     return CglsState(apply_A, apply_At, b, grid, tol, max_iter,
-                     callback=callback, alpha=alpha).solve()
+                     callback=callback, alpha=alpha,
+                     deadline=deadline).solve()

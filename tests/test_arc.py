@@ -339,6 +339,34 @@ class TestArcMinimize:
         assert st.status == "time_exceeded"
         assert rec.status == "time_exceeded"
 
+    def test_time_budget_ends_a_running_solve(self):
+        """A budget shorter than one multishift solve ends the run inside it.
+
+        The first solve of this quadratic runs to its 2n = 120 cap, and each
+        HVP sleeps 2 ms, so the kernel passes the 20 ms deadline within a
+        few joint iterations and the run ends before its first trial.
+        """
+        rng = np.random.default_rng(5)
+        n = 60
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A = (q * np.logspace(-4, 4, n)) @ q.T
+        b = 1e-4 * rng.standard_normal(n) / np.sqrt(n)
+
+        def quadratic(hvp_seconds):
+            def hvp(x, v):
+                time.sleep(hvp_seconds)
+                return A @ v
+            return SmoothProblem("quad", n, np.zeros(n),
+                                 lambda x: 0.5 * x @ A @ x - b @ x,
+                                 lambda x: A @ x - b, hvp)
+
+        _, full = arcqk_minimize(quadratic(0.0), ArcParams(max_outer_iter=1))
+        assert full.neval_hvp == 2 * n
+        st, rec = arcqk_minimize(quadratic(0.002), ArcParams(time_budget=0.02))
+        assert st.status == rec.status == rec.detail == "time_exceeded"
+        assert st.trace == [] and st.n_solves == 0      # no solve finished
+        assert 1 <= rec.neval_hvp < full.neval_hvp
+
     def test_time_budget_checked_after_rejected_trial(self, monkeypatch):
         # the clock jumps past the budget during the first rejected trial, so
         # the run must stop before the shift walk makes another trial

@@ -1,9 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from arcqk.shifted_cg import (CAPPED, CONVERGED, INDEFINITE, MultishiftState,
-                              ShiftGrid, curvature_certificate, multishift_cg)
+                              ShiftGrid, TimeExceeded, curvature_certificate,
+                              multishift_cg)
+from arcqk.shifted_cgls import multishift_cgls
 
 
 def counting_op(M):
@@ -318,3 +322,29 @@ class TestCurvatureCertificate:
                                 1e-8, 4)
         with pytest.raises(ValueError, match="no iteration"):
             curvature_certificate(state, 0)
+
+
+@pytest.mark.parametrize("kernel", ["cg", "cgls"])
+def test_deadline_ends_the_solve_after_a_pass(kernel):
+    """A deadline already past raises ``TimeExceeded`` after the first joint
+    iteration; a later one lets the solve run to its end."""
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((12, 10))
+    b = rng.standard_normal(12)
+    passes = []
+
+    def solve(deadline):
+        passes.clear()
+        kw = dict(callback=lambda j, sigma, statuses: passes.append(j),
+                  deadline=deadline)
+        if kernel == "cg":
+            return multishift_cg(lambda v: A.T @ (A @ v), A.T @ b,
+                                 ShiftGrid.default(), **kw)
+        return multishift_cgls(lambda v: A @ v, lambda u: A.T @ u, b,
+                               ShiftGrid.default(), **kw)
+
+    with pytest.raises(TimeExceeded, match="iteration 0") as info:
+        solve(time.perf_counter())
+    assert info.value.status == "time_exceeded" and passes == [0]
+    sol = solve(time.perf_counter() + 1e3)
+    assert sol.total_iterations == len(passes) > 1

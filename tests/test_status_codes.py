@@ -1,0 +1,115 @@
+"""Status codes inside the kernels, status names at their boundary.
+
+The shift block keeps one int8 code per shift.  ``state.status``, the
+statuses each callback receives and ``MultishiftSolution.statuses`` must be
+tuples of the module's string constants, and the solution's
+``usable_mask``, which the selection reads, must agree with ``usable(i)``
+on those names.  Between them the solves below reach every status:
+``running``, ``converged``, ``indefinite`` at a pivot, ``retired`` and
+``capped`` at ``max_iter``.
+"""
+
+import numpy as np
+import pytest
+
+from arcqk.arc import select_step
+from arcqk.shifted_cg import (CAPPED, CONVERGED, INDEFINITE, RETIRED, RUNNING,
+                              MultishiftState, ShiftGrid)
+from arcqk.shifted_cgls import CglsState
+
+NAMES = (RUNNING, CONVERGED, INDEFINITE, CAPPED, RETIRED)
+
+
+def check_names(statuses, m1):
+    assert type(statuses) is tuple and len(statuses) == m1
+    for s in statuses:
+        assert type(s) is str and any(s is name for name in NAMES), s
+
+
+def spectrum_system(kernel, n, eigenvalues, seed):
+    """``make_state(max_iter, alpha, callback)`` for one seeded system whose
+    operator (A'A for CGLS) has the given eigenvalues."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    grid = ShiftGrid.default()
+    if kernel == "cg":
+        M = (q * eigenvalues) @ q.T
+        b = rng.standard_normal(n)
+        tol = 1e-8 * np.linalg.norm(b)
+        return lambda max_iter, alpha, callback: MultishiftState(
+            lambda v: M @ v, b, grid, tol, max_iter, callback=callback,
+            alpha=alpha)
+    u, _ = np.linalg.qr(rng.standard_normal((n + 5, n)))
+    A = (u * np.sqrt(eigenvalues)) @ q.T
+    b = rng.standard_normal(n + 5)
+    tol = 1e-8 * np.linalg.norm(A.T @ b)
+    return lambda max_iter, alpha, callback: CglsState(
+        lambda v: A @ v, lambda w: A.T @ w, b, grid, tol, max_iter,
+        callback=callback, alpha=alpha)
+
+
+def checked_solve(make_state, max_iter, alpha):
+    """Solve, checking ``state.status`` and the callback's statuses after
+    every pass; returns the solution and every status name seen."""
+    seen = set()
+    states = []
+
+    def callback(j, sigma, statuses):
+        m1 = sigma.size
+        check_names(statuses, m1)
+        check_names(states[0].status, m1)
+        assert statuses == states[0].status
+        seen.update(statuses)
+
+    states.append(make_state(max_iter, alpha, callback))
+    sol = states[0].solve()
+    m1 = sol.lambdas.size
+    check_names(sol.statuses, m1)
+    check_names(states[0].status, m1)
+    assert sol.statuses == states[0].status
+    usable = [sol.usable(i) for i in range(m1)]
+    assert sol.usable_mask.dtype == bool
+    assert list(sol.usable_mask) == usable
+    if any(usable[i] for i in range(m1) if sol.statuses[i] != INDEFINITE):
+        _, j, _ = select_step(sol, 1.0 if alpha is None else alpha)
+        assert usable[j]
+    return sol, seen | set(sol.statuses)
+
+
+SPREAD = np.logspace(-3, 3, 40)
+INDEFINITE_SPREAD = SPREAD * np.where(np.arange(40) % 3 == 0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("kernel", ["cg", "cgls"])
+def test_status_names_at_the_boundary(kernel):
+    seen = set()
+    make = spectrum_system(kernel, 40, SPREAD, 1)
+    # no alpha: the shifts run and converge
+    sol, names = checked_solve(make, None, None)
+    assert CONVERGED in sol.statuses and RUNNING in names
+    seen |= names
+    # alpha: a prefix of small shifts retires
+    sol, names = checked_solve(make, None, 1e-3)
+    assert RETIRED in sol.statuses
+    seen |= names
+    # a cap of 3 passes leaves the slow shifts capped
+    sol, names = checked_solve(make, 3, None)
+    assert CAPPED in sol.statuses and sol.total_iterations == 3
+    seen |= names
+    if kernel == "cg":
+        sol, names = checked_solve(
+            spectrum_system("cg", 40, INDEFINITE_SPREAD, 2), None, None)
+        assert INDEFINITE in sol.statuses
+        seen |= names
+        assert seen == set(NAMES)
+    else:
+        assert seen == set(NAMES) - {INDEFINITE}
+
+
+def test_zero_rhs_reports_converged_names():
+    state = MultishiftState(lambda v: v, np.zeros(4), ShiftGrid([1.0, 2.0]),
+                            1e-8, None)
+    check_names(state.status, 2)
+    sol = state.solve()
+    assert sol.statuses == (CONVERGED, CONVERGED)
+    assert list(sol.usable_mask) == [True, True]

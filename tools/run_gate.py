@@ -15,8 +15,11 @@ seed 11 (3 variants) and the first 8 variants of gn seed 1.  Each run writes
 one JSON line: its workload, variant, problem, n and solver; the final
 status; the f, gradient and operator-product counts of its ``BenchRecord``;
 per trial the selected shift index (ARC) or the radius (ST) and whether
-the step was accepted; and a sha256 over the final x, every trial's step
-and every trial's rho.  A run that raises keeps its exception as status.
+the step was accepted; and a sha256 over the final x, every trial's step,
+every trial's rho and, for ARC, every trial's ``shift_statuses`` (as
+plain names, so a shift whose status is mislabelled shows even when the
+selection never picks it).  A run that raises keeps its exception as
+status.
 
 ``--compare A B`` lists every run that is missing from one side or
 differs, with its differing fields (a run whose counts and trials agree
@@ -52,12 +55,14 @@ def parse_args(argv):
     return ap.parse_args(argv)
 
 
-def fingerprint(state):
+def fingerprint(state, solver):
     h = hashlib.sha256()
     h.update(state.x.tobytes())
     for rec in state.trace:
         h.update(rec.step.tobytes())
         h.update(repr(float(rec.rho)).encode())
+        if solver == "arcqk":
+            h.update(",".join(rec.shift_statuses).encode())
     return h.hexdigest()
 
 
@@ -79,7 +84,7 @@ def run_one(problem, solver, arc, steihaug, LeastSquaresProblem):
         trials = [[float(r.delta), bool(r.success)] for r in state.trace]
     return {"status": state.status, "f_evals": record.neval_f,
             "grad_evals": record.neval_grad, "products": record.neval_hvp,
-            "trials": trials, "hash": fingerprint(state)}
+            "trials": trials, "hash": fingerprint(state, solver)}
 
 
 def run_gate(repo, out):
