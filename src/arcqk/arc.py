@@ -246,7 +246,6 @@ class TraceRecord:
     grad_norm: float
     shift_statuses: tuple
     solve_index: int
-    step: np.ndarray
 
 
 @dataclass
@@ -306,11 +305,12 @@ class _GaussNewtonDriver:
         return self.problem.eval_jtprod(x, r)
 
     def solve(self, x, g, tol, alpha, deadline):
+        # A'b = J'(-r) is -g, which the loop already holds
         p = self.problem
         return multishift_cgls(lambda v: p.eval_jprod(x, v),
                                lambda u: p.eval_jtprod(x, u),
                                -self._residual, self.params.grid, tol=tol,
-                               alpha=alpha, deadline=deadline)
+                               alpha=alpha, deadline=deadline, atb=-g)
 
     def trial(self, x):
         r = self.problem.eval_residual(x)
@@ -330,6 +330,11 @@ def _outer_loop(problem, driver, params: SolverParams, state, propose,
     Everything else (the stopping tests, acceptance, the move to the new
     iterate, the trace and the record) is common, so both solvers stop,
     accept and count by the same rules.
+
+    The trace keeps scalars only, so its memory does not grow with n.
+    ``callback(rec, state, d)`` is called after every trial, before the
+    iterate moves, with the trial's record and step ``d``; a caller that
+    wants the steps collects them there.
     """
     t0 = time.perf_counter()
     counters0 = problem.counters.snapshot()
@@ -366,7 +371,7 @@ def _outer_loop(problem, driver, params: SolverParams, state, propose,
         state.trace.append(rec)
         state.k += 1
         if callback is not None:
-            callback(rec, state)
+            callback(rec, state, d)
         if unbounded:
             state.status = STATUS_UNBOUNDED
             break
@@ -410,13 +415,13 @@ def _arc_loop(problem, driver, params: ArcParams, callback=None):
     operator product: ``acceptance_ratio`` prices the model decrease from
     the selected shift's Galerkin identity.  The spent solution stays
     referenced until the next solve replaces it.  Dropping it at the
-    accepted step instead was measured on the benchmark
-    (``perfbench/run.py``, alternating pairs, 2-core machine) with
-    solutions that hold the window: ARC ran faster on gn (9 of 10 pairs,
-    medians 6-17% lower) but slower on scaled (6 of 7 pairs, medians 9-17%
-    higher), desk moved within its noise, and peak RSS fell on both
-    (scaled 124 -> 108 MB).  Keeping it favours scaled, where ARC spends
-    the most time.
+    accepted step instead was measured with ``tools/bench_ledger.py``
+    (35 s runs, 6 alternating pairs per workload, 2-core machine) on
+    records that keep no step: ARC ran slower on scaled (higher in 5 of 6
+    pairs, median +1.2%) and on gn (4 of 6, +3.3%), and peak RSS did not
+    move on scaled (67.6 -> 67.8 MB) and fell on gn (55.1 -> 53.5 MB).
+    The 124 -> 108 MB fall measured earlier came from the trace's steps,
+    which are gone; keeping the solution is faster on both.
     """
     state = ArcState(x=problem.x0.copy(), alpha=params.alpha0)
     sols = j = None
@@ -440,7 +445,7 @@ def _arc_loop(problem, driver, params: ArcParams, callback=None):
             rho=ev.rho, success=False,  # set by the outer loop
             delta_q=ev.delta_q, f_before=f,
             grad_norm=gnorm, shift_statuses=sols.statuses,
-            solve_index=state.n_solves - 1, step=d)
+            solve_index=state.n_solves - 1)
 
     def update(success, rho):
         nonlocal sols, j

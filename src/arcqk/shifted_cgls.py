@@ -21,15 +21,19 @@ class CglsState(_ShiftBlock):
     """Joint Lanczos-CGLS on A'A, for the right-hand side A'b.
 
     The Lanczos source runs through auxiliary row-space vectors u_j, with
-    one product by A (counted) and one by A' per joint iteration.
+    one product by A (counted) and one by A' per joint iteration.  The
+    right-hand side A'b costs one more product by A' unless the caller
+    passes it as ``atb``.
     """
 
     def __init__(self, apply_A, apply_At, b, grid: ShiftGrid, tol, max_iter,
-                 callback=None, alpha=None, deadline=None):
+                 callback=None, alpha=None, deadline=None, atb=None):
         b = np.asarray(b, dtype=float)
         self._apply_A = apply_A
         self._apply_At = apply_At
-        atb = self._product(apply_At, b, counted=False)
+        # a caller's A'b passes the same finite-value check as a product
+        atb = self._product(apply_At if atb is None else (lambda _: atb), b,
+                            counted=False)
         # beta0 = ||A'b||, the norm of the normal-equations rhs
         beta0 = self._open(atb, grid, tol, max_iter, callback, alpha,
                            deadline)
@@ -71,7 +75,7 @@ class CglsState(_ShiftBlock):
 
 def multishift_cgls(apply_A, apply_At, b, grid: ShiftGrid, tol=1e-8,
                     max_iter=None, callback=None, alpha=None,
-                    deadline=None) -> MultishiftSolution:
+                    deadline=None, atb=None) -> MultishiftSolution:
     """Solve (A'A + lambda_i I) x = A'b for every shift of the grid.
 
     ``apply_A`` maps length-n vectors to length-m vectors and ``apply_At``
@@ -80,8 +84,10 @@ def multishift_cgls(apply_A, apply_At, b, grid: ShiftGrid, tol=1e-8,
     ``operator_products`` counts the products with A.  Convergence is gated
     on the shifted-system residual ||A'b - (A'A + lambda_i I) x||, whose
     norm is recurred as |sigma|.  ``alpha`` retires shifts and ``deadline``
-    ends the solve as in ``multishift_cg``.
+    ends the solve as in ``multishift_cg``.  ``atb`` is A'b when the
+    caller already holds it (the Gauss-Newton gradient, negated), which
+    saves the solve's first product with A'; ``None`` forms it.
     """
     return CglsState(apply_A, apply_At, b, grid, tol, max_iter,
-                     callback=callback, alpha=alpha,
-                     deadline=deadline).solve()
+                     callback=callback, alpha=alpha, deadline=deadline,
+                     atb=atb).solve()

@@ -106,7 +106,6 @@ class TrTraceRecord:
     f_before: float
     grad_norm: float
     inner_iterations: int
-    step: np.ndarray
 
 
 @dataclass
@@ -144,7 +143,7 @@ def st_minimize(problem: SmoothProblem, params: TrParams = None,
             k=state.k, delta=state.delta, step_norm=float(np.linalg.norm(d)),
             rho=ev.rho, success=False,  # set by the outer loop
             exit=res.exit, delta_q=delta_q, f_before=f, grad_norm=gnorm,
-            inner_iterations=res.iterations, step=d)
+            inner_iterations=res.iterations)
 
     def update(success, rho):
         if not success:

@@ -20,23 +20,37 @@ TERMINAL_AFTER_FAILURE = ("grid_exhausted", "max_iter", "time_exceeded",
 DELTA_Q_DRIFT = 1e-3
 
 
-def replay_iterates(problem, state):
-    """Reconstruct the iterate x_k at the start of every recorded trial."""
+class StepLog(list):
+    """Per-trial solver callback that keeps every trial's step, in order.
+
+    Pass an instance as ``callback=``; entry k is the step of trial k.
+    """
+
+    def __call__(self, rec, state, d):
+        self.append(d)
+
+
+def replay_iterates(problem, state, steps):
+    """Reconstruct the iterate x_k at the start of every recorded trial.
+
+    ``steps`` holds every trial's step, as a ``StepLog`` collects them.
+    """
     x = problem.x0.copy()
     out = []
-    for rec in state.trace:
+    for rec, d in zip(state.trace, steps, strict=True):
         out.append(x.copy())
         if rec.success:
-            x = x + rec.step
+            x = x + d
     return out
 
 
-def audit_accepted_steps(problem, state, params):
+def audit_accepted_steps(problem, state, params, steps):
     """Check the first-order/curvature/decrease conditions at accepted steps.
 
-    Also flags drift between the recorded model decrease, which ARC prices
-    without an operator product, and the oracle's -g'd - d'Hd/2.  Returns
-    a list of violation strings (empty when the run is clean).
+    ``steps`` holds every trial's step (see ``StepLog``).  Also flags drift
+    between the recorded model decrease, which ARC prices without an
+    operator product, and the oracle's -g'd - d'Hd/2.  Returns a list of
+    violation strings (empty when the run is clean).
     """
     gauss_newton = isinstance(problem, LeastSquaresProblem)
 
@@ -46,10 +60,10 @@ def audit_accepted_steps(problem, state, params):
         return problem.eval_hvp(x, v)
 
     bad = []
-    for x, rec in zip(replay_iterates(problem, state), state.trace):
+    for x, rec, d in zip(replay_iterates(problem, state, steps), state.trace,
+                         steps):
         if not rec.success:
             continue
-        d = rec.step
         lam = rec.shift
         if gauss_newton:
             r_val = problem.eval_residual(x)

@@ -17,7 +17,7 @@ from arcqk.shifted_cg import (CONVERGED, INDEFINITE, ShiftGrid, multishift_cg)
 from arcqk.shifted_cgls import multishift_cgls
 from arcqk.steihaug import TrParams, st_minimize, truncated_cg
 
-from audits import (accepted_gradient_path, audit_accepted_steps,
+from audits import (StepLog, accepted_gradient_path, audit_accepted_steps,
                     audit_alpha_dynamics, audit_trace_contract)
 
 ARC_PARAMS = ArcParams()
@@ -31,15 +31,19 @@ def _report(num, ok, detail):
     assert ok, f"criterion {num:02d}: {detail}"
 
 
+# Each run is (problem, state, record, steps): the records keep scalars
+# only, and ``steps`` holds every trial's step as the callback received it.
 @pytest.fixture(scope="module")
 def arc_runs():
     runs = {}
     for p in suite_problems():
+        steps = StepLog()
         if isinstance(p, SmoothProblem):
-            state, record = arcqk_minimize(p, ARC_PARAMS)
+            state, record = arcqk_minimize(p, ARC_PARAMS, callback=steps)
         else:
-            state, record = arcqk_minimize_gauss_newton(p, ARC_PARAMS)
-        runs[p.name] = (p, state, record)
+            state, record = arcqk_minimize_gauss_newton(p, ARC_PARAMS,
+                                                        callback=steps)
+        runs[p.name] = (p, state, record, steps)
     return runs
 
 
@@ -48,8 +52,9 @@ def st_runs():
     runs = {}
     for p in suite_problems():
         target = p.as_smooth() if isinstance(p, LeastSquaresProblem) else p
-        state, record = st_minimize(target, ST_PARAMS)
-        runs[p.name] = (target, state, record)
+        steps = StepLog()
+        state, record = st_minimize(target, ST_PARAMS, callback=steps)
+        runs[p.name] = (target, state, record, steps)
     return runs
 
 
@@ -169,7 +174,7 @@ def test_criterion_04_cgls_oracle_equivalence():
 
 def test_criterion_05_arc_convergence_suite(arc_runs):
     failures = []
-    for name, (p, state, record) in arc_runs.items():
+    for name, (p, state, record, _) in arc_runs.items():
         if not isinstance(p, SmoothProblem) or p.n > 100:
             continue
         threshold = ARC_PARAMS.eps_abs + ARC_PARAMS.eps_rel * state.g0_norm
@@ -181,11 +186,11 @@ def test_criterion_05_arc_convergence_suite(arc_runs):
             failures.append(f"{name}: {state.k} iterations")
         elif record.elapsed_seconds > 60.0:
             failures.append(f"{name}: {record.elapsed_seconds:.1f}s")
-    _, ros_state, _ = arc_runs["rosenbrock"]
+    _, ros_state, _, _ = arc_runs["rosenbrock"]
     if np.linalg.norm(ros_state.x - [1.0, 1.0]) > 1e-4:
         failures.append("rosenbrock endpoint off the minimizer")
     n_smooth = sum(isinstance(p, SmoothProblem)
-                   for p, _, _ in arc_runs.values())
+                   for p, *_ in arc_runs.values())
     _report(5, not failures,
             f"{n_smooth} smooth problems at the stated tolerances "
             f"within 500 iterations and 60s" +
@@ -194,11 +199,11 @@ def test_criterion_05_arc_convergence_suite(arc_runs):
 
 def test_criterion_06_step_quality_invariants(arc_runs):
     violations = []
-    for name, (p, state, _) in arc_runs.items():
-        violations += [f"{name}: {v}"
-                       for v in audit_accepted_steps(p, state, ARC_PARAMS)]
+    for name, (p, state, _, steps) in arc_runs.items():
+        violations += [f"{name}: {v}" for v in
+                       audit_accepted_steps(p, state, ARC_PARAMS, steps)]
     n_steps = sum(sum(r.success for r in state.trace)
-                  for _, state, _ in arc_runs.values())
+                  for _, state, _, _ in arc_runs.values())
     _report(6, not violations,
             f"first-order/curvature/decrease/orthogonality checked at "
             f"{n_steps} accepted "
@@ -208,10 +213,10 @@ def test_criterion_06_step_quality_invariants(arc_runs):
 
 def test_criterion_07_alpha_dynamics(arc_runs):
     violations = []
-    for name, (p, state, _) in arc_runs.items():
+    for name, (p, state, _, _) in arc_runs.items():
         violations += [f"{name}: {v}"
                        for v in audit_alpha_dynamics(state, ARC_PARAMS)]
-    n_trials = sum(len(state.trace) for _, state, _ in arc_runs.values())
+    n_trials = sum(len(state.trace) for _, state, _, _ in arc_runs.values())
     _report(7, not violations,
             f"regularization updates audited over {n_trials} trials, "
             f"{len(violations)} violations" +
@@ -221,7 +226,7 @@ def test_criterion_07_alpha_dynamics(arc_runs):
 def test_criterion_08_superlinear_tail(arc_runs):
     bad = []
     for name in ("sphere", "diagquad", "convexquartic"):
-        _, state, _ = arc_runs[name]
+        _, state, _, _ = arc_runs[name]
         gs = accepted_gradient_path(state)
         pairs = [(a, b) for a, b in zip(gs[-4:-1], gs[-3:]) if a <= 1e-2]
         if not pairs or any(b > a ** 1.2 for a, b in pairs):
@@ -233,7 +238,7 @@ def test_criterion_08_superlinear_tail(arc_runs):
 
 def test_criterion_09_steihaug_baseline(st_runs):
     failures = []
-    for name, (p, state, record) in st_runs.items():
+    for name, (p, state, record, _) in st_runs.items():
         if state.status != "first_order_stationary":
             failures.append(f"{name}: {state.status}")
         for rec in state.trace:
@@ -263,7 +268,7 @@ def test_criterion_09_steihaug_baseline(st_runs):
 def test_criterion_10_hessian_product_advantage(arc_runs, st_runs):
     arc_total = st_total = 0
     rows = []
-    for name, (p, state, record) in arc_runs.items():
+    for name, (p, state, record, _) in arc_runs.items():
         if not isinstance(p, SmoothProblem) or p.n < 100:
             continue
         st_record = st_runs[name][2]
@@ -307,7 +312,7 @@ def test_criterion_11_performance_profile_correctness():
 
 def test_criterion_12_gauss_newton_path(arc_runs):
     failures = []
-    p, state, _ = arc_runs["linearls"]
+    p, state, _, _ = arc_runs["linearls"]
     a = np.column_stack([p._jprod(p.x0, e) for e in np.eye(p.n)])
     b = a @ p.x0 - p._residual(p.x0)
     oracle = np.linalg.solve(a.T @ a, a.T @ b)
@@ -316,7 +321,7 @@ def test_criterion_12_gauss_newton_path(arc_runs):
     if np.linalg.norm(state.x - oracle) / np.linalg.norm(oracle) > 1e-6:
         failures.append("linearls missed the normal-equations solution")
     for name in ("expfitls", "quadfitls"):
-        _, st_fit, _ = arc_runs[name]
+        _, st_fit, _, _ = arc_runs[name]
         if st_fit.f_val > 1e-12:
             failures.append(f"{name} misfit {st_fit.f_val:.2e}")
     _report(12, not failures,
@@ -328,7 +333,22 @@ def test_criterion_12_gauss_newton_path(arc_runs):
 def test_trace_contract_both_solvers(arc_runs, st_runs):
     violations = []
     for solver, runs in (("arcqk", arc_runs), ("st", st_runs)):
-        for name, (_, state, record) in runs.items():
+        for name, (_, state, record, _) in runs.items():
             violations += [f"{solver}/{name}: {v}"
                            for v in audit_trace_contract(state, record)]
     assert violations == []
+
+
+def test_callback_steps_replay_the_run(arc_runs, st_runs):
+    # x0 plus the accepted steps the callback received, in order, is the
+    # final iterate bitwise: ARC, ARC Gauss-Newton and ST on every problem
+    mismatched = []
+    for solver, runs in (("arcqk", arc_runs), ("st", st_runs)):
+        for name, (p, state, _, steps) in runs.items():
+            x = p.x0.copy()
+            for rec, d in zip(state.trace, steps, strict=True):
+                if rec.success:
+                    x = x + d
+            if not np.array_equal(x, state.x):
+                mismatched.append(f"{solver}/{name}")
+    assert mismatched == []

@@ -15,7 +15,7 @@ from arcqk.problems import (SmoothProblem, make_diagquad, make_himmelblau,
                             make_rosenbrock, make_sphere, suite_problems)
 from arcqk.shifted_cg import ShiftGrid, multishift_cg
 
-from audits import (accepted_gradient_path, audit_accepted_steps,
+from audits import (StepLog, accepted_gradient_path, audit_accepted_steps,
                     audit_alpha_dynamics, audit_trace_contract)
 
 
@@ -375,7 +375,7 @@ class TestArcMinimize:
         monkeypatch.setattr(arc_mod, "time", SimpleNamespace(
             perf_counter=lambda: real() + offset[0]))
 
-        def jump_on_rejection(rec, state):
+        def jump_on_rejection(rec, state, d):
             if not rec.success:
                 offset[0] = 1e6
 
@@ -394,8 +394,8 @@ class TestArcMinimize:
 
     def test_callback_per_iteration(self):
         seen = []
-        st, _ = arcqk_minimize(seeded_sphere(),
-                               callback=lambda rec, state: seen.append(rec.k))
+        st, _ = arcqk_minimize(
+            seeded_sphere(), callback=lambda rec, state, d: seen.append(rec.k))
         assert seen == list(range(st.k))
 
     def test_one_solve_per_outer_group(self):
@@ -426,17 +426,19 @@ class TestArcMinimize:
         params = ArcParams()
         for name in ("rosenbrock", "himmelblau", "wood"):
             (p,) = suite_problems(name)
-            st, _ = arcqk_minimize(p, params)
-            assert audit_accepted_steps(p, st, params) == [], name
+            steps = StepLog()
+            st, _ = arcqk_minimize(p, params, callback=steps)
+            assert audit_accepted_steps(p, st, params, steps) == [], name
 
     def test_audit_flags_model_decrease_drift(self):
         params = ArcParams()
         (p,) = suite_problems("rosenbrock")
-        st, _ = arcqk_minimize(p, params)
-        assert audit_accepted_steps(p, st, params) == []
+        steps = StepLog()
+        st, _ = arcqk_minimize(p, params, callback=steps)
+        assert audit_accepted_steps(p, st, params, steps) == []
         k = next(rec.k for rec in st.trace if rec.success)
         st.trace[k].delta_q *= 1.0 + 1e-2
-        assert [v for v in audit_accepted_steps(p, st, params)
+        assert [v for v in audit_accepted_steps(p, st, params, steps)
                 if "drifted" in v] != []
 
     def test_shift_step_soft_bracket(self):
@@ -508,11 +510,33 @@ class TestGaussNewton:
         assert rec.neval_grad == c.neval_jtprod
         assert rec.neval_hvp == c.neval_jprod
 
+    def test_one_jt_product_per_joint_iteration(self, monkeypatch):
+        # each solve takes A'b = -g from the loop, so the J' products are
+        # the gradients (the start and one per accepted step) plus one per
+        # joint CGLS iteration
+        sols = []
+        cgls = arc_mod.multishift_cgls
+
+        def spy(*args, **kwargs):
+            sols.append(cgls(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(arc_mod, "multishift_cgls", spy)
+        for name in ("linearls", "rosenbrockls", "expfitls", "quadfitls"):
+            (p,) = suite_problems(name)
+            sols.clear()
+            st, rec = arcqk_minimize_gauss_newton(p)
+            assert len(sols) == st.n_solves >= 1, name
+            accepted = sum(r.success for r in st.trace)
+            assert rec.neval_grad == 1 + accepted + sum(
+                sol.total_iterations for sol in sols), name
+
     def test_step_quality_invariants(self):
         params = ArcParams()
         (p,) = suite_problems("rosenbrockls")
-        st, _ = arcqk_minimize_gauss_newton(p, params)
-        assert audit_accepted_steps(p, st, params) == []
+        steps = StepLog()
+        st, _ = arcqk_minimize_gauss_newton(p, params, callback=steps)
+        assert audit_accepted_steps(p, st, params, steps) == []
 
 
 def _linearls_matrices(problem):

@@ -57,6 +57,27 @@ class TestMultishiftCgls:
             err = np.linalg.norm(sol.direction(i) - exact) / np.linalg.norm(exact)
             assert err <= 1e-7
 
+    @pytest.mark.parametrize("alpha", [None, 1.0])
+    def test_supplied_atb_saves_one_product(self, alpha):
+        rng = np.random.default_rng(23)
+        A = rng.standard_normal((30, 12))
+        b = rng.standard_normal(30)
+        grid = ShiftGrid([1e-2, 1e-1, 1.0, 1e1, 1e2])
+        apply_A, apply_At, calls = ops(A)
+        ref = multishift_cgls(apply_A, apply_At, b, grid, tol=1e-10,
+                              alpha=alpha)
+        before = dict(calls)
+        calls.update(A=0, At=0)
+        sol = multishift_cgls(apply_A, apply_At, b, grid, tol=1e-10,
+                              alpha=alpha, atb=A.T @ b)
+        assert calls == {"A": before["A"], "At": before["At"] - 1}
+        assert sol.statuses == ref.statuses
+        assert np.array_equal(sol.iterations, ref.iterations)
+        assert np.array_equal(sol.directions, ref.directions)
+        with pytest.raises(ValueError, match="non-finite"):
+            multishift_cgls(apply_A, apply_At, b, grid,
+                            atb=np.full(12, np.nan))
+
     def test_large_shift_limit(self):
         rng = np.random.default_rng(22)
         for trial in range(5):

@@ -18,8 +18,10 @@ per trial the selected shift index (ARC) or the radius (ST) and whether
 the step was accepted; and a sha256 over the final x, every trial's step,
 every trial's rho and, for ARC, every trial's ``shift_statuses`` (as
 plain names, so a shift whose status is mislabelled shows even when the
-selection never picks it).  A run that raises keeps its exception as
-status.
+selection never picks it).  The steps are collected by the solver's
+per-trial callback, ``callback(rec, state, d)``; a checkout whose callback
+takes ``(rec, state)`` keeps the step in ``rec.step`` instead, and both
+hash the same bytes.  A run that raises keeps its exception as status.
 
 ``--compare A B`` lists every run that is missing from one side or
 differs, with its differing fields (a run whose counts and trials agree
@@ -55,11 +57,11 @@ def parse_args(argv):
     return ap.parse_args(argv)
 
 
-def fingerprint(state, solver):
+def fingerprint(state, solver, steps):
     h = hashlib.sha256()
     h.update(state.x.tobytes())
-    for rec in state.trace:
-        h.update(rec.step.tobytes())
+    for rec, d in zip(state.trace, steps, strict=True):
+        h.update(d.tobytes())
         h.update(repr(float(rec.rho)).encode())
         if solver == "arcqk":
             h.update(",".join(rec.shift_statuses).encode())
@@ -69,13 +71,18 @@ def fingerprint(state, solver):
 def run_one(problem, solver, arc, steihaug, LeastSquaresProblem):
     ls = isinstance(problem, LeastSquaresProblem)
     problem.reset_counters()
+    steps = []
+
+    def keep_step(rec, state, d=None):
+        steps.append(rec.step if d is None else d)
+
     try:
         if solver == "arcqk":
             fn = arc.arcqk_minimize_gauss_newton if ls else arc.arcqk_minimize
-            state, record = fn(problem)
+            state, record = fn(problem, callback=keep_step)
         else:
             state, record = steihaug.st_minimize(
-                problem.as_smooth() if ls else problem)
+                problem.as_smooth() if ls else problem, callback=keep_step)
     except Exception as exc:  # a failed run is a result to compare
         return {"status": f"exception {type(exc).__name__}: {exc}"}
     if solver == "arcqk":
@@ -84,7 +91,7 @@ def run_one(problem, solver, arc, steihaug, LeastSquaresProblem):
         trials = [[float(r.delta), bool(r.success)] for r in state.trace]
     return {"status": state.status, "f_evals": record.neval_f,
             "grad_evals": record.neval_grad, "products": record.neval_hvp,
-            "trials": trials, "hash": fingerprint(state, solver)}
+            "trials": trials, "hash": fingerprint(state, solver, steps)}
 
 
 def run_gate(repo, out):
