@@ -32,6 +32,10 @@ _CODES = {name: code for code, name in enumerate(_NAMES)}
 
 _EPS = float(np.finfo(float).eps)
 
+# Columns per chunk when the window is folded into the flushed rows or a
+# flushed solve's step norms are taken: a (31, 2048) chunk is 0.5 MB.
+_CHUNK = 2048
+
 
 class TimeExceeded(Exception):
     """The caller's deadline passed during a multishift solve."""
@@ -124,12 +128,16 @@ class _ShiftBlock:
 
     ``Y`` and ``C`` are (m+1, K+1); column 0 weighs a row's own ``_P``.  A
     joint iteration updates only these coefficients and copies one vector
-    into the window, O(n) + O((m+1) K) work.  ``_X`` and ``_P`` are formed
-    by one (m+1) x K x n matrix product each, over all rows, when the
-    window is full (O((m+1) n) flops per iteration spread over the window);
-    so ``_X is not None`` means that a flush happened.  Reading ``x`` or
-    ``p`` forms the block as a new array and leaves the solve as it was.
-    A finished solve hands the block to its ``MultishiftSolution`` as it
+    into the window, O(n) + O((m+1) K) work.  When the window is full it
+    is flushed: ``_X`` and ``_P`` each take one (m+1) x K x n matrix
+    product (O((m+1) n) flops per iteration spread over the window), so
+    ``_X is not None`` means that a flush happened.  A flush folds the
+    products into ``_X`` and ``_P`` in place, ``_CHUNK`` columns at a time,
+    and keeps only the ``_P`` rows of running shifts (see ``_flush``); so
+    a flushed solve holds three (m+1, n) blocks, ``W``, ``_X`` and ``_P``,
+    plus temporaries of (m+1) x ``_CHUNK`` floats.  Reading ``x`` or ``p``
+    forms the block as a new array and leaves the solve as it was.  A
+    finished solve hands the block to its ``MultishiftSolution`` as it
     stands, so the (m+1, n) rows are written never, unless a flush
     happened or the solution's ``directions`` is read.
     """
@@ -218,7 +226,11 @@ class _ShiftBlock:
 
     @property
     def p(self):
-        """The (m+1, n) direction block, formed as a new array."""
+        """The (m+1, n) direction block, formed as a new array.
+
+        After a flush the rows of shifts frozen before it are undefined:
+        ``_flush`` forms only the ``_P`` rows of running shifts.
+        """
         k = self.kw
         return _rows(self.W[:k], self.C[:, :k + 1], None, self._P,
                      slice(None))
@@ -303,30 +315,66 @@ def _rows(W, Y, X, P, rows):
     return x
 
 
+def _chunks(n):
+    """Column slices of width ``_CHUNK`` covering ``range(n)``."""
+    return (slice(c, min(c + _CHUNK, n)) for c in range(0, n, _CHUNK))
+
+
 def _form_x(state):
-    """Fold the window's x coefficients into ``_X``; the window stays."""
-    k = state.kw
-    yw = state.Y[:, 1:k + 1] @ state.W[:k]
+    """Fold the window's x coefficients into ``_X`` in place; the window
+    stays.
+
+    After the first flush ``_X += Y[:, 1:] @ W`` and then
+    ``_X += Y[:, :1] * _P`` run over column chunks through one
+    (m+1, ``_CHUNK``) buffer, so no (m+1, n) temporary is made.
+    """
+    k, Y, W = state.kw, state.Y, state.W[:state.kw]
     if state._X is None:
-        state._X = yw                 # Y[:, 0] is zero while no _P exists
+        state._X = Y[:, 1:k + 1] @ W  # Y[:, 0] is zero while no _P exists
     else:
-        state._X += yw
-        state._X += np.multiply(state.Y[:, :1], state._P, out=yw)
-    state.Y[:] = 0.0
+        X, P = state._X, state._P
+        buf = np.empty((len(Y), min(_CHUNK, X.shape[1])))
+        for c in _chunks(X.shape[1]):
+            t = buf[:, :c.stop - c.start]
+            X[:, c] += np.matmul(Y[:, 1:k + 1], W[:, c], out=t)
+            X[:, c] += np.multiply(Y[:, :1], P[:, c], out=t)
+    Y[:] = 0.0
 
 
 def _flush(state):
-    """Form ``_X`` and ``_P`` from the window, then empty it."""
+    """Form ``_X`` and the running rows of ``_P`` from the window, then
+    empty it.
+
+    A frozen shift's direction is never read again, and its ``Y[:, 0]``
+    weight stays +0 after the flush, so ``_P`` keeps only the rows from the
+    first to the last running shift.  The product ``C[:, 1:] @ W`` still
+    runs over every row, one column chunk at a time: BLAS picks its kernel
+    by shape, and a product over fewer rows can round differently.  The
+    first flush copies the rows into a block from ``np.zeros``, whose
+    pages are mapped only when written: rows never formed cost no memory
+    and hold zeros, not garbage that ``0 * _P[i]`` could turn into NaN.
+    Later flushes do ``_P *= C[:, :1]`` and ``_P += C[:, 1:] @ W`` in
+    place.
+    """
     _form_x(state)
-    k = state.kw
-    cw = state.C[:, 1:k + 1] @ state.W[:k]
-    if state._P is None:
-        state._P = cw
-    else:
-        state._P *= state.C[:, :1]
-        state._P += cw
-    state.C[:] = 0.0
-    state.C[:, 0] = 1.0
+    k, W, C = state.kw, state.W[:state.kw], state.C
+    live = state.run.nonzero()[0]
+    rows = slice(live[0], live[-1] + 1)
+    first = state._P is None
+    if first:
+        state._P = np.zeros(state._X.shape)
+    P = state._P[rows]
+    buf = np.empty((len(C), min(_CHUNK, P.shape[1])))
+    for c in _chunks(P.shape[1]):
+        cw = np.matmul(C[:, 1:k + 1], W[:, c],
+                       out=buf[:, :c.stop - c.start])[rows]
+        if first:
+            P[:, c] = cw
+        else:
+            P[:, c] *= C[rows, :1]
+            P[:, c] += cw
+    C[:] = 0.0
+    C[:, 0] = 1.0
     state.kw = 0
 
 
@@ -518,13 +566,16 @@ class MultishiftSolution:
     The directions stay in the solver's shift block as the solve ended (see
     ``_ShiftBlock``): d_i is row i of x, with the flushed rows ``X`` and
     ``P`` present only when the window was flushed.  The (m+1, n) block is
-    never formed unless a flush happened or ``directions`` is read: without
-    a flush ``step_norms`` comes from the window's Gram matrix, and
-    ``direction(i)`` forms row i alone.  ``codes`` holds the int8 status
-    codes behind ``statuses``; a solution built by hand may give the names
-    alone, and the codes are then taken from them.  ``usable_mask`` holds
-    ``usable(i)`` of every shift, taken from the codes when the solution is
-    made; ``arc.select_step`` and ``arc.advance_shift_on_failure`` read it.
+    never formed unless ``directions`` is read: ``step_norms`` comes from
+    the window's Gram matrix, or after a flush from column chunks of the
+    rows, and ``direction(i)`` forms row i alone.  So selection and the
+    failure walk hold no more than the solve did: ``W`` and, after a
+    flush, ``X`` and ``P``, three (m+1, n) blocks at most.  ``codes``
+    holds the int8 status codes behind ``statuses``; a solution built by
+    hand may give the names alone, and the codes are then taken from them.
+    ``usable_mask`` holds ``usable(i)`` of every shift, taken from the
+    codes when the solution is made; ``arc.select_step`` and
+    ``arc.advance_shift_on_failure`` read it.
     """
 
     lambdas: np.ndarray
@@ -564,13 +615,21 @@ class MultishiftSolution:
         Without flushed rows, ||d_i||^2 = y_i' G y_i with y_i = Y[i, 1:] and
         the Gram matrix G = W W' of the window: O(kw^2 n) work, and no
         orthogonality of the basis vectors is assumed.  A flushed solve
-        forms ``directions`` and takes batched row dot products.
+        forms its rows with ``_rows``, ``_CHUNK`` columns at a time, and
+        sums each row's squares over the chunks: W is read once,
+        ``directions`` is left unformed, and the temporaries are two
+        (m+1) x ``_CHUNK`` arrays, so the three-block bound of the solve
+        holds.
         """
         if self.X is None:
             return _window_norms(self.W, self.Y[:, 1:])
-        x = self.directions.T               # shift-major rows
-        # batched row dot products: no (m+1, n) temporary
-        return np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
+        sq, P = 0.0, self.P
+        for c in _chunks(self.X.shape[1]):
+            x = _rows(self.W[:, c], self.Y, self.X[:, c],
+                      None if P is None else P[:, c], slice(None))
+            sq += np.einsum("ij,ij->i", x, x)
+            del x                       # freed before the next chunk forms
+        return np.sqrt(sq)
 
     def usable(self, i) -> bool:
         """Whether shift i produced a direction fit for step selection.

@@ -195,13 +195,12 @@ class TestSelectStep:
         from arcqk.shifted_cg import MultishiftSolution
         sol = MultishiftSolution(
             lambdas=np.array([1.0, 2.0]),
-            X=np.array([[2.0, 0.0], [4.0, 0.0]]),
+            X=np.array([[2.0, 0.0], [3.0, 0.0]]),
             W=np.empty((0, 2)), Y=np.zeros((2, 1)),
             residual_norms=np.zeros(2), statuses=("converged", "converged"),
             iterations=np.array([1, 1]), tolerances=np.full(2, 1e-8),
             operator_products=2, total_iterations=1)
-        # scores |1*1 - 2| = 1 and |1*2 - 4| = 2 -> argmin unique; make a tie
-        sol.directions[0, 1] = 3.0   # scores 1 and 1
+        # scores |1*1 - 2| = 1 and |1*2 - 3| = 1: a tie
         _, j, _ = select_step(sol, 1.0)
         assert j == 0
 

@@ -22,7 +22,7 @@ import arcqk.shifted_cg as cg_mod
 import arcqk.shifted_cgls as cgls_mod
 from arcqk.shifted_cg import (CAPPED, CONVERGED, INDEFINITE, RUNNING,
                               ShiftGrid, multishift_cg)
-from arcqk.arc import select_step
+from arcqk.arc import advance_shift_on_failure, select_step
 from arcqk.shifted_cgls import multishift_cgls
 
 
@@ -284,4 +284,40 @@ def test_selection_forms_no_block(monkeypatch, kernel):
         tracemalloc.stop()
     assert peak < m1 * n * 8 // 4
     assert "directions" not in vars(sol)
+    assert np.array_equal(d, d_again)
+
+
+@pytest.mark.parametrize("kernel", ["cg", "cgls"])
+def test_flushed_solve_holds_three_blocks(monkeypatch, kernel):
+    """A solve that flushes, then selection, the failure walk and one
+    direction, peak at W, _X and _P plus chunk-sized temporaries."""
+    flushes = []
+    real_flush = cg_mod._flush
+
+    def counting_flush(state):
+        flushes.append(state.j)
+        real_flush(state)
+
+    monkeypatch.setattr(cg_mod, "_flush", counting_flush)
+    n = 20000
+    diag = np.logspace(0, 4, n)
+    b = np.random.default_rng(3).standard_normal(n)
+    grid = ShiftGrid.default()
+    m1 = len(grid)
+    tracemalloc.start()
+    try:
+        if kernel == "cg":
+            sol = multishift_cg(lambda v: diag * v, b, grid, tol=1e-8,
+                                max_iter=3 * m1)
+        else:
+            sol = multishift_cgls(lambda v: diag * v, lambda u: diag * u, b,
+                                  grid, tol=1e-8, max_iter=3 * m1)
+        _, j, d = select_step(sol, 1.0)
+        advance_shift_on_failure(sol, j, 1.0, 0.1)
+        d_again = sol.direction(j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(flushes) >= 2 and sol.X is not None
+    assert peak < 3.5 * m1 * n * 8, peak / (m1 * n * 8)
     assert np.array_equal(d, d_again)

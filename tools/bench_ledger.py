@@ -14,7 +14,8 @@ of the repository holding this script unless ``--ledger`` names another
 file::
 
     {"commit", "label", "workload", "seed", "trace", "seconds",
-     "correct", "failed", "metrics": {name: value}, "products": [line]}
+     "calibration_s", "correct", "failed", "metrics": {name: value},
+     "products": [line]}
 
 ``products`` keeps the run's per-problem ``# products <workload> <name>
 n=...`` lines (ARC's and ST's operator products and final statuses on
@@ -24,6 +25,13 @@ every n >= 100 instance of the first pass; desk and scaled print them).
 a run on uncommitted changes reads ``<parent>-dirty``.  The ledger is
 rewritten after every run, so an interrupted session keeps what finished,
 and each run's metrics are printed as one line.
+
+``calibration_s`` is the time of a fixed loop of small numpy calls and
+vector updates (``calibrate``, about 0.2 s on an idle 2-core machine),
+timed in this process just before the run.  It shows how loaded the
+machine was: timings from one session compare directly, but entries from
+different sessions compare only after scaling each by its
+``calibration_s``.
 """
 
 import argparse
@@ -31,6 +39,7 @@ import datetime
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,17 +55,49 @@ def parse_args(argv):
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--ledger", type=Path, default=None)
     args = ap.parse_args(argv)
+    args.sides = parse_sides(ap, args.repo)
+    if args.ledger is None:
+        args.ledger = default_ledger()
+    return args
+
+
+def parse_sides(ap, specs):
+    """``(label, resolved path)`` of every ``LABEL=DIR`` in ``specs``."""
     sides = []
-    for spec in args.repo:
+    for spec in specs:
         label, sep, path = spec.partition("=")
         if not sep or not label or not path:
             ap.error(f"--repo needs LABEL=DIR, got {spec!r}")
         sides.append((label, Path(path).resolve()))
-    args.sides = sides
-    if args.ledger is None:
-        date = datetime.datetime.now(datetime.timezone.utc).date()
-        args.ledger = ROOT / f"BENCH_{date.isoformat()}.json"
-    return args
+    return sides
+
+
+def default_ledger():
+    date = datetime.datetime.now(datetime.timezone.utc).date()
+    return ROOT / f"BENCH_{date.isoformat()}.json"
+
+
+def calibrate():
+    """Seconds of a fixed loop of 2 000 passes, each 20 numpy calls on
+    31-element rows and three passes over a 1e5-element vector: five
+    times the median of five timed blocks of 400 passes, so that one
+    stall does not move it.  No BLAS call, so the number of BLAS threads
+    does not matter."""
+    import numpy as np
+
+    x, y, z = np.ones(100_000), np.ones(31), np.zeros(31)
+    blocks = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        for _ in range(400):
+            for _ in range(10):
+                np.multiply(y, 0.5, out=z)
+                z += 1.0
+            x *= 0.999
+            x += 0.001
+            x.sum()
+        blocks.append(time.perf_counter() - t0)
+    return 5 * sorted(blocks)[2]
 
 
 def describe(path):
@@ -90,12 +131,14 @@ def main(argv=None):
         for k, seed in enumerate(args.seeds):
             shift = k % len(args.sides)
             for label, path in args.sides[shift:] + args.sides[:shift]:
+                calibration = calibrate()
                 out, products = run_once(path, workload, seed,
                                          args.seconds, args.trace)
                 entry = {
                     "commit": commits[label], "label": label,
                     "workload": workload, "seed": seed, "trace": args.trace,
-                    "seconds": args.seconds, "correct": out["correct"],
+                    "seconds": args.seconds, "calibration_s": calibration,
+                    "correct": out["correct"],
                     "failed": out["failed"],
                     "metrics": {name: m["value"]
                                 for name, m in out["metrics"].items()},
@@ -103,9 +146,10 @@ def main(argv=None):
                 }
                 ledger.append(entry)
                 args.ledger.write_text(json.dumps(ledger, indent=1) + "\n")
-                print(f"{workload} seed {seed} {label}: " + ", ".join(
-                    f"{n}={v:.6g}" for n, v in entry["metrics"].items()),
-                    flush=True)
+                print(f"{workload} seed {seed} {label}: calibration_s="
+                      f"{calibration:.4g}, " + ", ".join(
+                          f"{n}={v:.6g}" for n, v in entry["metrics"].items()),
+                      flush=True)
     return 0
 
 
