@@ -1,10 +1,10 @@
 """Matrix-free cubic regularization with a multishift Krylov kernel."""
 
-from .arc import (ArcParams, ArcState, CubicModelEval, GridExhausted,
-                  AllShiftsIndefinite, RatioEval, TraceRecord,
-                  acceptance_ratio, advance_shift_on_failure, arcqk_minimize,
-                  arcqk_minimize_gauss_newton, cubic_model_eval,
-                  per_shift_tolerance, select_step)
+from .arc import (ArcParams, ArcState, GridExhausted, AllShiftsIndefinite,
+                  RatioEval, TraceRecord, acceptance_ratio,
+                  advance_shift_on_failure, arcqk_minimize,
+                  arcqk_minimize_gauss_newton, per_shift_tolerance,
+                  select_step)
 from .bench import (ProfileCurve, SOLVERS, emit, performance_profile,
                     read_records_csv, read_records_json, run_matrix)
 from .problems import (Counters, DerivativeReport, LeastSquaresProblem,

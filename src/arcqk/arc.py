@@ -123,27 +123,6 @@ def inner_tolerance(grad_norm: float, zeta: float, xi: float = 1.0) -> float:
 
 
 @dataclass
-class CubicModelEval:
-    """Quadratic-model decrease plus the cubic model value and gradient."""
-
-    delta_q: float
-    cubic_value: float
-    cubic_gradient: np.ndarray
-
-
-def cubic_model_eval(f_x, g_x, hd, d, alpha) -> CubicModelEval:
-    """Evaluate model quantities at step d given hd = H d."""
-    d = np.asarray(d, dtype=float)
-    gd = float(g_x @ d)
-    dhd = float(d @ hd)
-    dn = float(np.linalg.norm(d))
-    delta_q = -gd - 0.5 * dhd
-    cubic_value = f_x + gd + 0.5 * dhd + dn ** 3 / (3.0 * alpha)
-    cubic_gradient = g_x + hd + (dn / alpha) * d
-    return CubicModelEval(delta_q, cubic_value, cubic_gradient)
-
-
-@dataclass
 class RatioEval:
     """Outcome of one acceptance-ratio evaluation."""
 
@@ -231,37 +210,49 @@ def advance_shift_on_failure(solutions: MultishiftSolution, j: int,
 
 
 @dataclass
-class TraceRecord:
-    """Per-iteration tuple recorded by the outer loop."""
+class _TrialRecord:
+    """Fields every trial records; the shared outer loop fills them."""
 
     k: int
-    alpha: float
-    shift_index: int
-    shift: float
     step_norm: float
     rho: float
     success: bool
     delta_q: float
     f_before: float
     grad_norm: float
+
+
+@dataclass
+class TraceRecord(_TrialRecord):
+    """Per-iteration tuple recorded by the outer loop."""
+
+    alpha: float
+    shift_index: int
+    shift: float
     shift_statuses: tuple
     solve_index: int
 
 
-@dataclass
-class ArcState:
-    """Mutable state of one cubic-regularization run."""
+@dataclass(kw_only=True)
+class _RunState:
+    """State every run of the shared outer loop keeps."""
 
     x: np.ndarray
-    alpha: float
     k: int = 0
     f_val: float = np.nan
     grad_norm: float = np.nan
     status: str = STATUS_RUNNING
     trace: list = field(default_factory=list)
-    n_solves: int = 0
     g0_norm: float = np.nan
     elapsed_seconds: float = 0.0
+
+
+@dataclass
+class ArcState(_RunState):
+    """Mutable state of one cubic-regularization run."""
+
+    alpha: float
+    n_solves: int = 0
 
 
 class _SmoothDriver:
@@ -274,7 +265,7 @@ class _SmoothDriver:
     def fg(self, x):
         return self.problem.eval_f(x), self.problem.eval_grad(x)
 
-    def grad(self, x, aux=None):
+    def grad(self, x, aux):
         return self.problem.eval_grad(x)
 
     def solve(self, x, g, tol, alpha, deadline):
@@ -299,10 +290,10 @@ class _GaussNewtonDriver:
         self._residual = r
         return 0.5 * float(r @ r), self.problem.eval_jtprod(x, r)
 
-    def grad(self, x, aux=None):
-        r = self.problem.eval_residual(x) if aux is None else aux
-        self._residual = r
-        return self.problem.eval_jtprod(x, r)
+    def grad(self, x, aux):
+        # aux is the residual that ``trial`` returned at x
+        self._residual = aux
+        return self.problem.eval_jtprod(x, aux)
 
     def solve(self, x, g, tol, alpha, deadline):
         # A'b = J'(-r) is -g, which the loop already holds
@@ -318,18 +309,23 @@ class _GaussNewtonDriver:
 
 
 def _outer_loop(problem, driver, params: SolverParams, state, propose,
-                update, callback=None):
+                update, record, callback=None):
     """Accept/reject loop shared by ARC and the trust-region baseline.
 
-    ``propose(x, f, g, gnorm)`` returns ``(d, RatioEval, trace_record)`` for
-    the next trial and ``update(success, rho)`` adjusts the solver's weight
-    (alpha or the radius) after it.  ``propose`` may raise
+    ``propose(x, f, g, gnorm, deadline)`` returns ``(d, RatioEval, fields)``
+    for the next trial, where ``fields`` holds the solver's own record
+    fields, and ``update(success, rho)`` adjusts the solver's weight (alpha
+    or the radius) after it.  ``deadline`` is the run's one
+    ``time.perf_counter()`` deadline (``None`` without a ``time_budget``),
+    for a solve that can stop inside itself.  ``propose`` may raise
     :class:`GridExhausted`, :class:`AllShiftsIndefinite` or, from a solve
-    that ran past the time budget, ``TimeExceeded``, and ``update``
+    that ran past the deadline, ``TimeExceeded``, and ``update``
     :class:`GridExhausted`; the exception's ``status`` ends the run.
     Everything else (the stopping tests, acceptance, the move to the new
-    iterate, the trace and the record) is common, so both solvers stop,
-    accept and count by the same rules.
+    iterate, the trial's common record fields, the trace and the run's
+    ``BenchRecord``) is common, so both solvers stop, accept, time and
+    record by the same rules.  ``record`` is the solver's trace record
+    class, built from the common fields and ``fields``.
 
     The trace keeps scalars only, so its memory does not grow with n.
     ``callback(rec, state, d)`` is called after every trial, before the
@@ -337,6 +333,8 @@ def _outer_loop(problem, driver, params: SolverParams, state, propose,
     wants the steps collects them there.
     """
     t0 = time.perf_counter()
+    deadline = (None if params.time_budget is None
+                else t0 + params.time_budget)
     counters0 = problem.counters.snapshot()
     x = state.x
     f, g = driver.fg(x)
@@ -354,20 +352,21 @@ def _outer_loop(problem, driver, params: SolverParams, state, propose,
         if state.k >= params.max_outer_iter:
             state.status = STATUS_MAX_ITER
             break
-        if (params.time_budget is not None
-                and time.perf_counter() - t0 > params.time_budget):
+        if deadline is not None and time.perf_counter() > deadline:
             state.status = STATUS_TIME
             break
 
         try:
-            d, ev, rec = propose(x, f, g, gnorm)
+            d, ev, fields = propose(x, f, g, gnorm, deadline)
         except (GridExhausted, AllShiftsIndefinite, TimeExceeded) as exc:
             state.status = exc.status
             break
         unbounded = ev.f_trial is not None and (
             np.isnan(ev.f_trial) or ev.f_trial == -np.inf)
         success = not (unbounded or ev.degenerate) and ev.rho >= params.eta1
-        rec.success = success
+        rec = record(k=state.k, step_norm=float(np.linalg.norm(d)),
+                     rho=ev.rho, success=success, delta_q=ev.delta_q,
+                     f_before=f, grad_norm=gnorm, **fields)
         state.trace.append(rec)
         state.k += 1
         if callback is not None:
@@ -409,26 +408,24 @@ def _arc_loop(problem, driver, params: ArcParams, callback=None):
     the start and after each accepted step; rejected steps walk the same
     solution's shifts.  The solve gets the current alpha, so it retires
     the shifts this selection can no longer pick and stops once none of
-    the others runs; with a ``time_budget`` it also gets the run's
-    deadline, and a solve still running past it ends the run with
-    ``time_exceeded``.  A trial then costs one objective evaluation and no
-    operator product: ``acceptance_ratio`` prices the model decrease from
-    the selected shift's Galerkin identity.  The spent solution stays
-    referenced until the next solve replaces it.  Dropping it at the
-    accepted step instead was measured with ``tools/bench_ledger.py``
-    (35 s runs, 6 alternating pairs per workload, 2-core machine) on
-    records that keep no step: ARC ran slower on scaled (higher in 5 of 6
-    pairs, median +1.2%) and on gn (4 of 6, +3.3%), and peak RSS did not
-    move on scaled (67.6 -> 67.8 MB) and fell on gn (55.1 -> 53.5 MB).
-    The 124 -> 108 MB fall measured earlier came from the trace's steps,
-    which are gone; keeping the solution is faster on both.
+    the others runs; it also gets the outer loop's deadline, and a solve
+    still running past it ends the run with ``time_exceeded``.  A trial
+    then costs one objective evaluation and no operator product:
+    ``acceptance_ratio`` prices the model decrease from the selected
+    shift's Galerkin identity.  The spent solution stays referenced until
+    the next solve replaces it.  Dropping it at the accepted step instead
+    was measured with ``tools/bench_ledger.py`` (35 s runs, 6 alternating
+    pairs per workload, 2-core machine) on records that keep no step: ARC
+    ran slower on scaled (higher in 5 of 6 pairs, median +1.2%) and on gn
+    (4 of 6, +3.3%), and peak RSS did not move on scaled (67.6 -> 67.8 MB)
+    and fell on gn (55.1 -> 53.5 MB).  The 124 -> 108 MB fall measured
+    earlier came from the trace's steps, which are gone; keeping the
+    solution is faster on both.
     """
     state = ArcState(x=problem.x0.copy(), alpha=params.alpha0)
     sols = j = None
-    deadline = (None if params.time_budget is None
-                else time.perf_counter() + params.time_budget)
 
-    def propose(x, f, g, gnorm):
+    def propose(x, f, g, gnorm, deadline):
         nonlocal sols, j
         if j is None:
             tol = inner_tolerance(gnorm, params.zeta, params.xi)
@@ -439,13 +436,9 @@ def _arc_loop(problem, driver, params: ArcParams, callback=None):
             d = sols.direction(j)
         lam = float(sols.lambdas[j])
         ev = acceptance_ratio(f, g, d, lam, lambda: driver.trial(x + d))
-        return d, ev, TraceRecord(
-            k=state.k, alpha=state.alpha, shift_index=j,
-            shift=lam, step_norm=float(np.linalg.norm(d)),
-            rho=ev.rho, success=False,  # set by the outer loop
-            delta_q=ev.delta_q, f_before=f,
-            grad_norm=gnorm, shift_statuses=sols.statuses,
-            solve_index=state.n_solves - 1)
+        return d, ev, dict(alpha=state.alpha, shift_index=j, shift=lam,
+                           shift_statuses=sols.statuses,
+                           solve_index=state.n_solves - 1)
 
     def update(success, rho):
         nonlocal sols, j
@@ -458,7 +451,7 @@ def _arc_loop(problem, driver, params: ArcParams, callback=None):
         j = None
 
     return _outer_loop(problem, driver, params, state, propose, update,
-                       callback)
+                       TraceRecord, callback)
 
 
 def arcqk_minimize(problem: SmoothProblem, params: ArcParams = None,

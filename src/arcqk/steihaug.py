@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .arc import (STATUS_RUNNING, SolverParams, _outer_loop,
-                  _positive_finite, _ratio, _SmoothDriver, inner_tolerance)
+from .arc import (SolverParams, _outer_loop, _positive_finite, _ratio,
+                  _RunState, _SmoothDriver, _TrialRecord, inner_tolerance)
 from .problems import SmoothProblem
 
 EXIT_INTERIOR = "interior"
@@ -95,30 +95,15 @@ def truncated_cg(apply_H, g, delta, tol, max_iter=None,
 
 
 @dataclass
-class TrTraceRecord:
-    k: int
+class TrTraceRecord(_TrialRecord):
     delta: float
-    step_norm: float
-    rho: float
-    success: bool
     exit: str
-    delta_q: float
-    f_before: float
-    grad_norm: float
     inner_iterations: int
 
 
 @dataclass
-class TrState:
-    x: np.ndarray
+class TrState(_RunState):
     delta: float
-    k: int = 0
-    f_val: float = np.nan
-    grad_norm: float = np.nan
-    status: str = STATUS_RUNNING
-    trace: list = field(default_factory=list)
-    g0_norm: float = np.nan
-    elapsed_seconds: float = 0.0
 
 
 def st_minimize(problem: SmoothProblem, params: TrParams = None,
@@ -132,18 +117,17 @@ def st_minimize(problem: SmoothProblem, params: TrParams = None,
     """
     params = TrParams() if params is None else params
     state = TrState(x=problem.x0.copy(), delta=params.delta0)
+    driver = _SmoothDriver(problem, params)
 
-    def propose(x, f, g, gnorm):
+    def propose(x, f, g, gnorm, deadline):
+        # truncated CG takes no deadline; the outer loop tests it per trial
         res = truncated_cg(lambda w: problem.eval_hvp(x, w), g, state.delta,
                            inner_tolerance(gnorm, params.zeta))
         d = res.d
         delta_q = -float(g @ d) - 0.5 * float(d @ res.hd)
-        ev = _ratio(f, delta_q, lambda: (problem.eval_f(x + d), None))
-        return d, ev, TrTraceRecord(
-            k=state.k, delta=state.delta, step_norm=float(np.linalg.norm(d)),
-            rho=ev.rho, success=False,  # set by the outer loop
-            exit=res.exit, delta_q=delta_q, f_before=f, grad_norm=gnorm,
-            inner_iterations=res.iterations)
+        ev = _ratio(f, delta_q, lambda: driver.trial(x + d))
+        return d, ev, dict(delta=state.delta, exit=res.exit,
+                           inner_iterations=res.iterations)
 
     def update(success, rho):
         if not success:
@@ -151,5 +135,5 @@ def st_minimize(problem: SmoothProblem, params: TrParams = None,
         elif rho > params.eta2:
             state.delta = params.gamma2 * state.delta
 
-    return _outer_loop(problem, _SmoothDriver(problem, params), params, state,
-                       propose, update, callback)
+    return _outer_loop(problem, driver, params, state, propose, update,
+                       TrTraceRecord, callback)

@@ -1,0 +1,75 @@
+"""Seeded CG and CGLS systems shared by the kernel tests."""
+
+import numpy as np
+
+from arcqk.shifted_cg import ShiftGrid, multishift_cg
+from arcqk.shifted_cgls import multishift_cgls
+
+
+def seeded_system(kernel, n, spectrum, seed, rhs_kind="random"):
+    """One seeded CG or CGLS system: ``(op, b, rhs)``.
+
+    ``spectrum`` is "spread" (log-uniform over 8 decades), "clustered" (a
+    few tight clusters) or "indefinite": for CG the eigenvalues below 1
+    take random signs, for CGLS some singular values are zero.  ``op`` is
+    the symmetric (n, n) matrix for CG and the (n + 2, n) matrix A for
+    CGLS, ``b`` the kernel's right-hand side and ``rhs`` that of the
+    (normal) equations: b for CG, A'b for CGLS.  ``rhs_kind`` "invariant"
+    puts rhs in the span of at most three eigenvectors (right singular
+    vectors for CGLS), so the Krylov space has dimension at most three in
+    exact arithmetic; "zero" makes b zero.
+    """
+    rng = np.random.default_rng(seed)
+    vals = 10.0 ** rng.uniform(-4, 4, n)
+    if spectrum == "clustered":
+        centres = 10.0 ** rng.uniform(-2, 2, rng.integers(1, 4))
+        vals = rng.choice(centres, n) * (1.0 + 1e-9 * rng.standard_normal(n))
+    elif spectrum == "indefinite":
+        if kernel == "cg":
+            vals[vals < 1.0] *= rng.choice([-1.0, 1.0], np.sum(vals < 1.0))
+        else:
+            vals[rng.random(n) < 0.3] = 0.0
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    if kernel == "cg":
+        basis = q
+        op = (q * vals) @ q.T
+    else:
+        basis, _ = np.linalg.qr(rng.standard_normal((n + 2, n)))
+        op = (basis * vals) @ q.T
+    r = min(3, n)
+    b = (basis[:, :r] @ rng.standard_normal(r) if rhs_kind == "invariant"
+         else rng.standard_normal(basis.shape[0]))
+    b = 0.0 * b if rhs_kind == "zero" else b
+    return op, b, (b if kernel == "cg" else op.T @ b)
+
+
+def make_solver(kernel, n, spectrum, seed, tol_frac):
+    """``solve(alpha, callback=None)`` for one seeded CG or CGLS system.
+
+    The system is ``seeded_system(kernel, n, spectrum, seed)`` on the
+    default grid.  The tolerance is ``tol_frac`` times the norm of the
+    (normal-equations) right-hand side, as ARC's inner tolerance is a
+    fraction of ||g||.  Operator calls are counted in ``solve.calls``.
+    """
+    op, b, rhs = seeded_system(kernel, n, spectrum, seed)
+    tol = tol_frac * np.linalg.norm(rhs)
+    grid = ShiftGrid.default()
+    calls = []
+
+    def apply_op(v):
+        calls.append(1)
+        return op @ v
+
+    if kernel == "cg":
+        def solve(alpha, callback=None):
+            calls.clear()
+            return multishift_cg(apply_op, b, grid, tol=tol, alpha=alpha,
+                                 callback=callback)
+    else:
+        def solve(alpha, callback=None):
+            calls.clear()
+            return multishift_cgls(apply_op, lambda w: op.T @ w, b, grid,
+                                   tol=tol, alpha=alpha, callback=callback)
+
+    solve.calls = calls
+    return solve

@@ -9,8 +9,7 @@ import arcqk.arc as arc_mod
 from arcqk.arc import (AllShiftsIndefinite, ArcParams, GridExhausted,
                        acceptance_ratio, advance_shift_on_failure,
                        arcqk_minimize, arcqk_minimize_gauss_newton,
-                       cubic_model_eval, inner_tolerance, per_shift_tolerance,
-                       select_step)
+                       inner_tolerance, per_shift_tolerance, select_step)
 from arcqk.problems import (SmoothProblem, make_diagquad, make_himmelblau,
                             make_rosenbrock, make_sphere, suite_problems)
 from arcqk.shifted_cg import ShiftGrid, multishift_cg
@@ -67,24 +66,6 @@ class TestParams:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ArcParams(**kwargs)
-
-
-class TestCubicModel:
-    def test_consistency_with_direct_evaluation(self):
-        rng = np.random.default_rng(0)
-        n = 6
-        H = rng.standard_normal((n, n))
-        H = H + H.T
-        g = rng.standard_normal(n)
-        d = rng.standard_normal(n)
-        f_x, alpha = 2.5, 0.7
-        ev = cubic_model_eval(f_x, g, H @ d, d, alpha)
-        dn = np.linalg.norm(d)
-        q = f_x + g @ d + 0.5 * d @ H @ d
-        assert ev.delta_q == pytest.approx(f_x - q)
-        assert ev.cubic_value == pytest.approx(q + dn ** 3 / (3 * alpha))
-        assert_allclose(ev.cubic_gradient, g + H @ d + (dn / alpha) * d,
-                        rtol=1e-12)
 
 
 def shifted_step(problem, x, grid, pick=0, tol=1e-12):

@@ -17,64 +17,10 @@ from hypothesis import strategies as st
 from arcqk.arc import (AllShiftsIndefinite, GridExhausted,
                        advance_shift_on_failure, select_step)
 from arcqk.shifted_cg import (RETIRED, RUNNING, MultishiftState, ShiftGrid,
-                              _retirees, multishift_cg)
-from arcqk.shifted_cgls import CglsState, multishift_cgls
+                              _retirees)
+from arcqk.shifted_cgls import CglsState
 
-
-def make_solver(kernel, n, spectrum, seed, tol_frac):
-    """``solve(alpha, callback=None)`` for one seeded CG or CGLS system.
-
-    ``spectrum`` is "spread" (log-uniform over 8 decades), "clustered" (a
-    few tight clusters) or "indefinite": for CG the eigenvalues below 1
-    take random signs, for CGLS some singular values are zero.  The
-    tolerance is ``tol_frac`` times the norm of the (normal-equations)
-    right-hand side, as ARC's inner tolerance is a fraction of ||g||.
-    Operator calls are counted in ``solve.calls``.
-    """
-    rng = np.random.default_rng(seed)
-    vals = 10.0 ** rng.uniform(-4, 4, n)
-    if spectrum == "clustered":
-        centres = 10.0 ** rng.uniform(-2, 2, rng.integers(1, 4))
-        vals = rng.choice(centres, n) * (1.0 + 1e-9 * rng.standard_normal(n))
-    elif spectrum == "indefinite":
-        if kernel == "cg":
-            vals[vals < 1.0] *= rng.choice([-1.0, 1.0], np.sum(vals < 1.0))
-        else:
-            vals[rng.random(n) < 0.3] = 0.0
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    grid = ShiftGrid.default()
-    calls = []
-
-    if kernel == "cg":
-        M = (q * vals) @ q.T
-        b = rng.standard_normal(n)
-        tol = tol_frac * np.linalg.norm(b)
-
-        def apply_M(v):
-            calls.append(1)
-            return M @ v
-
-        def solve(alpha, callback=None):
-            calls.clear()
-            return multishift_cg(apply_M, b, grid, tol=tol, alpha=alpha,
-                                 callback=callback)
-    else:
-        u, _ = np.linalg.qr(rng.standard_normal((n + 2, n)))
-        A = (u * vals) @ q.T
-        b = rng.standard_normal(n + 2)
-        tol = tol_frac * np.linalg.norm(A.T @ b)
-
-        def apply_A(v):
-            calls.append(1)
-            return A @ v
-
-        def solve(alpha, callback=None):
-            calls.clear()
-            return multishift_cgls(apply_A, lambda w: A.T @ w, b, grid,
-                                   tol=tol, alpha=alpha, callback=callback)
-
-    solve.calls = calls
-    return solve
+from kernel_systems import make_solver
 
 
 def failure_walk(sol, j, alpha, gamma1=0.1):

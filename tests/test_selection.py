@@ -19,7 +19,7 @@ from arcqk.arc import (AllShiftsIndefinite, GridExhausted,
 from arcqk.shifted_cg import (CAPPED, CONVERGED, INDEFINITE, RETIRED,
                               MultishiftSolution)
 
-from test_retirement import make_solver
+from kernel_systems import make_solver
 
 
 def reference_select_step(solutions, alpha):

@@ -25,6 +25,8 @@ from arcqk.shifted_cg import (CAPPED, CONVERGED, INDEFINITE, RUNNING,
 from arcqk.arc import advance_shift_on_failure, select_step
 from arcqk.shifted_cgls import multishift_cgls
 
+from kernel_systems import seeded_system
+
 
 def reference_replay(lambdas, tol, max_iter, rhs, passes, pivot_status):
     """The explicit row update driven by recorded Lanczos passes."""
@@ -142,46 +144,19 @@ def _record_passes(mp):
 
 
 def solve_case(kernel, n, spectrum, rhs_kind, seed):
-    """A seeded CG or CGLS solve on the default grid.
+    """A CG or CGLS solve of ``seeded_system`` on the default grid.
 
-    ``spectrum`` is "spread" (log-uniform over 8 decades), "clustered" (a
-    few tight clusters) or "indefinite": for CG the eigenvalues below 1
-    take random signs, for CGLS some singular values are zero.
-    ``rhs_kind`` "invariant" puts the right-hand side in the span of at
-    most three eigenvectors (right singular vectors for CGLS), so the
-    Krylov space has dimension at most three in exact arithmetic.
     Returns the solution, the normal-equations right-hand side and the
     status a nonpositive pivot gives.
     """
-    rng = np.random.default_rng(seed)
-    vals = 10.0 ** rng.uniform(-4, 4, n)
-    if spectrum == "clustered":
-        centres = 10.0 ** rng.uniform(-2, 2, rng.integers(1, 4))
-        vals = rng.choice(centres, n) * (1.0 + 1e-9 * rng.standard_normal(n))
-    elif spectrum == "indefinite":
-        if kernel == "cg":
-            vals[vals < 1.0] *= rng.choice([-1.0, 1.0], np.sum(vals < 1.0))
-        else:
-            vals[rng.random(n) < 0.3] = 0.0
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    r = min(3, n)
+    op, b, rhs = seeded_system(kernel, n, spectrum, seed, rhs_kind)
     grid = ShiftGrid.default()
+    tol = 1e-10 * max(np.linalg.norm(rhs), 1.0)
     if kernel == "cg":
-        M = (q * vals) @ q.T
-        b = (q[:, :r] @ rng.standard_normal(r) if rhs_kind == "invariant"
-             else rng.standard_normal(n))
-        b = 0.0 * b if rhs_kind == "zero" else b
-        sol = multishift_cg(lambda v: M @ v, b, grid,
-                            tol=1e-10 * max(np.linalg.norm(b), 1.0))
-        return sol, b, INDEFINITE
-    u, _ = np.linalg.qr(rng.standard_normal((n + 2, n)))
-    A = (u * vals) @ q.T
-    b = (u[:, :r] @ rng.standard_normal(r) if rhs_kind == "invariant"
-         else rng.standard_normal(n + 2))
-    b = 0.0 * b if rhs_kind == "zero" else b
-    rhs = A.T @ b
-    sol = multishift_cgls(lambda w: A @ w, lambda w: A.T @ w, b, grid,
-                          tol=1e-10 * max(np.linalg.norm(rhs), 1.0))
+        sol = multishift_cg(lambda v: op @ v, b, grid, tol=tol)
+        return sol, rhs, INDEFINITE
+    sol = multishift_cgls(lambda w: op @ w, lambda w: op.T @ w, b, grid,
+                          tol=tol)
     return sol, rhs, CAPPED
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import arcqk.shifted_cg as cg_mod
+import arcqk.shifted_cgls as cgls_mod
 from arcqk.shifted_cg import (CAPPED, CONVERGED, INDEFINITE, MultishiftState,
                               ShiftGrid, TimeExceeded, curvature_certificate,
                               multishift_cg)
@@ -348,3 +350,47 @@ def test_deadline_ends_the_solve_after_a_pass(kernel):
     assert info.value.status == "time_exceeded" and passes == [0]
     sol = solve(time.perf_counter() + 1e3)
     assert sol.total_iterations == len(passes) > 1
+
+
+@pytest.mark.parametrize("kernel", ["cg", "cgls"])
+def test_breakdown_below_rounding_threshold(monkeypatch, kernel):
+    """A Krylov space exhausted up to rounding ends the solve as converged.
+
+    b lies in the span of two eigenvectors (left singular vectors for
+    CGLS), so the second Lanczos pass leaves a rounding-size remainder:
+    beta_next is positive but below the breakdown threshold, and tol = 0
+    lets nothing but breakdown end the solve.  Read as a real Lanczos
+    vector, that remainder would keep both shifts running to the 2n cap.
+    """
+    betas = []
+    real_step = cg_mod._shift_block_step
+
+    def recording_step(state, j, delta, beta_next, *rest):
+        betas.append(beta_next)
+        return real_step(state, j, delta, beta_next, *rest)
+
+    monkeypatch.setattr(cg_mod, "_shift_block_step", recording_step)
+    monkeypatch.setattr(cgls_mod, "_shift_block_step", recording_step)
+    rng = np.random.default_rng(144)
+    n = 8
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    vals = 0.01 * np.arange(1.0, n + 1.0)
+    grid = ShiftGrid([1.0, 10.0])
+    if kernel == "cg":
+        M = (q * vals) @ q.T
+        b = q[:, :2] @ rng.standard_normal(2)
+        sol = multishift_cg(lambda v: M @ v, b, grid, tol=0.0)
+    else:
+        u, _ = np.linalg.qr(rng.standard_normal((n + 2, n)))
+        A = (u * vals) @ q.T
+        b = u[:, :2] @ rng.standard_normal(2)
+        sol = multishift_cgls(lambda v: A @ v, lambda w: A.T @ w, b, grid,
+                              tol=0.0)
+        M, b = A.T @ A, A.T @ b
+    assert len(betas) == 2 and 0.0 < betas[-1] < 1e-16
+    assert sol.statuses == (CONVERGED, CONVERGED)
+    assert list(sol.iterations) == [2, 2]
+    assert sol.total_iterations == sol.operator_products == 2
+    for i, lam in enumerate(grid.lambdas):
+        exact = np.linalg.solve(M + lam * np.eye(n), b)
+        assert_allclose(sol.direction(i), exact, rtol=1e-10)

@@ -19,9 +19,8 @@ the step was accepted; and a sha256 over the final x, every trial's step,
 every trial's rho and, for ARC, every trial's ``shift_statuses`` (as
 plain names, so a shift whose status is mislabelled shows even when the
 selection never picks it).  The steps are collected by the solver's
-per-trial callback, ``callback(rec, state, d)``; a checkout whose callback
-takes ``(rec, state)`` keeps the step in ``rec.step`` instead, and both
-hash the same bytes.  A run that raises keeps its exception as status.
+per-trial callback, ``callback(rec, state, d)``.  A run that raises keeps
+its exception as status.
 
 ``--compare A B`` lists every run that is missing from one side or
 differs, with its differing fields (a run whose counts and trials agree
@@ -44,6 +43,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # (workload, seed, number of variants)
 RUNS = (("desk", 1, 48), ("scaled", 11, 3), ("gn", 1, 8))
+FLUSH_N = 4100
 KEY = ("workload", "variant", "problem", "n", "solver")
 
 
@@ -73,8 +73,8 @@ def run_one(problem, solver, arc, steihaug, LeastSquaresProblem):
     problem.reset_counters()
     steps = []
 
-    def keep_step(rec, state, d=None):
-        steps.append(rec.step if d is None else d)
+    def keep_step(rec, state, d):
+        steps.append(d)
 
     try:
         if solver == "arcqk":
@@ -100,20 +100,23 @@ def run_gate(repo, out):
     import arcqk.arc as arc
     import arcqk.steihaug as steihaug
     import workloads
-    from arcqk.problems import LeastSquaresProblem
+    from arcqk.problems import LeastSquaresProblem, make_diagquad
 
     if Path(arc.__file__).resolve().parents[1] != repo / "src":
         raise RuntimeError(f"imported arcqk from {arc.__file__}, not {repo}")
-    for workload, seed, count in RUNS:
-        for v, variant in enumerate(workloads.build(workload, seed)[:count]):
-            for problem in variant:
-                for solver in ("arcqk", "st"):
-                    row = dict(zip(KEY, (workload, v, problem.name,
-                                         problem.n, solver)))
-                    row.update(run_one(problem, solver, arc, steihaug,
-                                       LeastSquaresProblem))
-                    out.write(json.dumps(row) + "\n")
-                    out.flush()
+    inputs = [(workload, v, variant) for workload, seed, count in RUNS
+              for v, variant in enumerate(
+                  workloads.build(workload, seed)[:count])]
+    inputs.append(("flush", 0, [make_diagquad(FLUSH_N)]))
+    for workload, v, variant in inputs:
+        for problem in variant:
+            for solver in ("arcqk", "st"):
+                row = dict(zip(KEY, (workload, v, problem.name, problem.n,
+                                     solver)))
+                row.update(run_one(problem, solver, arc, steihaug,
+                                   LeastSquaresProblem))
+                out.write(json.dumps(row) + "\n")
+                out.flush()
 
 
 def load(path):
