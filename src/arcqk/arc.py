@@ -20,7 +20,7 @@ import numpy as np
 from .problems import LeastSquaresProblem, SmoothProblem
 from .records import BenchRecord, record_status
 from .shifted_cg import (_INDEFINITE, MultishiftSolution, ShiftGrid,
-                         TimeExceeded, multishift_cg)
+                         TimeExceeded, _closest, multishift_cg)
 from .shifted_cgls import multishift_cgls
 
 _EPS = float(np.finfo(float).eps)
@@ -170,23 +170,20 @@ def select_step(solutions: MultishiftSolution, alpha: float):
 
     Returns ``(i_plus, j, d)`` where ``i_plus`` is the smallest shift index
     without a negative-curvature certificate and ``j`` minimizes
-    ``|alpha * lambda_i - ||d_i|||`` over usable shifts at or above it,
-    ties resolved toward the smaller shift.  The shifts are read from the
-    solution's status codes and ``usable_mask``.
+    ``|alpha * lambda_i - ||d_i|||`` over usable shifts, ties resolved
+    toward the smaller shift (``shifted_cg._closest``).  Every shift below
+    ``i_plus`` is indefinite, so every usable one lies at or above it.
     """
     definite = (solutions.codes != _INDEFINITE).nonzero()[0]
     if not definite.size:
         raise AllShiftsIndefinite(
             "negative curvature certified for every shift in the grid")
-    i_plus = int(definite[0])
-    usable = solutions.usable_mask[i_plus:].nonzero()[0] + i_plus
+    usable = solutions.usable_mask.nonzero()[0]
     if not usable.size:
         raise GridExhausted(
             "no shift at or above the first definite one met its tolerance")
-    scores = np.abs(alpha * solutions.lambdas[usable]
-                    - solutions.step_norms[usable])
-    j = int(usable[scores.argmin()])
-    return i_plus, j, solutions.direction(j)
+    j, _ = _closest(usable, solutions.step_norms, alpha * solutions.lambdas)
+    return int(definite[0]), j, solutions.direction(j)
 
 
 def advance_shift_on_failure(solutions: MultishiftSolution, j: int,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -28,13 +28,17 @@ RETIRED = "retired"
 # (``state.status``, the callback and ``MultishiftSolution.statuses``).
 _NAMES = (RUNNING, CONVERGED, INDEFINITE, CAPPED, RETIRED)
 _RUNNING, _CONVERGED, _INDEFINITE, _CAPPED, _RETIRED = range(len(_NAMES))
-_CODES = {name: code for code, name in enumerate(_NAMES)}
 
 _EPS = float(np.finfo(float).eps)
 
 # Columns per chunk when the window is folded into the flushed rows or a
 # flushed solve's step norms are taken: a (31, 2048) chunk is 0.5 MB.
 _CHUNK = 2048
+
+
+def _names(codes):
+    """The status names of an int8 code array, as a tuple."""
+    return tuple(map(_NAMES.__getitem__, codes.tolist()))
 
 
 class TimeExceeded(Exception):
@@ -100,10 +104,11 @@ class _ShiftBlock:
     makes one Lanczos pass, hands the pass's coefficients to
     ``_shift_block_step`` and advances the source while that returns True.
     ``solve`` steps to the end and returns the ``MultishiftSolution``.
-    Each joint iteration costs one product with the counted operator
-    (``operator_products``), and none is formed after the last running
-    shift freezes.  A zero right-hand side is solved by zero: every shift
-    is ``converged`` from the start, and the solve forms no product.
+    Each joint iteration costs one product with the operator (M for CG, A
+    for CGLS), so a solve forms ``total_iterations`` of them, and none is
+    formed after the last running shift freezes.  A zero right-hand side
+    is solved by zero: every shift is ``converged`` from the start, and
+    the solve forms no product.
 
     Per-shift scalars are (m+1,) rows of one array: the stacked
     ``S = (gamma, omega, sigma)`` of the recurrence, the pass's new values
@@ -165,7 +170,6 @@ class _ShiftBlock:
             raise ValueError("max_iter must be >= 1")
         self._callback = callback
         self._deadline = deadline
-        self.operator_products = 0            # counted operator's products
 
         beta0 = math.sqrt(rhs @ rhs)
         self.W = np.empty((m1, rhs.size))     # window of basis vectors
@@ -199,23 +203,17 @@ class _ShiftBlock:
         self.wsq[:2] = 0.0, beta0 * beta0
         return beta0
 
-    def _product(self, apply, w, counted=True):
-        """``apply(w)`` as a float array, raising on a non-finite value.
-
-        The product counts in ``operator_products`` unless ``counted`` is
-        false (the products with A' of CGLS).
-        """
+    def _product(self, apply, w):
+        """``apply(w)`` as a float array, raising on a non-finite value."""
         out = np.asarray(apply(w), dtype=float)
         if not np.isfinite(out).all():
             raise ValueError("operator returned non-finite values")
-        if counted:
-            self.operator_products += 1
         return out
 
     @property
     def status(self):
         """Per-shift status names, a tuple of the module's constants."""
-        return tuple(map(_NAMES.__getitem__, self.code.tolist()))
+        return _names(self.code)
 
     @property
     def x(self):
@@ -253,13 +251,10 @@ class _ShiftBlock:
         return MultishiftSolution(
             lambdas=self.lambdas.copy(),
             residual_norms=np.abs(self.sigma),
-            statuses=self.status,
+            codes=self.code,
             iterations=self.iterations.copy(),
-            tolerances=self.tol.copy(),
-            operator_products=self.operator_products,
             total_iterations=self.j + 1,
-            W=self.W[:k], Y=self.Y[:, :k + 1].copy(), X=self._X, P=self._P,
-            codes=self.code)
+            W=self.W[:k], Y=self.Y[:, :k + 1].copy(), X=self._X, P=self._P)
 
 
 class MultishiftState(_ShiftBlock):
@@ -404,7 +399,9 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
 
     Given the caller's alpha, shifts that ARC's selection at that alpha can
     no longer pick are retired: frozen with status ``retired``, which is
-    never usable.  With b the frozen usable shift of lowest selection score
+    never usable.  A shift is usable iff it converged (``usable_mask``),
+    and its code is final once it freezes.  With b the converged shift that
+    ``_closest`` picks, of lowest selection score
     s_b = |alpha lambda_b - ||x_b||| (ties to the smaller index), a running
     shift r is retired when
 
@@ -435,13 +432,11 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
     The test costs O(1) numpy calls per pass.  Every pass reads all norms
     from the window coefficients, taking the window's rows as orthogonal
     (W[0] is the right-hand side, later rows unit Lanczos vectors), and
-    keeps the score of each shift from the pass it converges in.  Only
-    converged shifts are usable among the frozen ones before the solve
-    ends (a running shift's residual is above its tolerance, so one frozen
-    at its pivot is not usable).  When the lowest running shift passes the
-    test on these norms, the rule is applied with exact norms from the
-    window's Gram matrix, as ``step_norms`` computes them.  Nothing is
-    retired once the window has been flushed.
+    keeps the score of each shift from the pass it converges in.  When the
+    lowest running shift passes the test on these norms, the rule is
+    applied with exact norms from the window's Gram matrix, as
+    ``step_norms`` computes them.  Nothing is retired once the window has
+    been flushed.
     """
     run, S, g, om, sig = state.run, state.S, state.g, state.om, state.sig
     denom = delta + state.lambdas - S[1] / S[0]
@@ -515,20 +510,31 @@ def _window_norms(W, y):
     return np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
 
 
-def _retirees(bound, usable, run):
+def _closest(usable, norms, alpha_lam):
+    """The selection rule: ``(j, score)`` for the shift j among the
+    indices ``usable`` (increasing, not empty) of least
+    score = |alpha lambda_j - ||d_j|||, ties going to the smaller shift.
+
+    ``norms`` and ``alpha_lam`` hold ||d_i|| and alpha lambda_i of every
+    shift.  ``arc.select_step`` picks its step and ``_retirees`` its b
+    through this one function.
+    """
+    scores = np.abs(alpha_lam[usable] - norms[usable])
+    k = int(scores.argmin())
+    return int(usable[k]), scores[k]
+
+
+def _retirees(norms, alpha_lam, usable, run):
     """Indices of the running shifts (mask ``run``) the rule retires.
 
-    ``bound`` holds ||x_i|| - alpha lambda_i, so a usable shift scores
-    |bound|.  The rule of ``_shift_block_step``: b is the usable shift of
-    lowest score (the first, so ties go to the smaller shift, as in
-    ``arc.select_step``), and the result is the longest prefix of the
-    running shifts below b whose bound lies strictly above b's score.
-    With nothing usable b = 0 and nothing retires.
+    The rule of ``_shift_block_step``: b is the shift that ``_closest``
+    picks among the usable ones (indices ``usable``, not empty), and the
+    result is the longest prefix of the running shifts below b whose bound
+    ||x_i|| - alpha lambda_i lies strictly above b's score.
     """
-    scores = np.where(usable, np.abs(bound), np.inf)
-    b = int(scores.argmin())
+    b, score = _closest(usable, norms, alpha_lam)
     below = np.flatnonzero(run[:b])
-    ok = bound[below] > scores[b]
+    ok = norms[below] - alpha_lam[below] > score
     return below if ok.all() else below[:int(ok.argmin())]
 
 
@@ -536,16 +542,18 @@ def _retire(state):
     """Retire the running shifts that selection cannot pick.
 
     The pass's coefficient norms decide whether the rule is applied with
-    exact norms (see ``_shift_block_step``).
+    exact norms (see ``_shift_block_step``).  Only converged shifts have a
+    finite score, so the rule is applied only once some shift converged.
     """
     b = int(state.score.argmin())
     r = int(state.run.argmax())
     if not (state.run[r] and r < b and state.bound[r] > state.score[b]):
         return
     k = state.kw
-    bound = _window_norms(state.W[:k], state.Y[:, 1:k + 1]) - state.alpha_lam
-    usable = state.code == _CONVERGED
-    _freeze(state, _retirees(bound, usable, state.run), _RETIRED)
+    norms = _window_norms(state.W[:k], state.Y[:, 1:k + 1])
+    usable = np.flatnonzero(state.code == _CONVERGED)
+    _freeze(state, _retirees(norms, state.alpha_lam, usable, state.run),
+            _RETIRED)
 
 
 def curvature_certificate(state: MultishiftState, i: int) -> float:
@@ -570,34 +578,34 @@ class MultishiftSolution:
     the window's Gram matrix, or after a flush from column chunks of the
     rows, and ``direction(i)`` forms row i alone.  So selection and the
     failure walk hold no more than the solve did: ``W`` and, after a
-    flush, ``X`` and ``P``, three (m+1, n) blocks at most.  ``codes``
-    holds the int8 status codes behind ``statuses``; a solution built by
-    hand may give the names alone, and the codes are then taken from them.
-    ``usable_mask`` holds ``usable(i)`` of every shift, taken from the
-    codes when the solution is made; ``arc.select_step`` and
-    ``arc.advance_shift_on_failure`` read it.
+    flush, ``X`` and ``P``, three (m+1, n) blocks at most.
+
+    ``codes`` holds the int8 status code of every shift (the ``_NAMES``
+    index), the one stored status: ``statuses`` and ``usable_mask`` are
+    derived from it.  A shift is usable, a candidate of ``arc.select_step``
+    and ``arc.advance_shift_on_failure``, iff it converged.  The solve
+    formed ``total_iterations`` operator products.
     """
 
     lambdas: np.ndarray
     residual_norms: np.ndarray      # |sigma| at freeze time
-    statuses: tuple
+    codes: np.ndarray
     iterations: np.ndarray
-    tolerances: np.ndarray
-    operator_products: int
     total_iterations: int
     W: np.ndarray                   # (kw, n) window of basis vectors
     Y: np.ndarray                   # (m+1, kw+1) weights of [P; W]
     X: Optional[np.ndarray] = None  # (m+1, n) flushed rows, if any
     P: Optional[np.ndarray] = None
-    codes: Optional[np.ndarray] = None
-    usable_mask: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if self.codes is None:
-            self.codes = np.array([_CODES[s] for s in self.statuses], np.int8)
-        c = self.codes
-        self.usable_mask = (c == _CONVERGED) | (
-            (c == _CAPPED) & (self.residual_norms <= self.tolerances))
+    @cached_property
+    def statuses(self) -> tuple:
+        """Per-shift status names, a tuple of the module's constants."""
+        return _names(self.codes)
+
+    @cached_property
+    def usable_mask(self) -> np.ndarray:
+        """Per-shift bool: whether the shift converged."""
+        return self.codes == _CONVERGED
 
     def direction(self, i) -> np.ndarray:
         """Direction of shift i, formed from the block as a new vector."""
@@ -630,17 +638,6 @@ class MultishiftSolution:
             sq += np.einsum("ij,ij->i", x, x)
             del x                       # freed before the next chunk forms
         return np.sqrt(sq)
-
-    def usable(self, i) -> bool:
-        """Whether shift i produced a direction fit for step selection.
-
-        That is a converged shift, or one capped within its tolerance;
-        indefinite, over-tolerance capped and ``retired`` shifts are not.
-        """
-        if self.statuses[i] == CONVERGED:
-            return True
-        return (self.statuses[i] == CAPPED
-                and self.residual_norms[i] <= self.tolerances[i])
 
 
 def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,

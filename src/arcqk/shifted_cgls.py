@@ -21,9 +21,9 @@ class CglsState(_ShiftBlock):
     """Joint Lanczos-CGLS on A'A, for the right-hand side A'b.
 
     The Lanczos source runs through auxiliary row-space vectors u_j, with
-    one product by A (counted) and one by A' per joint iteration.  The
-    right-hand side A'b costs one more product by A' unless the caller
-    passes it as ``atb``.
+    one product by A and one by A' per joint iteration.  The right-hand
+    side A'b costs one more product by A' unless the caller passes it as
+    ``atb``.
     """
 
     def __init__(self, apply_A, apply_At, b, grid: ShiftGrid, tol, max_iter,
@@ -32,8 +32,7 @@ class CglsState(_ShiftBlock):
         self._apply_A = apply_A
         self._apply_At = apply_At
         # a caller's A'b passes the same finite-value check as a product
-        atb = self._product(apply_At if atb is None else (lambda _: atb), b,
-                            counted=False)
+        atb = self._product(apply_At if atb is None else (lambda _: atb), b)
         # beta0 = ||A'b||, the norm of the normal-equations rhs
         beta0 = self._open(atb, grid, tol, max_iter, callback, alpha,
                            deadline)
@@ -56,7 +55,7 @@ class CglsState(_ShiftBlock):
         u_next = ut - delta * self.u
         if j > 0:
             u_next -= self.beta * self.u_prev
-        atu = self._product(self._apply_At, u_next, counted=False)
+        atu = self._product(self._apply_At, u_next)
         beta_next = math.sqrt(atu @ atu)
         breakdown = beta_next <= _EPS * (1.0 + delta)
         v_next = None if breakdown else atu / beta_next
@@ -80,8 +79,8 @@ def multishift_cgls(apply_A, apply_At, b, grid: ShiftGrid, tol=1e-8,
 
     ``apply_A`` maps length-n vectors to length-m vectors and ``apply_At``
     must be its adjoint (validated by the problem-level adjoint check, not
-    here).  Each joint iteration costs one product with A and one with A';
-    ``operator_products`` counts the products with A.  Convergence is gated
+    here).  Each joint iteration costs one product with A and one with A',
+    so ``total_iterations`` counts the products with A.  Convergence is gated
     on the shifted-system residual ||A'b - (A'A + lambda_i I) x||, whose
     norm is recurred as |sigma|.  ``alpha`` retires shifts and ``deadline``
     ends the solve as in ``multishift_cg``.  ``atb`` is A'b when the

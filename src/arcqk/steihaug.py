@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +10,7 @@ import numpy as np
 from .arc import (SolverParams, _outer_loop, _positive_finite, _ratio,
                   _RunState, _SmoothDriver, _TrialRecord, inner_tolerance)
 from .problems import SmoothProblem
+from .shifted_cg import TimeExceeded
 
 EXIT_INTERIOR = "interior"
 EXIT_BOUNDARY = "boundary"
@@ -48,13 +50,16 @@ def _boundary_tau(d, p, delta):
     return (-b + root) / (2.0 * a)
 
 
-def truncated_cg(apply_H, g, delta, tol, max_iter=None,
-                 callback=None) -> TruncatedCgResult:
+def truncated_cg(apply_H, g, delta, tol, max_iter=None, callback=None,
+                 deadline=None) -> TruncatedCgResult:
     """Steihaug-Toint CG for min g'd + 0.5 d'Hd subject to ||d|| <= delta.
 
     Iterations stop at the required accuracy, when crossing the region
     boundary, or when a direction of nonpositive curvature appears; in the
     latter two cases the returned step sits exactly on the boundary.
+    ``deadline`` is a ``time.perf_counter()`` value: the first iteration
+    that ends past it and does not stop the CG raises ``TimeExceeded``, as
+    a multishift solve does; ``None`` sets no limit.
     """
     g = np.asarray(g, dtype=float)
     if delta <= 0:
@@ -91,6 +96,8 @@ def truncated_cg(apply_H, g, delta, tol, max_iter=None,
             return TruncatedCgResult(d, EXIT_INTERIOR, j + 1, hd)
         p = -r + (rr_next / rr) * p
         rr = rr_next
+        if deadline is not None and time.perf_counter() > deadline:
+            raise TimeExceeded(f"deadline passed in iteration {j}")
     return TruncatedCgResult(d, EXIT_CAPPED, max_iter, hd)
 
 
@@ -120,9 +127,9 @@ def st_minimize(problem: SmoothProblem, params: TrParams = None,
     driver = _SmoothDriver(problem, params)
 
     def propose(x, f, g, gnorm, deadline):
-        # truncated CG takes no deadline; the outer loop tests it per trial
         res = truncated_cg(lambda w: problem.eval_hvp(x, w), g, state.delta,
-                           inner_tolerance(gnorm, params.zeta))
+                           inner_tolerance(gnorm, params.zeta),
+                           deadline=deadline)
         d = res.d
         delta_q = -float(g @ d) - 0.5 * float(d @ res.hd)
         ev = _ratio(f, delta_q, lambda: driver.trial(x + d))

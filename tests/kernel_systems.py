@@ -1,8 +1,10 @@
-"""Seeded CG and CGLS systems shared by the kernel tests."""
+"""Seeded CG and CGLS systems and hand-built solutions shared by the
+kernel and selection tests."""
 
 import numpy as np
 
-from arcqk.shifted_cg import ShiftGrid, multishift_cg
+from arcqk.shifted_cg import (_NAMES, MultishiftSolution, ShiftGrid,
+                              multishift_cg)
 from arcqk.shifted_cgls import multishift_cgls
 
 
@@ -43,6 +45,14 @@ def seeded_system(kernel, n, spectrum, seed, rhs_kind="random"):
     return op, b, (b if kernel == "cg" else op.T @ b)
 
 
+def counted(op, calls):
+    """``v -> op @ v``, appending to the list ``calls`` on every product."""
+    def apply(v):
+        calls.append(1)
+        return op @ v
+    return apply
+
+
 def make_solver(kernel, n, spectrum, seed, tol_frac):
     """``solve(alpha, callback=None)`` for one seeded CG or CGLS system.
 
@@ -55,11 +65,7 @@ def make_solver(kernel, n, spectrum, seed, tol_frac):
     tol = tol_frac * np.linalg.norm(rhs)
     grid = ShiftGrid.default()
     calls = []
-
-    def apply_op(v):
-        calls.append(1)
-        return op @ v
-
+    apply_op = counted(op, calls)
     if kernel == "cg":
         def solve(alpha, callback=None):
             calls.clear()
@@ -73,3 +79,26 @@ def make_solver(kernel, n, spectrum, seed, tol_frac):
 
     solve.calls = calls
     return solve
+
+
+def hand_built(lambdas, norms, statuses=None, residual_norms=None):
+    """A ``MultishiftSolution`` built by hand, as selection tests need.
+
+    Shift i has the status name ``statuses[i]`` and the direction
+    (norms[i], 0), held as a flushed row with an empty window.
+    ``statuses`` defaults to every shift converged and ``residual_norms``
+    to zeros.
+    """
+    lambdas = np.asarray(lambdas, dtype=float)
+    m1 = lambdas.size
+    if statuses is None:
+        statuses = ["converged"] * m1
+    X = np.zeros((m1, 2))
+    X[:, 0] = norms
+    return MultishiftSolution(
+        lambdas=lambdas,
+        residual_norms=(np.zeros(m1) if residual_norms is None
+                        else np.asarray(residual_norms, dtype=float)),
+        codes=np.array([_NAMES.index(s) for s in statuses], np.int8),
+        iterations=np.ones(m1, dtype=int), total_iterations=1,
+        W=np.empty((0, 2)), Y=np.zeros((m1, 1)), X=X)

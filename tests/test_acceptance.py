@@ -102,7 +102,7 @@ def test_criterion_02_single_product_guarantee():
 
         sol = multishift_cg(op, b, ShiftGrid(lams), tol=1e-9)
         ok &= calls["n"] == int(np.max(sol.iterations))
-        ok &= calls["n"] == sol.operator_products
+        ok &= calls["n"] == sol.total_iterations
         counts[size] = calls["n"]
     ok &= counts[1] == counts[3] == counts[31]
     _report(2, ok, f"operator products = max iterations; counts across "

@@ -13,9 +13,28 @@ from arcqk.arc import (AllShiftsIndefinite, ArcParams, GridExhausted,
 from arcqk.problems import (SmoothProblem, make_diagquad, make_himmelblau,
                             make_rosenbrock, make_sphere, suite_problems)
 from arcqk.shifted_cg import ShiftGrid, multishift_cg
+from arcqk.steihaug import TrParams, st_minimize
 
 from audits import (StepLog, accepted_gradient_path, audit_accepted_steps,
                     audit_alpha_dynamics, audit_trace_contract)
+from kernel_systems import hand_built
+
+
+def slow_quadratic(hvp_seconds, n=60):
+    """The quadratic 0.5 x'Ax - b'x with the spectrum of A spread over
+    [1e-4, 1e4], seeded, from x0 = 0; every HVP sleeps ``hvp_seconds``."""
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (q * np.logspace(-4, 4, n)) @ q.T
+    b = 1e-4 * rng.standard_normal(n) / np.sqrt(n)
+
+    def hvp(x, v):
+        time.sleep(hvp_seconds)
+        return A @ v
+
+    return SmoothProblem("quad", n, np.zeros(n),
+                         lambda x: 0.5 * x @ A @ x - b @ x,
+                         lambda x: A @ x - b, hvp)
 
 
 def seeded_sphere(n=5, seed=42):
@@ -173,62 +192,44 @@ class TestSelectStep:
         assert j == 1 + int(np.argmin(scores))
 
     def test_ties_break_to_smaller_shift(self):
-        from arcqk.shifted_cg import MultishiftSolution
-        sol = MultishiftSolution(
-            lambdas=np.array([1.0, 2.0]),
-            X=np.array([[2.0, 0.0], [3.0, 0.0]]),
-            W=np.empty((0, 2)), Y=np.zeros((2, 1)),
-            residual_norms=np.zeros(2), statuses=("converged", "converged"),
-            iterations=np.array([1, 1]), tolerances=np.full(2, 1e-8),
-            operator_products=2, total_iterations=1)
+        sol = hand_built([1.0, 2.0], [2.0, 3.0])
         # scores |1*1 - 2| = 1 and |1*2 - 3| = 1: a tie
         _, j, _ = select_step(sol, 1.0)
         assert j == 0
 
 
-def fabricated_solution(lambdas, norms, statuses=None, tol=1e-8):
-    from arcqk.shifted_cg import MultishiftSolution
-    lambdas = np.asarray(lambdas, float)
-    m1 = lambdas.size
-    directions = np.zeros((2, m1))
-    directions[0, :] = np.asarray(norms, float)
-    return MultishiftSolution(
-        lambdas=lambdas, X=directions.T,
-        W=np.empty((0, 2)), Y=np.zeros((m1, 1)),
-        residual_norms=np.zeros(m1),
-        statuses=tuple(statuses or ["converged"] * m1),
-        iterations=np.ones(m1, dtype=int), tolerances=np.full(m1, tol),
-        operator_products=m1, total_iterations=1)
-
-
 class TestAdvanceShift:
     def test_hand_example_single_advance(self):
         lams = [1.0, 10.0, 100.0]
-        sol = fabricated_solution(lams, [1.0 / (1.0 + l) for l in lams])
+        sol = hand_built(lams, [1.0 / (1.0 + l) for l in lams])
         j_next, alpha_next = advance_shift_on_failure(sol, 0, 1.0, 0.1)
         assert j_next == 1
         assert alpha_next == pytest.approx(1.0 / 110.0)
         assert alpha_next <= 0.1 * 1.0
 
     def test_exhaustion(self):
-        sol = fabricated_solution([1.0, 10.0], [3.0, 20.0])
+        sol = hand_built([1.0, 10.0], [3.0, 20.0])
         # candidate alpha = 20/10 = 2 > 0.1 and the grid ends
         with pytest.raises(GridExhausted):
             advance_shift_on_failure(sol, 0, 1.0, 0.1)
 
     def test_multiple_advances(self):
         lams = [1.0, 2.0, 4.0, 100.0]
-        sol = fabricated_solution(lams, [1.0, 1.9, 3.8, 0.5])
+        sol = hand_built(lams, [1.0, 1.9, 3.8, 0.5])
         # alphas: 0.95, 0.95, 0.005 -> walks to the last shift
         j_next, alpha_next = advance_shift_on_failure(sol, 0, 1.0, 0.1)
         assert j_next == 3
         assert alpha_next == pytest.approx(0.005)
 
+    def test_stops_on_an_exact_tie(self):
+        # alpha of shift 1: 1/2, exactly gamma1 times the old alpha
+        sol = hand_built([1.0, 2.0], [1.0, 1.0])
+        assert advance_shift_on_failure(sol, 0, 1.0, 0.5) == (1, 0.5)
+
     def test_skips_unusable_shifts(self):
         lams = [1.0, 2.0, 100.0]
-        sol = fabricated_solution(lams, [1.0, 1.0, 0.5],
-                                  statuses=["converged", "indefinite",
-                                            "converged"])
+        sol = hand_built(lams, [1.0, 1.0, 0.5],
+                         statuses=["converged", "indefinite", "converged"])
         j_next, _ = advance_shift_on_failure(sol, 0, 1.0, 0.1)
         assert j_next == 2
 
@@ -326,26 +327,31 @@ class TestArcMinimize:
         HVP sleeps 2 ms, so the kernel passes the 20 ms deadline within a
         few joint iterations and the run ends before its first trial.
         """
-        rng = np.random.default_rng(5)
         n = 60
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        A = (q * np.logspace(-4, 4, n)) @ q.T
-        b = 1e-4 * rng.standard_normal(n) / np.sqrt(n)
-
-        def quadratic(hvp_seconds):
-            def hvp(x, v):
-                time.sleep(hvp_seconds)
-                return A @ v
-            return SmoothProblem("quad", n, np.zeros(n),
-                                 lambda x: 0.5 * x @ A @ x - b @ x,
-                                 lambda x: A @ x - b, hvp)
-
-        _, full = arcqk_minimize(quadratic(0.0), ArcParams(max_outer_iter=1))
+        _, full = arcqk_minimize(slow_quadratic(0.0),
+                                 ArcParams(max_outer_iter=1))
         assert full.neval_hvp == 2 * n
-        st, rec = arcqk_minimize(quadratic(0.002), ArcParams(time_budget=0.02))
+        st, rec = arcqk_minimize(slow_quadratic(0.002),
+                                 ArcParams(time_budget=0.02))
         assert st.status == rec.status == rec.detail == "time_exceeded"
         assert st.trace == [] and st.n_solves == 0      # no solve finished
         assert 1 <= rec.neval_hvp < full.neval_hvp
+
+    def test_st_time_budget_ends_a_running_truncated_cg(self):
+        """ST's truncated CG ends at the same deadline.
+
+        With a radius of 1e6 the first truncated CG on the quadratic runs
+        to its 2n = 120 cap; at 2 ms per HVP, the 20 ms budget has passed
+        after 10 of them, so the run ends within its first trial.
+        """
+        _, full = st_minimize(slow_quadratic(0.0),
+                              TrParams(max_outer_iter=1, delta0=1e6))
+        assert full.neval_hvp == 120
+        st, rec = st_minimize(slow_quadratic(0.002),
+                              TrParams(time_budget=0.02, delta0=1e6))
+        assert st.status == rec.status == rec.detail == "time_exceeded"
+        assert st.trace == []
+        assert 1 <= rec.neval_hvp <= 15
 
     def test_time_budget_checked_after_rejected_trial(self, monkeypatch):
         # the clock jumps past the budget during the first rejected trial, so

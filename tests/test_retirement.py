@@ -20,7 +20,7 @@ from arcqk.shifted_cg import (RETIRED, RUNNING, MultishiftState, ShiftGrid,
                               _retirees)
 from arcqk.shifted_cgls import CglsState
 
-from kernel_systems import make_solver
+from kernel_systems import counted, make_solver
 
 
 def failure_walk(sol, j, alpha, gamma1=0.1):
@@ -48,9 +48,9 @@ def check_same_selection(solve, alpha):
     lean = solve(alpha)
     lean_calls = len(solve.calls)
 
-    assert lean.operator_products == lean.total_iterations == lean_calls
-    assert plain.operator_products == plain.total_iterations == plain_calls
-    assert lean.operator_products <= plain.operator_products
+    assert lean.total_iterations == lean_calls
+    assert plain.total_iterations == plain_calls
+    assert lean_calls <= plain_calls
     assert RETIRED not in plain.statuses
     retired = [i for i, s in enumerate(lean.statuses) if s == RETIRED]
     for i in range(plain.lambdas.size):
@@ -66,7 +66,7 @@ def check_same_selection(solve, alpha):
     _, j_lean, d_lean = after
     assert j_lean == j
     assert np.linalg.norm(d_lean - d) <= 1e-12 * np.linalg.norm(d)
-    assert all(i < j and not lean.usable(i) for i in retired)
+    assert all(i < j and not lean.usable_mask[i] for i in retired)
 
     walk = failure_walk(plain, j, alpha)
     walk_lean = failure_walk(lean, j, alpha)
@@ -104,20 +104,22 @@ def test_fixed_case_retires_and_stops(kernel):
 
     passes = []
     sol = solve(1.0, callback=lambda j, sig, statuses: passes.append(statuses))
+    sol_calls = len(solve.calls)
     plain = solve(None)
-    assert sol.operator_products < plain.operator_products
+    assert sol_calls < len(solve.calls)
     # the last pass left no shift running, retired some, and formed no
     # product after it
     assert RUNNING not in passes[-1] and RETIRED in passes[-1]
     assert all(RUNNING in statuses for statuses in passes[:-1])
-    assert sol.operator_products == len(passes)
+    assert sol.total_iterations == sol_calls == len(passes)
 
 
-def new_state(kernel, alpha, seed=0, n=60):
+def new_state(kernel, alpha, calls, seed=0, n=60):
     """A seeded CG or CGLS state on the default grid, stepped by hand.
 
     The operator's spectrum (of A'A for CGLS) is log-uniform over
     [1e-3, 1e3] and the tolerance 1e-8 of the right-hand side's norm.
+    Each product with M (A for CGLS) appends to the list ``calls``.
     """
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -125,12 +127,12 @@ def new_state(kernel, alpha, seed=0, n=60):
     if kernel == "cg":
         M = (q * np.logspace(-3, 3, n)) @ q.T
         b = rng.standard_normal(n)
-        return MultishiftState(lambda v: M @ v, b, grid,
+        return MultishiftState(counted(M, calls), b, grid,
                                1e-8 * np.linalg.norm(b), None, alpha=alpha)
     u, _ = np.linalg.qr(rng.standard_normal((n + 10, n)))
     A = (u * np.logspace(-1.5, 1.5, n)) @ q.T
     b = rng.standard_normal(n + 10)
-    return CglsState(lambda v: A @ v, lambda w: A.T @ w, b, grid,
+    return CglsState(counted(A, calls), lambda w: A.T @ w, b, grid,
                      1e-8 * np.linalg.norm(A.T @ b), None, alpha=alpha)
 
 
@@ -142,8 +144,9 @@ def test_reading_x_and_p_leaves_the_solve_alone(kernel):
     window has been flushed.  A read that folded the window into the
     flushed rows switched it off, and this solve then ran to its 2n cap.
     """
-    plain = new_state(kernel, 1e-3).solve()
-    state = new_state(kernel, 1e-3)
+    plain_calls, calls = [], []
+    plain = new_state(kernel, 1e-3, plain_calls).solve()
+    state = new_state(kernel, 1e-3, calls)
     while not state.done:
         state.step()
         state.x, state.p
@@ -152,8 +155,8 @@ def test_reading_x_and_p_leaves_the_solve_alone(kernel):
     assert plain.total_iterations < 2 * plain.W.shape[1]
     assert seen.statuses == plain.statuses
     assert np.array_equal(seen.iterations, plain.iterations)
-    assert seen.operator_products == plain.operator_products
     assert seen.total_iterations == plain.total_iterations
+    assert seen.total_iterations == len(calls) == len(plain_calls)
     for i in range(plain.lambdas.size):
         assert np.array_equal(seen.direction(i), plain.direction(i)), i
 
@@ -161,24 +164,22 @@ def test_reading_x_and_p_leaves_the_solve_alone(kernel):
 def test_rule_retires_a_prefix_below_the_best_frozen_shift():
     lambdas = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     run = np.array([True, True, True, False, False, True])
-    usable = np.array([False, False, False, True, True, False])
+    usable = np.array([3, 4])
     # scores of the usable shifts 3 and 4: 0.5 and 3, so b = 3; bounds
     # ||x|| - lambda of the running shifts: 9, -1, 7 below b and 94 above
     norms = np.array([10.0, 1.0, 10.0, 4.5, 2.0, 100.0])
-    assert list(_retirees(norms - lambdas, usable, run)) == [0]
+    assert list(_retirees(norms, lambdas, usable, run)) == [0]
     # the first bound that fails ends the prefix, and the bound is strict
     norms[1] = 2.75
-    assert list(_retirees(norms - lambdas, usable, run)) == [0, 1, 2]
+    assert list(_retirees(norms, lambdas, usable, run)) == [0, 1, 2]
     norms[1] = 2.5
-    assert list(_retirees(norms - lambdas, usable, run)) == [0]
-    # no usable frozen shift: nothing retires
-    assert list(_retirees(norms - lambdas, usable & False, run)) == []
+    assert list(_retirees(norms, lambdas, usable, run)) == [0]
 
 
 def test_rule_breaks_score_ties_toward_the_smaller_shift():
     lambdas = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     run = np.array([True, True, False, True, False])
-    usable = np.array([False, False, True, False, True])
+    usable = np.array([2, 4])
     # shifts 2 and 4 both score 0.5: b = 2, so shift 3 stays running
     norms = np.array([10.0, 10.0, 2.5, 100.0, 5.5])
-    assert list(_retirees(norms - lambdas, usable, run)) == [0, 1]
+    assert list(_retirees(norms, lambdas, usable, run)) == [0, 1]

@@ -2,11 +2,11 @@
 
 ``arc.select_step`` and ``arc.advance_shift_on_failure`` read a solution's
 status codes and ``usable_mask``.  The reference versions below walk the
-string statuses one shift at a time through ``MultishiftSolution.usable``.
-On drawn hand-built solutions (string statuses only, with indefinite
-prefixes, shifts capped within and over their tolerance, retired shifts
-and score ties) and on drawn kernel solves, both must return the same
-indices, the same alpha and the same exception.
+string statuses one shift at a time, taking a shift as usable iff its
+status is ``converged``.  On drawn hand-built solutions (with indefinite
+prefixes, capped shifts of small and large residual, retired shifts and
+score ties) and on drawn kernel solves, both must return the same indices,
+the same alpha and the same exception.
 """
 
 import numpy as np
@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 
 from arcqk.arc import (AllShiftsIndefinite, GridExhausted,
                        advance_shift_on_failure, select_step)
-from arcqk.shifted_cg import (CAPPED, CONVERGED, INDEFINITE, RETIRED,
-                              MultishiftSolution)
+from arcqk.shifted_cg import CAPPED, CONVERGED, INDEFINITE, RETIRED
 
-from kernel_systems import make_solver
+from kernel_systems import hand_built, make_solver
 
 
 def reference_select_step(solutions, alpha):
@@ -30,7 +29,8 @@ def reference_select_step(solutions, alpha):
             "negative curvature certified for every shift in the grid")
     i_plus = candidates[0]
     norms = solutions.step_norms
-    usable = [i for i in range(i_plus, len(statuses)) if solutions.usable(i)]
+    usable = [i for i in range(i_plus, len(statuses))
+              if statuses[i] == CONVERGED]
     if not usable:
         raise GridExhausted(
             "no shift at or above the first definite one met its tolerance")
@@ -46,7 +46,7 @@ def reference_advance(solutions, j, alpha, gamma1):
     norms = solutions.step_norms
     while True:
         jj += 1
-        while jj < m1 and not solutions.usable(jj):
+        while jj < m1 and solutions.statuses[jj] != CONVERGED:
             jj += 1
         if jj >= m1:
             raise GridExhausted(
@@ -68,7 +68,7 @@ def check_against_reference(sol, alpha, gamma1):
     """Compare the selection and the failure walk from every shift with the
     reference; returns the selection's exception type or ``(i_plus, j)``."""
     m1 = sol.lambdas.size
-    assert list(sol.usable_mask) == [sol.usable(i) for i in range(m1)]
+    assert list(sol.usable_mask) == [s == CONVERGED for s in sol.statuses]
     got = outcome(select_step, sol, alpha)
     selected = outcome(reference_select_step, sol, alpha)
     if isinstance(selected, type):
@@ -89,12 +89,12 @@ def check_against_reference(sol, alpha, gamma1):
 
 @st.composite
 def fabricated(draw):
-    """A hand-built solution with string statuses only.
+    """A hand-built solution.
 
     Shifts, norms, residuals and alpha are small multiples of powers of
     two, so that selection scores tie exactly and often.  The statuses
-    start with a drawn indefinite prefix; capped shifts lie within (0, 0.5
-    and 1) or over (2) the tolerance 1.
+    start with a drawn indefinite prefix; capped shifts get residuals from
+    0 to 2, which selection must not read.
     """
     m1 = draw(st.integers(1, 10))
     gaps = draw(st.lists(st.integers(1, 3), min_size=m1, max_size=m1))
@@ -102,17 +102,11 @@ def fabricated(draw):
     norms = draw(st.lists(st.integers(0, 12), min_size=m1, max_size=m1))
     prefix = draw(st.integers(0, m1))
     statuses = [INDEFINITE] * prefix + draw(st.lists(
-        st.sampled_from([CONVERGED, CAPPED, CAPPED, RETIRED, INDEFINITE]),
+        st.sampled_from([CONVERGED, CONVERGED, CAPPED, RETIRED, INDEFINITE]),
         min_size=m1 - prefix, max_size=m1 - prefix))
     residuals = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
                               min_size=m1, max_size=m1))
-    X = np.zeros((m1, 2))
-    X[:, 0] = norms
-    return MultishiftSolution(
-        lambdas=lambdas.astype(float), residual_norms=np.array(residuals),
-        statuses=tuple(statuses), iterations=np.ones(m1, dtype=int),
-        tolerances=np.ones(m1), operator_products=m1, total_iterations=1,
-        W=np.empty((0, 2)), Y=np.zeros((m1, 1)), X=X)
+    return hand_built(lambdas, norms, statuses, residuals)
 
 
 @settings(max_examples=300, deadline=None)
@@ -122,25 +116,20 @@ def test_hand_built_solutions_select_as_the_reference(sol, alpha, gamma1):
     check_against_reference(sol, alpha, gamma1)
 
 
-def hand_built(statuses, residual):
-    """Shifts 1, 2, ... with equal step norms and the tolerance 1."""
-    m1 = len(statuses)
-    return MultishiftSolution(
-        lambdas=np.arange(1.0, m1 + 1), residual_norms=np.full(m1, residual),
-        statuses=statuses, iterations=np.ones(m1, dtype=int),
-        tolerances=np.ones(m1), operator_products=m1, total_iterations=1,
-        W=np.empty((0, 2)), Y=np.zeros((m1, 1)), X=np.ones((m1, 2)))
-
-
 @pytest.mark.parametrize("statuses, residual, selected, walk_from_0", [
     ((INDEFINITE,) * 3, 0.0, AllShiftsIndefinite, GridExhausted),
     ((INDEFINITE, RETIRED, CAPPED), 2.0, GridExhausted, GridExhausted),
     ((CONVERGED, INDEFINITE, RETIRED), 0.0, (0, 0), GridExhausted),
-    ((INDEFINITE, CAPPED, CAPPED), 1.0, (1, 1), (1, np.sqrt(2.0) / 2.0)),
+    ((INDEFINITE, CAPPED, CONVERGED), 1.0, (1, 2), (2, 1.0 / 3.0)),
+    ((INDEFINITE, CAPPED, CAPPED), 1.0, GridExhausted, GridExhausted),
 ])
 def test_pinned_selection_outcomes(statuses, residual, selected, walk_from_0):
-    """Both exceptions, and capped shifts within their tolerance usable."""
-    sol = hand_built(statuses, residual)
+    """Both exceptions, and capped shifts never usable, whatever their
+    residual: shifts 1, 2, ... with equal step norms and the residual
+    norms ``residual``."""
+    m1 = len(statuses)
+    sol = hand_built(np.arange(1.0, m1 + 1), np.ones(m1), statuses,
+                     np.full(m1, residual))
     assert check_against_reference(sol, 1.0, 0.1) == selected
     walk = outcome(advance_shift_on_failure, sol, 0, 10.0, 0.1)
     assert walk == walk_from_0

@@ -25,12 +25,16 @@ from arcqk.shifted_cg import (CAPPED, CONVERGED, INDEFINITE, RUNNING,
 from arcqk.arc import advance_shift_on_failure, select_step
 from arcqk.shifted_cgls import multishift_cgls
 
-from kernel_systems import seeded_system
+from kernel_systems import counted, seeded_system
 
 
 def reference_replay(lambdas, tol, max_iter, rhs, passes, pivot_status):
-    """The explicit row update driven by recorded Lanczos passes."""
+    """The explicit row update driven by recorded Lanczos passes.
+
+    ``tol`` is the solve's tolerance, a scalar or one per shift.
+    """
     m1 = lambdas.size
+    tol = np.full(m1, tol)
     x = np.zeros((m1, rhs.size))
     p = np.tile(rhs, (m1, 1))
     sigma = np.full(m1, float(np.linalg.norm(rhs)))
@@ -65,25 +69,26 @@ def reference_replay(lambdas, tol, max_iter, rhs, passes, pivot_status):
     return x, tuple(status), iterations, products
 
 
-def cg_case(rng, n):
+def cg_case(rng, n, calls):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     M = (q * np.logspace(-2, 2, n)) @ q.T
     b = rng.standard_normal(n)
-    sol = multishift_cg(lambda v: M @ v, b, ShiftGrid.default(),
-                        tol=1e-10 * np.linalg.norm(b))
-    return sol, b, lambda lam: M + lam * np.eye(n), b, INDEFINITE
+    tol = 1e-10 * np.linalg.norm(b)
+    sol = multishift_cg(counted(M, calls), b, ShiftGrid.default(), tol=tol)
+    return sol, b, lambda lam: M + lam * np.eye(n), b, INDEFINITE, tol
 
 
-def cgls_case(rng, n):
+def cgls_case(rng, n, calls):
     u, _ = np.linalg.qr(rng.standard_normal((2 * n, n)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
     A = (u * np.logspace(-1, 1, n)) @ v.T
     b = rng.standard_normal(2 * n)
     apply_At = lambda w: A.T @ w                # noqa: E731
     rhs = apply_At(b)
-    sol = multishift_cgls(lambda w: A @ w, apply_At, b, ShiftGrid.default(),
-                          tol=1e-10 * np.linalg.norm(rhs))
-    return sol, rhs, lambda lam: A.T @ A + lam * np.eye(n), rhs, CAPPED
+    tol = 1e-10 * np.linalg.norm(rhs)
+    sol = multishift_cgls(counted(A, calls), apply_At, b, ShiftGrid.default(),
+                          tol=tol)
+    return sol, rhs, lambda lam: A.T @ A + lam * np.eye(n), rhs, CAPPED, tol
 
 
 @pytest.mark.parametrize("case", [cg_case, cgls_case], ids=["cg", "cgls"])
@@ -105,17 +110,18 @@ def test_window_matches_row_update(monkeypatch, case):
     monkeypatch.setattr(cg_mod, "_shift_block_step", recording_step)
     monkeypatch.setattr(cgls_mod, "_shift_block_step", recording_step)
     monkeypatch.setattr(cg_mod, "_flush", counting_flush)
-    sol, rhs, shifted, dense_rhs, pivot_status = case(
-        np.random.default_rng(21), 120)
+    calls = []
+    sol, rhs, shifted, dense_rhs, pivot_status, tol = case(
+        np.random.default_rng(21), 120, calls)
 
     m1 = sol.lambdas.size
     assert sol.total_iterations == len(passes) > 2 * m1
     assert len(flushes) >= 2
     x, statuses, iterations, products = reference_replay(
-        sol.lambdas, sol.tolerances, 2 * rhs.size, rhs, passes, pivot_status)
+        sol.lambdas, tol, 2 * rhs.size, rhs, passes, pivot_status)
     assert sol.statuses == statuses
     assert np.array_equal(sol.iterations, iterations)
-    assert sol.operator_products == products
+    assert sol.total_iterations == len(calls) == products
     for i in range(m1):
         d = sol.directions[:, i]
         assert np.linalg.norm(d - x[i]) <= 1e-12 * np.linalg.norm(x[i])
@@ -146,18 +152,18 @@ def _record_passes(mp):
 def solve_case(kernel, n, spectrum, rhs_kind, seed):
     """A CG or CGLS solve of ``seeded_system`` on the default grid.
 
-    Returns the solution, the normal-equations right-hand side and the
-    status a nonpositive pivot gives.
+    Returns the solution, the normal-equations right-hand side, the status
+    a nonpositive pivot gives and the tolerance.
     """
     op, b, rhs = seeded_system(kernel, n, spectrum, seed, rhs_kind)
     grid = ShiftGrid.default()
     tol = 1e-10 * max(np.linalg.norm(rhs), 1.0)
     if kernel == "cg":
         sol = multishift_cg(lambda v: op @ v, b, grid, tol=tol)
-        return sol, rhs, INDEFINITE
+        return sol, rhs, INDEFINITE, tol
     sol = multishift_cgls(lambda w: op @ w, lambda w: op.T @ w, b, grid,
                           tol=tol)
-    return sol, rhs, CAPPED
+    return sol, rhs, CAPPED, tol
 
 
 # Cases the random draws must not miss: long solves that flush the window,
@@ -185,8 +191,8 @@ def test_coverage_cases_reach_their_regimes():
 def _lazy_block_matches_formed_rows(kernel, n, spectrum, rhs_kind, seed):
     with pytest.MonkeyPatch.context() as mp:
         passes = _record_passes(mp)
-        sol, rhs, pivot_status = solve_case(kernel, n, spectrum, rhs_kind,
-                                            seed)
+        sol, rhs, pivot_status, tol = solve_case(kernel, n, spectrum,
+                                                 rhs_kind, seed)
         lazy = dataclasses.replace(sol)     # a fresh copy, nothing cached
     m1 = sol.lambdas.size
 
@@ -200,7 +206,7 @@ def _lazy_block_matches_formed_rows(kernel, n, spectrum, rhs_kind, seed):
         reference = np.zeros((m1, n))
     else:
         reference, statuses, _, _ = reference_replay(
-            sol.lambdas, sol.tolerances, 2 * n, rhs, passes, pivot_status)
+            sol.lambdas, tol, 2 * n, rhs, passes, pivot_status)
         assert sol.statuses == statuses
     ref_norms = np.linalg.norm(reference, axis=1)
     for i in range(m1):

@@ -89,7 +89,7 @@ class TestMultishiftCg:
             sol = multishift_cg(op, np.zeros(4), grid, tol=1e-8, alpha=alpha)
             assert sol.statuses == (CONVERGED,) * 3
             assert sol.total_iterations == 0
-            assert sol.operator_products == calls["n"] == 0
+            assert calls["n"] == 0
             assert np.all(sol.step_norms == 0.0)
             for i in range(3):
                 assert np.all(sol.direction(i) == 0.0)
@@ -152,7 +152,7 @@ class TestCountingContracts:
         for lam_subset in ([1e-15], [1e-15, 1.0, 1e15], list(lams)):
             op, calls = counting_op(M)
             sol = multishift_cg(op, b, ShiftGrid(lam_subset), tol=1e-10)
-            assert sol.operator_products == calls["n"]
+            assert sol.total_iterations == calls["n"]
             assert calls["n"] == int(np.max(sol.iterations))
             counts[len(lam_subset)] = calls["n"]
         # the slowest shift (1e-15) is shared, so counts match exactly
@@ -352,6 +352,27 @@ def test_deadline_ends_the_solve_after_a_pass(kernel):
     assert sol.total_iterations == len(passes) > 1
 
 
+def test_residual_equal_to_the_tolerance_converges():
+    """A shift converges in the pass whose |sigma| equals its tolerance.
+
+    A solve with tol = 0 records every pass's |sigma|; a second solve with
+    the tolerance set to shift 1's value at pass 4, below those of the
+    passes before, freezes that shift as converged after exactly 5 joint
+    iterations.  A strict test would run it on.
+    """
+    rng = np.random.default_rng(0)
+    M = random_spd(30, rng)
+    b = rng.standard_normal(30)
+    grid = ShiftGrid([0.1, 1.0, 10.0])
+    sigmas = []
+    multishift_cg(lambda v: M @ v, b, grid, tol=0.0,
+                  callback=lambda j, sigma, st: sigmas.append(sigma[1]))
+    assert min(sigmas[:4]) > sigmas[4]
+    sol = multishift_cg(lambda v: M @ v, b, grid, tol=sigmas[4])
+    assert sol.statuses[1] == CONVERGED and sol.iterations[1] == 5
+    assert sol.residual_norms[1] == sigmas[4]
+
+
 @pytest.mark.parametrize("kernel", ["cg", "cgls"])
 def test_breakdown_below_rounding_threshold(monkeypatch, kernel):
     """A Krylov space exhausted up to rounding ends the solve as converged.
@@ -379,18 +400,19 @@ def test_breakdown_below_rounding_threshold(monkeypatch, kernel):
     if kernel == "cg":
         M = (q * vals) @ q.T
         b = q[:, :2] @ rng.standard_normal(2)
-        sol = multishift_cg(lambda v: M @ v, b, grid, tol=0.0)
+        op, calls = counting_op(M)
+        sol = multishift_cg(op, b, grid, tol=0.0)
     else:
         u, _ = np.linalg.qr(rng.standard_normal((n + 2, n)))
         A = (u * vals) @ q.T
         b = u[:, :2] @ rng.standard_normal(2)
-        sol = multishift_cgls(lambda v: A @ v, lambda w: A.T @ w, b, grid,
-                              tol=0.0)
+        op, calls = counting_op(A)
+        sol = multishift_cgls(op, lambda w: A.T @ w, b, grid, tol=0.0)
         M, b = A.T @ A, A.T @ b
     assert len(betas) == 2 and 0.0 < betas[-1] < 1e-16
     assert sol.statuses == (CONVERGED, CONVERGED)
     assert list(sol.iterations) == [2, 2]
-    assert sol.total_iterations == sol.operator_products == 2
+    assert sol.total_iterations == calls["n"] == 2
     for i, lam in enumerate(grid.lambdas):
         exact = np.linalg.solve(M + lam * np.eye(n), b)
         assert_allclose(sol.direction(i), exact, rtol=1e-10)

@@ -3,19 +3,25 @@
 The shift block keeps one int8 code per shift.  ``state.status``, the
 statuses each callback receives and ``MultishiftSolution.statuses`` must be
 tuples of the module's string constants, and the solution's
-``usable_mask``, which the selection reads, must agree with ``usable(i)``
-on those names.  Between them the solves below reach every status:
+``usable_mask``, which the selection reads, must mark exactly the shifts
+named ``converged``.  Between them the solves below reach every status:
 ``running``, ``converged``, ``indefinite`` at a pivot, ``retired`` and
-``capped`` at ``max_iter``.
+``capped`` at ``max_iter``.  A ``capped`` shift never lies within its
+tolerance, so the rule that only converged shifts are usable loses no
+candidate.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcqk.arc import select_step
 from arcqk.shifted_cg import (CAPPED, CONVERGED, INDEFINITE, RETIRED, RUNNING,
-                              MultishiftState, ShiftGrid)
-from arcqk.shifted_cgls import CglsState
+                              MultishiftState, ShiftGrid, multishift_cg)
+from arcqk.shifted_cgls import CglsState, multishift_cgls
+
+from kernel_systems import seeded_system
 
 NAMES = (RUNNING, CONVERGED, INDEFINITE, CAPPED, RETIRED)
 
@@ -67,7 +73,7 @@ def checked_solve(make_state, max_iter, alpha):
     check_names(sol.statuses, m1)
     check_names(states[0].status, m1)
     assert sol.statuses == states[0].status
-    usable = [sol.usable(i) for i in range(m1)]
+    usable = [s == CONVERGED for s in sol.statuses]
     assert sol.usable_mask.dtype == bool
     assert list(sol.usable_mask) == usable
     if any(usable[i] for i in range(m1) if sol.statuses[i] != INDEFINITE):
@@ -113,3 +119,31 @@ def test_zero_rhs_reports_converged_names():
     sol = state.solve()
     assert sol.statuses == (CONVERGED, CONVERGED)
     assert list(sol.usable_mask) == [True, True]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel=st.sampled_from(["cg", "cgls"]), n=st.integers(1, 16),
+       spectrum=st.sampled_from(["spread", "clustered", "indefinite"]),
+       seed=st.integers(0, 2 ** 16), max_iter=st.integers(1, 6),
+       log_tols=st.one_of(
+           st.floats(-10.0, 0.0),
+           st.lists(st.floats(-10.0, 0.0), min_size=7, max_size=7)),
+       alpha=st.sampled_from([None, 1e-2, 1.0]))
+def test_capped_shifts_lie_above_their_tolerance(kernel, n, spectrum, seed,
+                                                 max_iter, log_tols, alpha):
+    """Short solves with scalar and per-shift tolerances: every ``capped``
+    shift has a residual above its tolerance, and the usable shifts are
+    the converged ones."""
+    op, b, rhs = seeded_system(kernel, n, spectrum, seed)
+    tol = 10.0 ** np.asarray(log_tols) * np.linalg.norm(rhs)
+    grid = ShiftGrid(np.logspace(-3, 3, 7))
+    if kernel == "cg":
+        sol = multishift_cg(lambda v: op @ v, b, grid, tol=tol,
+                            max_iter=max_iter, alpha=alpha)
+    else:
+        sol = multishift_cgls(lambda v: op @ v, lambda w: op.T @ w, b, grid,
+                              tol=tol, max_iter=max_iter, alpha=alpha)
+    names = np.array(sol.statuses)
+    capped = names == CAPPED
+    assert np.all(sol.residual_norms[capped] > np.full(7, tol)[capped])
+    assert np.array_equal(sol.usable_mask, names == CONVERGED)

@@ -1,0 +1,194 @@
+"""Mutation gate: run tier-1 against each listed source mutant.
+
+    python3 tools/mutants.py
+
+Each entry of ``MUTANTS`` names a file of the checkout holding this script,
+a text ``old`` that occurs exactly once in it, the ``new`` text that
+replaces it and why the mutant matters.  For every mutant the checkout's
+``src/``, ``tests/``, ``perfbench/`` and ``pyproject.toml`` are copied to a
+new temporary directory and the file is mutated there, so the working tree
+is never written.  Tier-1 then runs in the copy with ``-x``
+(``python -m pytest -q -x -p no:cacheprovider``, the copy's ``src/`` on the
+import path).  A mutant is killed when a test fails or the run exceeds
+``_TIMEOUT`` seconds, and survives when every test passes.  The unmutated
+copy runs first and must pass.
+
+The report gives each mutant as killed (with the first failing test),
+survived, or equivalent: a survivor whose entry gives ``equivalent``, the
+reason no test can tell it from the source.  The exit status is 1 when a
+mutant that is not marked equivalent survives, or when an ``old`` text does
+not occur exactly once, and 0 otherwise.  One tier-1 run takes about 8 s on
+a 2-core machine; a killed mutant stops at its first failure.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+_TIMEOUT = 600.0  # a mutant that makes a solve loop forever counts as killed
+
+CG = "src/arcqk/shifted_cg.py"
+CGLS = "src/arcqk/shifted_cgls.py"
+ARC = "src/arcqk/arc.py"
+ST = "src/arcqk/steihaug.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    why: str
+    equivalent: str = ""
+
+
+MUTANTS = (
+    # -- the selection rule
+    Mutant("usable-not-indefinite", CG,
+           "return self.codes == _CONVERGED",
+           "return self.codes != _INDEFINITE",
+           "usable means converged: capped and retired shifts are not "
+           "candidates"),
+    Mutant("usable-capped", CG,
+           "return self.codes == _CONVERGED",
+           "return (self.codes == _CONVERGED) | (self.codes == _CAPPED)",
+           "a capped shift is never usable, whatever its residual"),
+    Mutant("ties-to-larger", CG,
+           "    k = int(scores.argmin())\n",
+           "    k = len(scores) - 1 - int(scores[::-1].argmin())\n",
+           "score ties go to the smaller shift, in selection and retirement"),
+    Mutant("swapped-names", CG,
+           "_NAMES = (RUNNING, CONVERGED, INDEFINITE, CAPPED, RETIRED)",
+           "_NAMES = (RUNNING, CONVERGED, INDEFINITE, RETIRED, CAPPED)",
+           "the names callers see must match the kernel's codes"),
+    Mutant("walk-stops-at-j", ARC,
+           "above = solutions.usable_mask[j + 1:].nonzero()[0] + (j + 1)",
+           "above = solutions.usable_mask[j:].nonzero()[0] + j",
+           "the failure walk moves to a larger shift, never stays at j"),
+    Mutant("walk-non-strict", ARC,
+           "stops = (~(alphas > gamma1 * alpha)).nonzero()[0]",
+           "stops = (~(alphas >= gamma1 * alpha)).nonzero()[0]",
+           "the walk stops once alpha <= gamma1 * alpha_old, ties included"),
+    # -- the kernel's freezing tests
+    Mutant("conv-tie", CG,
+           "conv = (np.abs(S[2]) <= state.tol) & run",
+           "conv = (np.abs(S[2]) < state.tol) & run",
+           "a residual equal to its tolerance has converged"),
+    Mutant("cg-breakdown-zero", CG,
+           "breakdown = beta_next <= _EPS * (1.0 + math.sqrt(q @ q))",
+           "breakdown = beta_next <= 0.0",
+           "a Krylov space exhausted up to rounding ends the CG solve"),
+    Mutant("cgls-breakdown-zero", CGLS,
+           "breakdown = beta_next <= _EPS * (1.0 + delta)",
+           "breakdown = beta_next <= 0.0",
+           "a Krylov space exhausted up to rounding ends the CGLS solve"),
+    # -- retirement
+    Mutant("retire-no-prefix", CG,
+           "return below if ok.all() else below[:int(ok.argmin())]",
+           "return below[ok]",
+           "only a prefix of the running shifts below b retires"),
+    Mutant("retire-non-strict", CG,
+           "ok = norms[below] - alpha_lam[below] > score",
+           "ok = norms[below] - alpha_lam[below] >= score",
+           "a shift whose bound ties b's score may still be picked"),
+    # -- the acceptance ratio
+    Mutant("galerkin-sign", ARC,
+           "delta_q = 0.5 * (lam * float(d @ d) - float(g_x @ d))",
+           "delta_q = 0.5 * (lam * float(d @ d) + float(g_x @ d))",
+           "the model decrease is (lam ||d||^2 - g'd) / 2"),
+    Mutant("degenerate-zero", ARC,
+           "if delta_q <= 64.0 * _EPS * (1.0 + abs(f_x)):",
+           "if delta_q <= 0.0:",
+           "a model decrease at rounding level is degenerate"),
+    # -- the time budget
+    Mutant("deadline-kernel", CG,
+           "if deadline is not None and time.perf_counter() > deadline:\n"
+           "                raise TimeExceeded",
+           "if False:\n"
+           "                raise TimeExceeded",
+           "a multishift solve ends at the deadline"),
+    Mutant("deadline-truncated-cg", ST,
+           "if deadline is not None and time.perf_counter() > deadline:",
+           "if False:",
+           "ST's truncated CG ends at the deadline"),
+    Mutant("deadline-outer-loop", ARC,
+           "if deadline is not None and time.perf_counter() > deadline:\n"
+           "            state.status = STATUS_TIME",
+           "if False:\n"
+           "            state.status = STATUS_TIME",
+           "no trial starts past the deadline"),
+)
+
+
+def copy_checkout(dest):
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=shutil.ignore_patterns(
+                "__pycache__", ".hypothesis"))
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def run_tier1(copy):
+    """``(passed, first failing test or None)`` of tier-1 in ``copy``."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+           "no:cacheprovider", "--continue-on-collection-errors"]
+    try:
+        out = subprocess.run(cmd, cwd=copy, env=env, capture_output=True,
+                             text=True, timeout=_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return False, f"timeout after {_TIMEOUT:g} s"
+    if out.returncode == 0:
+        return True, None
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", out.stdout, re.M)
+    return False, failed.group(1) if failed else f"exit {out.returncode}"
+
+
+def check(mutant):
+    """Apply ``mutant`` to a fresh copy and run tier-1; returns a verdict."""
+    with tempfile.TemporaryDirectory(prefix="arcqk-mutant-") as tmp:
+        copy = Path(tmp)
+        copy_checkout(copy)
+        path = copy / mutant.file
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            return "stale", f"old text occurs {text.count(mutant.old)} times"
+        path.write_text(text.replace(mutant.old, mutant.new))
+        passed, failure = run_tier1(copy)
+    if not passed:
+        return "killed", failure
+    if mutant.equivalent:
+        return "equivalent", mutant.equivalent
+    return "survived", None
+
+
+def main():
+    with tempfile.TemporaryDirectory(prefix="arcqk-mutant-") as tmp:
+        copy_checkout(Path(tmp))
+        passed, failure = run_tier1(Path(tmp))
+    if not passed:
+        print(f"unmutated tier-1 fails ({failure}); no mutant was run")
+        return 2
+    bad = 0
+    for m in MUTANTS:
+        t0 = time.perf_counter()
+        verdict, detail = check(m)
+        bad += verdict in ("survived", "stale")
+        print(f"{verdict:10s} {m.name:24s} {time.perf_counter() - t0:6.1f} s"
+              f"  {detail or m.why}", flush=True)
+    print(f"{len(MUTANTS)} mutants, {bad} survived or stale")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
