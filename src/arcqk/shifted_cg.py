@@ -25,7 +25,7 @@ CAPPED = "capped"
 RETIRED = "retired"
 
 # The kernel keeps int8 status codes; the names are what callers see
-# (``state.status``, the callback and ``MultishiftSolution.statuses``).
+# (``state.status`` and ``MultishiftSolution.statuses``).
 _NAMES = (RUNNING, CONVERGED, INDEFINITE, CAPPED, RETIRED)
 _RUNNING, _CONVERGED, _INDEFINITE, _CAPPED, _RETIRED = range(len(_NAMES))
 
@@ -103,10 +103,12 @@ class _ShiftBlock:
     already done, forms the first Lanczos vector and product; its ``step``
     makes one Lanczos pass, hands the pass's coefficients to
     ``_shift_block_step`` and advances the source while that returns True.
-    ``solve`` steps to the end and returns the ``MultishiftSolution``.
-    Each joint iteration costs one product with the operator (M for CG, A
-    for CGLS), so a solve forms ``total_iterations`` of them, and none is
-    formed after the last running shift freezes.  A zero right-hand side
+    ``solve`` steps to the end and returns the ``MultishiftSolution``; a
+    caller that watches the solve (its ``status``, ``sigma``, ``x`` or
+    ``W``) steps it itself.  Each joint iteration costs one product with
+    the operator (M for CG, A for CGLS), so a solve forms
+    ``total_iterations`` of them, and none is formed after the last
+    running shift freezes.  A zero right-hand side
     is solved by zero: every shift is ``converged`` from the start, and
     the solve forms no product.
 
@@ -135,20 +137,21 @@ class _ShiftBlock:
     joint iteration updates only these coefficients and copies one vector
     into the window, O(n) + O((m+1) K) work.  When the window is full it
     is flushed: ``_X`` and ``_P`` each take one (m+1) x K x n matrix
-    product (O((m+1) n) flops per iteration spread over the window), so
-    ``_X is not None`` means that a flush happened.  A flush folds the
-    products into ``_X`` and ``_P`` in place, ``_CHUNK`` columns at a time,
-    and keeps only the ``_P`` rows of running shifts (see ``_flush``); so
-    a flushed solve holds three (m+1, n) blocks, ``W``, ``_X`` and ``_P``,
-    plus temporaries of (m+1) x ``_CHUNK`` floats.  Reading ``x`` or ``p``
-    forms the block as a new array and leaves the solve as it was.  A
-    finished solve hands the block to its ``MultishiftSolution`` as it
-    stands, so the (m+1, n) rows are written never, unless a flush
-    happened or the solution's ``directions`` is read.
+    product (O((m+1) n) flops per iteration spread over the window).  The
+    first flush allocates both, so ``_X is not None`` means that a flush
+    happened and that ``_P`` exists.  Every flush folds the products into
+    ``_X`` and ``_P`` in place through one loop over ``_CHUNK``-column
+    slices, and keeps only the ``_P`` rows of running shifts (see
+    ``_flush``); so a flushed solve holds three (m+1, n) blocks, ``W``,
+    ``_X`` and ``_P``, plus temporaries of (m+1) x ``_CHUNK`` floats.
+    Reading ``x`` or ``p`` forms the block as a new array and leaves the
+    solve as it was.  A finished solve hands the block to its
+    ``MultishiftSolution`` as it stands, so the (m+1, n) rows are written
+    never, unless a flush happened or the solution's ``directions`` is
+    read.
     """
 
-    def _open(self, rhs, grid: ShiftGrid, tol, max_iter, callback, alpha,
-              deadline):
+    def _open(self, rhs, grid: ShiftGrid, tol, max_iter, alpha, deadline):
         """Check the arguments and start the block on ``rhs``; returns ||rhs||.
 
         ``max_iter`` defaults to 2 n.  ``alpha`` is the regularization
@@ -168,7 +171,6 @@ class _ShiftBlock:
         self.max_iter = int(2 * rhs.size if max_iter is None else max_iter)
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        self._callback = callback
         self._deadline = deadline
 
         beta0 = math.sqrt(rhs @ rhs)
@@ -234,17 +236,14 @@ class _ShiftBlock:
                      slice(None))
 
     def solve(self) -> "MultishiftSolution":
-        """Step to the end, calling the callback after every joint iteration
-        with ``(j, per-shift |sigma|, statuses)``; returns the solution.
+        """Step to the end and return the solution.
 
         Raises ``TimeExceeded`` when a joint iteration ends past the
-        deadline.
+        deadline.  A caller that watches the solve calls ``step`` itself.
         """
         deadline = self._deadline
         while not self.done:
             self.step()
-            if self._callback is not None:
-                self._callback(self.j, np.abs(self.sigma), self.status)
             if deadline is not None and time.perf_counter() > deadline:
                 raise TimeExceeded(f"deadline passed in iteration {self.j}")
         k = self.kw
@@ -261,10 +260,10 @@ class MultishiftState(_ShiftBlock):
     """Joint Lanczos-CG on a symmetric operator M, for right-hand side b."""
 
     def __init__(self, apply_op, b, grid: ShiftGrid, tol, max_iter,
-                 callback=None, alpha=None, deadline=None):
+                 alpha=None, deadline=None):
         b = np.asarray(b, dtype=float)
         self._apply_op = apply_op
-        beta0 = self._open(b, grid, tol, max_iter, callback, alpha, deadline)
+        beta0 = self._open(b, grid, tol, max_iter, alpha, deadline)
         if self.done:
             return
         self.v = b / beta0
@@ -315,59 +314,44 @@ def _chunks(n):
     return (slice(c, min(c + _CHUNK, n)) for c in range(0, n, _CHUNK))
 
 
-def _form_x(state):
-    """Fold the window's x coefficients into ``_X`` in place; the window
-    stays.
-
-    After the first flush ``_X += Y[:, 1:] @ W`` and then
-    ``_X += Y[:, :1] * _P`` run over column chunks through one
-    (m+1, ``_CHUNK``) buffer, so no (m+1, n) temporary is made.
-    """
-    k, Y, W = state.kw, state.Y, state.W[:state.kw]
-    if state._X is None:
-        state._X = Y[:, 1:k + 1] @ W  # Y[:, 0] is zero while no _P exists
-    else:
-        X, P = state._X, state._P
-        buf = np.empty((len(Y), min(_CHUNK, X.shape[1])))
-        for c in _chunks(X.shape[1]):
-            t = buf[:, :c.stop - c.start]
-            X[:, c] += np.matmul(Y[:, 1:k + 1], W[:, c], out=t)
-            X[:, c] += np.multiply(Y[:, :1], P[:, c], out=t)
-    Y[:] = 0.0
-
-
 def _flush(state):
-    """Form ``_X`` and the running rows of ``_P`` from the window, then
+    """Fold the window into ``_X`` and the running rows of ``_P``, then
     empty it.
 
+    The first flush allocates ``_X`` and ``_P`` from ``np.zeros``, whose
+    pages are mapped only when written, so ``_P`` rows never formed cost
+    no memory and hold zeros, not garbage that ``0 * _P[i]`` could turn
+    into NaN.  Every flush then runs one loop over ``_CHUNK`` column
+    slices c through one (m+1, ``_CHUNK``) buffer::
+
+        _X[:, c] += Y[:, 1:] @ W[:, c]
+        _X[:, c] += Y[:, :1] * _P[:, c]
+        _P[rows, c] *= C[rows, :1]
+        _P[rows, c] += (C[:, 1:] @ W[:, c])[rows]
+
+    so no (m+1, n) temporary is made.  Before the first flush ``Y[:, 0]``
+    and ``C[:, 0]`` are zero, so the fold adds nothing to the products.
     A frozen shift's direction is never read again, and its ``Y[:, 0]``
-    weight stays +0 after the flush, so ``_P`` keeps only the rows from the
-    first to the last running shift.  The product ``C[:, 1:] @ W`` still
-    runs over every row, one column chunk at a time: BLAS picks its kernel
-    by shape, and a product over fewer rows can round differently.  The
-    first flush copies the rows into a block from ``np.zeros``, whose
-    pages are mapped only when written: rows never formed cost no memory
-    and hold zeros, not garbage that ``0 * _P[i]`` could turn into NaN.
-    Later flushes do ``_P *= C[:, :1]`` and ``_P += C[:, 1:] @ W`` in
-    place.
+    weight stays +0 after the flush, so ``_P`` keeps only ``rows``, from
+    the first to the last running shift.  The product ``C[:, 1:] @ W``
+    still runs over every row: BLAS picks its kernel by shape, and a
+    product over fewer rows can round differently.
     """
-    _form_x(state)
-    k, W, C = state.kw, state.W[:state.kw], state.C
+    k, W, Y, C = state.kw, state.W[:state.kw], state.Y, state.C
+    if state._X is None:
+        state._X = np.zeros((len(Y), W.shape[1]))
+        state._P = np.zeros(state._X.shape)
+    X, P = state._X, state._P
     live = state.run.nonzero()[0]
     rows = slice(live[0], live[-1] + 1)
-    first = state._P is None
-    if first:
-        state._P = np.zeros(state._X.shape)
-    P = state._P[rows]
-    buf = np.empty((len(C), min(_CHUNK, P.shape[1])))
-    for c in _chunks(P.shape[1]):
-        cw = np.matmul(C[:, 1:k + 1], W[:, c],
-                       out=buf[:, :c.stop - c.start])[rows]
-        if first:
-            P[:, c] = cw
-        else:
-            P[:, c] *= C[rows, :1]
-            P[:, c] += cw
+    buf = np.empty((len(Y), min(_CHUNK, X.shape[1])))
+    for c in _chunks(X.shape[1]):
+        t = buf[:, :c.stop - c.start]
+        X[:, c] += np.matmul(Y[:, 1:k + 1], W[:, c], out=t)
+        X[:, c] += np.multiply(Y[:, :1], P[:, c], out=t)
+        P[rows, c] *= C[rows, :1]
+        P[rows, c] += np.matmul(C[:, 1:k + 1], W[:, c], out=t)[rows]
+    Y[:] = 0.0
     C[:] = 0.0
     C[:, 0] = 1.0
     state.kw = 0
@@ -631,18 +615,17 @@ class MultishiftSolution:
         """
         if self.X is None:
             return _window_norms(self.W, self.Y[:, 1:])
-        sq, P = 0.0, self.P
+        sq = 0.0
         for c in _chunks(self.X.shape[1]):
-            x = _rows(self.W[:, c], self.Y, self.X[:, c],
-                      None if P is None else P[:, c], slice(None))
+            x = _rows(self.W[:, c], self.Y, self.X[:, c], self.P[:, c],
+                      slice(None))
             sq += np.einsum("ij,ij->i", x, x)
             del x                       # freed before the next chunk forms
         return np.sqrt(sq)
 
 
 def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,
-                  callback=None, alpha=None,
-                  deadline=None) -> MultishiftSolution:
+                  alpha=None, deadline=None) -> MultishiftSolution:
     """Solve (M + lambda_i I) x = b for every shift of the grid.
 
     Parameters
@@ -658,9 +641,6 @@ def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,
         Per-shift absolute residual tolerance.
     max_iter : int, optional
         Joint iteration cap, default ``2 * len(b)``.
-    callback : callable, optional
-        Called after each joint iteration with
-        ``(j, per-shift |sigma|, statuses)``.
     alpha : float, optional
         The cubic-regularization weight the caller selects with.  Shifts
         that ``arc.select_step`` at this alpha can no longer pick are then
@@ -670,5 +650,5 @@ def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,
         A ``time.perf_counter()`` value: the solve raises ``TimeExceeded``
         after the first joint iteration that ends past it.
     """
-    return MultishiftState(apply_M, b, grid, tol, max_iter, callback=callback,
-                           alpha=alpha, deadline=deadline).solve()
+    return MultishiftState(apply_M, b, grid, tol, max_iter, alpha=alpha,
+                           deadline=deadline).solve()

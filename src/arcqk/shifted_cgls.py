@@ -27,22 +27,21 @@ class CglsState(_ShiftBlock):
     """
 
     def __init__(self, apply_A, apply_At, b, grid: ShiftGrid, tol, max_iter,
-                 callback=None, alpha=None, deadline=None, atb=None):
+                 alpha=None, deadline=None, atb=None):
         b = np.asarray(b, dtype=float)
         self._apply_A = apply_A
         self._apply_At = apply_At
         # a caller's A'b passes the same finite-value check as a product
         atb = self._product(apply_At if atb is None else (lambda _: atb), b)
         # beta0 = ||A'b||, the norm of the normal-equations rhs
-        beta0 = self._open(atb, grid, tol, max_iter, callback, alpha,
-                           deadline)
+        beta0 = self._open(atb, grid, tol, max_iter, alpha, deadline)
         if self.done:
             return
-        self.v = atb / beta0
         self.u = b / beta0
         self.u_prev = np.zeros(b.size)
         self.beta = beta0                   # multiplies u_{j-1}; unused at j=0
-        self.q = self._product(apply_A, self.v)   # u-tilde for the first pass
+        # A v_0 with v_0 = A'b / beta0, u-tilde for the first pass
+        self.q = self._product(apply_A, atb / beta0)
 
     def step(self):
         """One joint pass: one A product, one A' product, block updates."""
@@ -67,14 +66,13 @@ class CglsState(_ShiftBlock):
                              _CAPPED):
             self.u_prev = self.u
             self.u = u_next / beta_next
-            self.v = v_next
             self.beta = beta_next
             self.q = self._product(self._apply_A, v_next)
 
 
 def multishift_cgls(apply_A, apply_At, b, grid: ShiftGrid, tol=1e-8,
-                    max_iter=None, callback=None, alpha=None,
-                    deadline=None, atb=None) -> MultishiftSolution:
+                    max_iter=None, alpha=None, deadline=None,
+                    atb=None) -> MultishiftSolution:
     """Solve (A'A + lambda_i I) x = A'b for every shift of the grid.
 
     ``apply_A`` maps length-n vectors to length-m vectors and ``apply_At``
@@ -87,6 +85,5 @@ def multishift_cgls(apply_A, apply_At, b, grid: ShiftGrid, tol=1e-8,
     caller already holds it (the Gauss-Newton gradient, negated), which
     saves the solve's first product with A'; ``None`` forms it.
     """
-    return CglsState(apply_A, apply_At, b, grid, tol, max_iter,
-                     callback=callback, alpha=alpha, deadline=deadline,
-                     atb=atb).solve()
+    return CglsState(apply_A, apply_At, b, grid, tol, max_iter, alpha=alpha,
+                     deadline=deadline, atb=atb).solve()

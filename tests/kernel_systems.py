@@ -3,9 +3,9 @@ kernel and selection tests."""
 
 import numpy as np
 
-from arcqk.shifted_cg import (_NAMES, MultishiftSolution, ShiftGrid,
-                              multishift_cg)
-from arcqk.shifted_cgls import multishift_cgls
+from arcqk.shifted_cg import (_NAMES, MultishiftSolution, MultishiftState,
+                              ShiftGrid)
+from arcqk.shifted_cgls import CglsState
 
 
 def seeded_system(kernel, n, spectrum, seed, rhs_kind="random"):
@@ -54,12 +54,14 @@ def counted(op, calls):
 
 
 def make_solver(kernel, n, spectrum, seed, tol_frac):
-    """``solve(alpha, callback=None)`` for one seeded CG or CGLS system.
+    """``solve(alpha)`` for one seeded CG or CGLS system.
 
     The system is ``seeded_system(kernel, n, spectrum, seed)`` on the
     default grid.  The tolerance is ``tol_frac`` times the norm of the
     (normal-equations) right-hand side, as ARC's inner tolerance is a
-    fraction of ||g||.  Operator calls are counted in ``solve.calls``.
+    fraction of ||g||.  ``solve.start(alpha)`` returns the unstepped state
+    that ``solve(alpha)`` runs to its end.  Operator calls are counted in
+    ``solve.calls``.
     """
     op, b, rhs = seeded_system(kernel, n, spectrum, seed)
     tol = tol_frac * np.linalg.norm(rhs)
@@ -67,16 +69,19 @@ def make_solver(kernel, n, spectrum, seed, tol_frac):
     calls = []
     apply_op = counted(op, calls)
     if kernel == "cg":
-        def solve(alpha, callback=None):
+        def start(alpha):
             calls.clear()
-            return multishift_cg(apply_op, b, grid, tol=tol, alpha=alpha,
-                                 callback=callback)
+            return MultishiftState(apply_op, b, grid, tol, None, alpha=alpha)
     else:
-        def solve(alpha, callback=None):
+        def start(alpha):
             calls.clear()
-            return multishift_cgls(apply_op, lambda w: op.T @ w, b, grid,
-                                   tol=tol, alpha=alpha, callback=callback)
+            return CglsState(apply_op, lambda w: op.T @ w, b, grid, tol, None,
+                             alpha=alpha)
 
+    def solve(alpha):
+        return start(alpha).solve()
+
+    solve.start = start
     solve.calls = calls
     return solve
 
@@ -85,7 +90,8 @@ def hand_built(lambdas, norms, statuses=None, residual_norms=None):
     """A ``MultishiftSolution`` built by hand, as selection tests need.
 
     Shift i has the status name ``statuses[i]`` and the direction
-    (norms[i], 0), held as a flushed row with an empty window.
+    (norms[i], 0), held as a flushed row with an empty window and a zero
+    flushed direction block.
     ``statuses`` defaults to every shift converged and ``residual_norms``
     to zeros.
     """
@@ -101,4 +107,4 @@ def hand_built(lambdas, norms, statuses=None, residual_norms=None):
                         else np.asarray(residual_norms, dtype=float)),
         codes=np.array([_NAMES.index(s) for s in statuses], np.int8),
         iterations=np.ones(m1, dtype=int), total_iterations=1,
-        W=np.empty((0, 2)), Y=np.zeros((m1, 1)), X=X)
+        W=np.empty((0, 2)), Y=np.zeros((m1, 1)), X=X, P=np.zeros_like(X))

@@ -102,8 +102,11 @@ def test_fixed_case_retires_and_stops(kernel):
     retired = check_same_selection(solve, 1.0)
     assert retired and retired == list(range(len(retired)))
 
-    passes = []
-    sol = solve(1.0, callback=lambda j, sig, statuses: passes.append(statuses))
+    state, passes = solve.start(1.0), []
+    while not state.done:
+        state.step()
+        passes.append(state.status)
+    sol = state.solve()
     sol_calls = len(solve.calls)
     plain = solve(None)
     assert sol_calls < len(solve.calls)

@@ -239,10 +239,10 @@ def test_lazy_block_matches_formed_rows(kernel, n, spectrum, rhs_kind, seed):
 @pytest.mark.parametrize("kernel", ["cg", "cgls"])
 def test_selection_forms_no_block(monkeypatch, kernel):
     """select_step plus one direction stays within the window's memory."""
-    def no_form_x(state):
+    def no_flush(state):
         raise AssertionError("the (m+1, n) iterate block was formed")
 
-    monkeypatch.setattr(cg_mod, "_form_x", no_form_x)
+    monkeypatch.setattr(cg_mod, "_flush", no_flush)
     n = 20000
     rng = np.random.default_rng(2)
     diag = rng.uniform(1.0, 2.0, n)
@@ -302,3 +302,47 @@ def test_flushed_solve_holds_three_blocks(monkeypatch, kernel):
     assert len(flushes) >= 2 and sol.X is not None
     assert peak < 3.5 * m1 * n * 8, peak / (m1 * n * 8)
     assert np.array_equal(d, d_again)
+
+
+@pytest.mark.parametrize("kernel", ["cg", "cgls"])
+def test_flushed_step_norms_span_column_chunks(monkeypatch, kernel):
+    """With 7-column chunks, a solve at n = 40 that flushes several times
+    folds and sums over five full chunks and a 5-column tail: every step
+    norm is the norm of its formed row, and the converged rows solve the
+    dense shifted systems."""
+    flushes = []
+    real_flush = cg_mod._flush
+
+    def counting_flush(state):
+        flushes.append(state.j)
+        real_flush(state)
+
+    monkeypatch.setattr(cg_mod, "_CHUNK", 7)
+    monkeypatch.setattr(cg_mod, "_flush", counting_flush)
+    n = 40
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    vals = np.logspace(-2, 2, n)
+    grid = ShiftGrid(np.logspace(-3, 3, 7))
+    if kernel == "cg":
+        M = (q * vals) @ q.T
+        b = rhs = rng.standard_normal(n)
+        sol = multishift_cg(lambda v: M @ v, b, grid,
+                            tol=1e-10 * np.linalg.norm(b))
+    else:
+        u, _ = np.linalg.qr(rng.standard_normal((n + 5, n)))
+        A = (u * np.sqrt(vals)) @ q.T
+        M = A.T @ A
+        b = rng.standard_normal(n + 5)
+        rhs = A.T @ b
+        sol = multishift_cgls(lambda v: A @ v, lambda w: A.T @ w, b, grid,
+                              tol=1e-10 * np.linalg.norm(rhs))
+
+    assert len(flushes) >= 2 and sol.X is not None
+    rows = [sol.direction(i) for i in range(grid.lambdas.size)]
+    np.testing.assert_allclose(sol.step_norms, np.linalg.norm(rows, axis=1),
+                               rtol=1e-12)
+    assert np.count_nonzero(sol.usable_mask) >= 2
+    for i in np.flatnonzero(sol.usable_mask):
+        exact = np.linalg.solve(M + grid[i] * np.eye(n), rhs)
+        assert np.linalg.norm(rows[i] - exact) <= 1e-6 * np.linalg.norm(exact)

@@ -9,7 +9,7 @@ import arcqk.shifted_cgls as cgls_mod
 from arcqk.shifted_cg import (CAPPED, CONVERGED, INDEFINITE, MultishiftState,
                               ShiftGrid, TimeExceeded, curvature_certificate,
                               multishift_cg)
-from arcqk.shifted_cgls import multishift_cgls
+from arcqk.shifted_cgls import CglsState, multishift_cgls
 
 
 def counting_op(M):
@@ -128,18 +128,6 @@ class TestMultishiftCg:
         assert sol.iterations[1] <= sol.iterations[0]
         with pytest.raises(ValueError, match="entries"):
             multishift_cg(lambda v: M @ v, b, grid, tol=[1e-8] * 3)
-
-    def test_trace_callback(self):
-        rng = np.random.default_rng(3)
-        M = random_spd(6, rng)
-        b = rng.standard_normal(6)
-        seen = []
-        multishift_cg(lambda v: M @ v, b, ShiftGrid([1.0]), tol=1e-10,
-                      callback=lambda j, res, st: seen.append((j, res.copy(), st)))
-        assert [j for j, _, _ in seen] == list(range(len(seen)))
-        assert all(len(res) == 1 and len(st) == 1 for _, res, st in seen)
-        # residual estimates decrease overall
-        assert seen[-1][1][0] <= 1e-10
 
 
 class TestCountingContracts:
@@ -333,23 +321,22 @@ def test_deadline_ends_the_solve_after_a_pass(kernel):
     rng = np.random.default_rng(7)
     A = rng.standard_normal((12, 10))
     b = rng.standard_normal(12)
-    passes = []
+    grid = ShiftGrid.default()
 
-    def solve(deadline):
-        passes.clear()
-        kw = dict(callback=lambda j, sigma, statuses: passes.append(j),
-                  deadline=deadline)
+    def start(deadline):
         if kernel == "cg":
-            return multishift_cg(lambda v: A.T @ (A @ v), A.T @ b,
-                                 ShiftGrid.default(), **kw)
-        return multishift_cgls(lambda v: A @ v, lambda u: A.T @ u, b,
-                               ShiftGrid.default(), **kw)
+            return MultishiftState(lambda v: A.T @ (A @ v), A.T @ b, grid,
+                                   1e-8, None, deadline=deadline)
+        return CglsState(lambda v: A @ v, lambda u: A.T @ u, b, grid, 1e-8,
+                         None, deadline=deadline)
 
+    state = start(time.perf_counter())
     with pytest.raises(TimeExceeded, match="iteration 0") as info:
-        solve(time.perf_counter())
-    assert info.value.status == "time_exceeded" and passes == [0]
-    sol = solve(time.perf_counter() + 1e3)
-    assert sol.total_iterations == len(passes) > 1
+        state.solve()
+    assert info.value.status == "time_exceeded" and state.j == 0
+    assert not state.done
+    sol = start(time.perf_counter() + 1e3).solve()
+    assert sol.total_iterations == start(None).solve().total_iterations > 1
 
 
 def test_residual_equal_to_the_tolerance_converges():
@@ -364,9 +351,10 @@ def test_residual_equal_to_the_tolerance_converges():
     M = random_spd(30, rng)
     b = rng.standard_normal(30)
     grid = ShiftGrid([0.1, 1.0, 10.0])
-    sigmas = []
-    multishift_cg(lambda v: M @ v, b, grid, tol=0.0,
-                  callback=lambda j, sigma, st: sigmas.append(sigma[1]))
+    state, sigmas = MultishiftState(lambda v: M @ v, b, grid, 0.0, None), []
+    while not state.done:
+        state.step()
+        sigmas.append(abs(state.sigma[1]))
     assert min(sigmas[:4]) > sigmas[4]
     sol = multishift_cg(lambda v: M @ v, b, grid, tol=sigmas[4])
     assert sol.statuses[1] == CONVERGED and sol.iterations[1] == 5

@@ -131,8 +131,9 @@ class TestMultishiftCgls:
         state = CglsState(lambda v: A @ v, lambda u: A.T @ u, b,
                           ShiftGrid([0.1]), 1e-12, 24)
         while not state.done:
-            assert abs(np.linalg.norm(state.v) - 1.0) <= 1e-12
             state.step()
+            # the newest Lanczos vector the pass copied into the window
+            assert abs(np.linalg.norm(state.W[state.kw - 1]) - 1.0) <= 1e-12
 
     def test_sigma_tracks_shifted_optimality_residual(self):
         rng = np.random.default_rng(27)
@@ -201,14 +202,3 @@ class TestMultishiftCgls:
         with pytest.raises(ValueError, match="non-finite"):
             multishift_cgls(lambda v: v * np.nan, lambda u: u, np.ones(3),
                             ShiftGrid([1.0]))
-
-    def test_trace_callback(self):
-        rng = np.random.default_rng(29)
-        A = rng.standard_normal((8, 5))
-        b = rng.standard_normal(8)
-        seen = []
-        apply_A, apply_At, _ = ops(A)
-        multishift_cgls(apply_A, apply_At, b, ShiftGrid([0.1, 1.0]), tol=1e-9,
-                        callback=lambda j, res, st: seen.append((j, st)))
-        assert seen and seen[0][0] == 0
-        assert all(len(st) == 2 for _, st in seen)

@@ -1,14 +1,14 @@
 """Status codes inside the kernels, status names at their boundary.
 
-The shift block keeps one int8 code per shift.  ``state.status``, the
-statuses each callback receives and ``MultishiftSolution.statuses`` must be
-tuples of the module's string constants, and the solution's
-``usable_mask``, which the selection reads, must mark exactly the shifts
-named ``converged``.  Between them the solves below reach every status:
-``running``, ``converged``, ``indefinite`` at a pivot, ``retired`` and
-``capped`` at ``max_iter``.  A ``capped`` shift never lies within its
-tolerance, so the rule that only converged shifts are usable loses no
-candidate.
+The shift block keeps one int8 code per shift.  ``state.status`` after
+every pass and ``MultishiftSolution.statuses`` must be tuples of the
+module's string constants, and the solution's ``usable_mask``, which the
+selection reads, must mark exactly the shifts named ``converged``.
+Between them the solves below reach every status: ``running``,
+``converged``, ``indefinite`` at a pivot, ``retired``, ``capped`` at
+``max_iter`` and, for CGLS, ``capped`` at a nonpositive pivot.  A
+``capped`` shift never lies within its tolerance, so the rule that only
+converged shifts are usable loses no candidate.
 """
 
 import numpy as np
@@ -33,8 +33,8 @@ def check_names(statuses, m1):
 
 
 def spectrum_system(kernel, n, eigenvalues, seed):
-    """``make_state(max_iter, alpha, callback)`` for one seeded system whose
-    operator (A'A for CGLS) has the given eigenvalues."""
+    """``make_state(max_iter, alpha)`` for one seeded system whose operator
+    (A'A for CGLS) has the given eigenvalues."""
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     grid = ShiftGrid.default()
@@ -42,37 +42,30 @@ def spectrum_system(kernel, n, eigenvalues, seed):
         M = (q * eigenvalues) @ q.T
         b = rng.standard_normal(n)
         tol = 1e-8 * np.linalg.norm(b)
-        return lambda max_iter, alpha, callback: MultishiftState(
-            lambda v: M @ v, b, grid, tol, max_iter, callback=callback,
-            alpha=alpha)
+        return lambda max_iter, alpha: MultishiftState(
+            lambda v: M @ v, b, grid, tol, max_iter, alpha=alpha)
     u, _ = np.linalg.qr(rng.standard_normal((n + 5, n)))
     A = (u * np.sqrt(eigenvalues)) @ q.T
     b = rng.standard_normal(n + 5)
     tol = 1e-8 * np.linalg.norm(A.T @ b)
-    return lambda max_iter, alpha, callback: CglsState(
+    return lambda max_iter, alpha: CglsState(
         lambda v: A @ v, lambda w: A.T @ w, b, grid, tol, max_iter,
-        callback=callback, alpha=alpha)
+        alpha=alpha)
 
 
 def checked_solve(make_state, max_iter, alpha):
-    """Solve, checking ``state.status`` and the callback's statuses after
-    every pass; returns the solution and every status name seen."""
+    """Step a solve to its end, checking ``state.status`` after every pass;
+    returns the solution and every status name seen."""
     seen = set()
-    states = []
-
-    def callback(j, sigma, statuses):
-        m1 = sigma.size
-        check_names(statuses, m1)
-        check_names(states[0].status, m1)
-        assert statuses == states[0].status
-        seen.update(statuses)
-
-    states.append(make_state(max_iter, alpha, callback))
-    sol = states[0].solve()
-    m1 = sol.lambdas.size
+    state = make_state(max_iter, alpha)
+    m1 = state.lambdas.size
+    while not state.done:
+        state.step()
+        check_names(state.status, m1)
+        seen.update(state.status)
+    sol = state.solve()
     check_names(sol.statuses, m1)
-    check_names(states[0].status, m1)
-    assert sol.statuses == states[0].status
+    assert sol.statuses == state.status
     usable = [s == CONVERGED for s in sol.statuses]
     assert sol.usable_mask.dtype == bool
     assert list(sol.usable_mask) == usable
@@ -147,3 +140,30 @@ def test_capped_shifts_lie_above_their_tolerance(kernel, n, spectrum, seed,
     capped = names == CAPPED
     assert np.all(sol.residual_norms[capped] > np.full(7, tol)[capped])
     assert np.array_equal(sol.usable_mask, names == CONVERGED)
+
+
+def test_cgls_shift_capped_at_a_nonpositive_pivot_is_not_usable():
+    """A CGLS shift frozen ``capped`` at a rounding-level pivot, before the
+    ``max_iter`` cap, keeps a residual far above its tolerance and is
+    never selected.
+
+    A's singular values span nine decades, so the Gram operator's pivot
+    delta + lambda - omega/gamma of the two smallest shifts rounds to <= 0
+    after 30 of the solve's 31 joint iterations, well before the cap of 60.
+    """
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((10, 6))
+    b = rng.standard_normal(10)
+    u, _, vt = np.linalg.svd(A, full_matrices=False)
+    A = (u * np.logspace(0, -9, 6)) @ vt
+    tol = 1e-10 * np.linalg.norm(A.T @ b)
+    sol = multishift_cgls(lambda v: A @ v, lambda w: A.T @ w, b,
+                          ShiftGrid([1e-15, 1e-12, 1e-9, 1e-6]), tol=tol,
+                          max_iter=60)
+    assert sol.statuses[:2] == (CAPPED, CAPPED)
+    assert np.all(sol.iterations[:2] < sol.total_iterations)
+    assert sol.total_iterations < 60
+    assert np.all(sol.residual_norms[:2] > tol)
+    assert not sol.usable_mask[:2].any()
+    for alpha in np.logspace(-6, 12, 19):
+        assert select_step(sol, alpha)[1] >= 2

@@ -90,6 +90,29 @@ MUTANTS = (
            "breakdown = beta_next <= _EPS * (1.0 + delta)",
            "breakdown = beta_next <= 0.0",
            "a Krylov space exhausted up to rounding ends the CGLS solve"),
+    # -- the flush fold and a flushed solve's step norms
+    Mutant("fold-drops-p-term", CG,
+           "        X[:, c] += np.multiply(Y[:, :1], P[:, c], out=t)\n",
+           "",
+           "a flushed x row adds its own direction row, weighted by Y[:, 0]"),
+    Mutant("fold-keeps-p-scale", CG,
+           "        P[rows, c] *= C[rows, :1]\n",
+           "",
+           "a flush scales the kept direction rows by C[:, 0] before adding"),
+    Mutant("live-rows-short", CG,
+           "rows = slice(live[0], live[-1] + 1)",
+           "rows = slice(live[0], live[-1])",
+           "the last running shift keeps its direction row"),
+    Mutant("chunks-stop-early", CG,
+           "return (slice(c, min(c + _CHUNK, n)) "
+           "for c in range(0, n, _CHUNK))",
+           "return (slice(c, min(c + _CHUNK, n - 1)) "
+           "for c in range(0, n, _CHUNK))",
+           "the column chunks cover every column"),
+    Mutant("step-norms-last-chunk", CG,
+           'sq += np.einsum("ij,ij->i", x, x)',
+           'sq = np.einsum("ij,ij->i", x, x)',
+           "a flushed step norm sums its squares over every chunk"),
     # -- retirement
     Mutant("retire-no-prefix", CG,
            "return below if ok.all() else below[:int(ok.argmin())]",
