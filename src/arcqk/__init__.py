@@ -5,8 +5,9 @@ from .arc import (ArcParams, ArcState, GridExhausted, AllShiftsIndefinite,
                   advance_shift_on_failure, arcqk_minimize,
                   arcqk_minimize_gauss_newton, per_shift_tolerance,
                   select_step)
-from .bench import (ProfileCurve, SOLVERS, emit, performance_profile,
-                    read_records_csv, read_records_json, run_matrix)
+from .bench import (ProfileCurve, SOLVERS, performance_profile,
+                    read_records_csv, read_records_json, run_matrix,
+                    write_profile, write_records_csv, write_records_json)
 from .problems import (Counters, DerivativeReport, LeastSquaresProblem,
                        SmoothProblem, check_derivatives, suite_problems,
                        with_hvp)

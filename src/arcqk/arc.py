@@ -130,7 +130,6 @@ class RatioEval:
     delta_q: float
     f_trial: Optional[float]
     degenerate: bool = False
-    aux: object = None
 
 
 def acceptance_ratio(f_x, g_x, d, lam, trial) -> RatioEval:
@@ -143,10 +142,9 @@ def acceptance_ratio(f_x, g_x, d, lam, trial) -> RatioEval:
 
         delta_q = -g'd - d'Hd / 2 = (lam ||d||^2 - g'd) / 2
 
-    costs no operator product.  ``trial()`` returns ``(f(x + d), aux)`` and
-    is the one objective evaluation; a model decrease at rounding level
-    marks the evaluation degenerate, which callers treat as an unsuccessful
-    step.
+    costs no operator product.  ``trial()`` returns f(x + d) and is the one
+    objective evaluation; a model decrease at rounding level marks the
+    evaluation degenerate, which callers treat as an unsuccessful step.
     """
     delta_q = 0.5 * (lam * float(d @ d) - float(g_x @ d))
     return _ratio(f_x, delta_q, trial)
@@ -155,14 +153,14 @@ def acceptance_ratio(f_x, g_x, d, lam, trial) -> RatioEval:
 def _ratio(f_x, delta_q, trial) -> RatioEval:
     """Ratio of actual to model decrease, evaluating the trial point once.
 
-    ``trial()`` returns ``(f(x + d), aux)`` and is not called when the model
-    decrease ``delta_q`` is at rounding level: such an evaluation is marked
+    ``trial()`` returns f(x + d) and is not called when the model decrease
+    ``delta_q`` is at rounding level: such an evaluation is marked
     degenerate, which the outer loop treats as an unsuccessful step.
     """
     if delta_q <= 64.0 * _EPS * (1.0 + abs(f_x)):
         return RatioEval(-np.inf, delta_q, None, degenerate=True)
-    f_trial, aux = trial()
-    return RatioEval((f_x - f_trial) / delta_q, delta_q, f_trial, aux=aux)
+    f_trial = trial()
+    return RatioEval((f_x - f_trial) / delta_q, delta_q, f_trial)
 
 
 def select_step(solutions: MultishiftSolution, alpha: float):
@@ -262,7 +260,7 @@ class _SmoothDriver:
     def fg(self, x):
         return self.problem.eval_f(x), self.problem.eval_grad(x)
 
-    def grad(self, x, aux):
+    def grad(self, x):
         return self.problem.eval_grad(x)
 
     def solve(self, x, g, tol, alpha, deadline):
@@ -271,7 +269,7 @@ class _SmoothDriver:
                              deadline=deadline)
 
     def trial(self, x):
-        return self.problem.eval_f(x), None
+        return self.problem.eval_f(x)
 
 
 class _GaussNewtonDriver:
@@ -280,17 +278,17 @@ class _GaussNewtonDriver:
     def __init__(self, problem: LeastSquaresProblem, params: ArcParams):
         self.problem = problem
         self.params = params
-        self._residual = None
+        self._residual = self._trial_residual = None
 
     def fg(self, x):
         r = self.problem.eval_residual(x)
         self._residual = r
         return 0.5 * float(r @ r), self.problem.eval_jtprod(x, r)
 
-    def grad(self, x, aux):
-        # aux is the residual that ``trial`` returned at x
-        self._residual = aux
-        return self.problem.eval_jtprod(x, aux)
+    def grad(self, x):
+        # called only at an accepted trial point: reuse its residual
+        self._residual = self._trial_residual
+        return self.problem.eval_jtprod(x, self._residual)
 
     def solve(self, x, g, tol, alpha, deadline):
         # A'b = J'(-r) is -g, which the loop already holds
@@ -301,8 +299,8 @@ class _GaussNewtonDriver:
                                alpha=alpha, deadline=deadline, atb=-g)
 
     def trial(self, x):
-        r = self.problem.eval_residual(x)
-        return 0.5 * float(r @ r), r
+        r = self._trial_residual = self.problem.eval_residual(x)
+        return 0.5 * float(r @ r)
 
 
 def _outer_loop(problem, driver, params: SolverParams, state, propose,
@@ -374,7 +372,7 @@ def _outer_loop(problem, driver, params: SolverParams, state, propose,
         if success:
             x = x + d
             f = ev.f_trial
-            g = driver.grad(x, ev.aux)
+            g = driver.grad(x)
             if not np.all(np.isfinite(g)):
                 raise ValueError(f"{problem.name}: gradient became "
                                  "non-finite after an accepted step")

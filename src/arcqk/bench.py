@@ -4,24 +4,49 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .arc import ArcParams, arcqk_minimize, arcqk_minimize_gauss_newton
 from .problems import LeastSquaresProblem
 from .records import (BENCH_FIELDS, RECORD_EXCEPTION, RECORD_SUCCESS,
-                      BenchRecord, record_from_dict, record_to_dict)
+                      BenchRecord, record_from_dict)
 from .steihaug import TrParams, st_minimize
 
 PROFILE_METRICS = ("time", "neval_f", "neval_grad", "neval_hvp",
                    "neval_f_plus_3g")
 
 
-def _build_params(cls, time_budget, overrides):
-    """Solver parameters from the overrides; a bad name or value raises."""
+def _run_arcqk(problem, params: ArcParams) -> BenchRecord:
+    """The cubic-regularization solver; least squares run Gauss-Newton."""
+    if isinstance(problem, LeastSquaresProblem):
+        return arcqk_minimize_gauss_newton(problem, params)[1]
+    return arcqk_minimize(problem, params)[1]
+
+
+def _run_st(problem, params: TrParams) -> BenchRecord:
+    """The trust-region baseline; least squares run in their smooth form."""
+    if isinstance(problem, LeastSquaresProblem):
+        problem = problem.as_smooth()
+    return st_minimize(problem, params)[1]
+
+
+# solver id -> (params class, run(problem, params) -> BenchRecord)
+SOLVERS = {"arcqk": (ArcParams, _run_arcqk), "st": (TrParams, _run_st)}
+
+
+def solver_params(name, time_budget=None, overrides=None):
+    """Solver ``name``'s parameters from the overrides, ``time_budget``
+    filling an unset budget; an unknown solver, parameter name or value
+    raises ``ValueError``."""
+    if name not in SOLVERS:
+        raise ValueError(f"unknown solver {name!r}; "
+                         f"available: {', '.join(SOLVERS)}")
+    cls = SOLVERS[name][0]
     kwargs = dict(overrides or {})
     bad = set(kwargs) - set(cls.__dataclass_fields__)
     if bad:
@@ -31,72 +56,28 @@ def _build_params(cls, time_budget, overrides):
     return cls(**kwargs)
 
 
-def solve_arcqk(problem, time_budget=None, overrides=None):
-    """Run the cubic-regularization solver on one problem instance."""
-    params = _build_params(ArcParams, time_budget, overrides)
-    if isinstance(problem, LeastSquaresProblem):
-        _, record = arcqk_minimize_gauss_newton(problem, params)
-    else:
-        _, record = arcqk_minimize(problem, params)
-    return record
-
-
-solve_arcqk.params = ArcParams
-
-
-def solve_st(problem, time_budget=None, overrides=None):
-    """Run the trust-region baseline on one problem instance."""
-    params = _build_params(TrParams, time_budget, overrides)
-    if isinstance(problem, LeastSquaresProblem):
-        problem = problem.as_smooth()
-    _, record = st_minimize(problem, params)
-    return record
-
-
-solve_st.params = TrParams
-
-SOLVERS = {"arcqk": solve_arcqk, "st": solve_st}
-
-
-def _resolve_solvers(solvers):
-    resolved = {}
-    for item in solvers:
-        if isinstance(item, str):
-            if item not in SOLVERS:
-                raise ValueError(f"unknown solver {item!r}; "
-                                 f"available: {', '.join(SOLVERS)}")
-            resolved[item] = SOLVERS[item]
-        else:
-            name, fn = item
-            resolved[name] = fn
-    return resolved
-
-
 def run_matrix(problems, solvers, budget_per_run=None, overrides=None):
-    """Run every solver on every problem; failures become records.
+    """Run every named solver on every problem; failures become records.
 
     Returns ``{solver_id: [BenchRecord, ...]}`` with rows sorted by problem
     name.  A solver raising on one problem yields a record with status
     ``exception``, the exception's ``Type: message`` as its ``detail``,
     and never aborts the rest of the matrix; a solver's own record carries
-    its fine status in ``detail``.  The overrides
-    are checked against the ``params`` class of every solver that has one
-    (both built-in solvers do) before the first run, so a bad name or value
-    raises ``ValueError`` instead.
+    its fine status in ``detail``.  Each solver's parameters are built from
+    the overrides once, before the first run, so an unknown solver or a bad
+    parameter name or value raises ``ValueError`` instead.
     """
     if not problems or not solvers:
         raise ValueError("problems and solvers must be non-empty")
-    resolved = _resolve_solvers(solvers)
-    for fn in resolved.values():
-        if hasattr(fn, "params"):
-            _build_params(fn.params, budget_per_run, overrides)
-    out = {name: [] for name in resolved}
+    runs = {name: (solver_params(name, budget_per_run, overrides),
+                   SOLVERS[name][1]) for name in solvers}
+    out = {name: [] for name in runs}
     for problem in sorted(problems, key=lambda p: p.name):
-        for name, fn in resolved.items():
+        for name, (params, run) in runs.items():
             problem.reset_counters()
             t0 = time.perf_counter()
             try:
-                record = fn(problem, budget_per_run, overrides)
+                record = run(problem, params)
             except Exception as exc:
                 record = BenchRecord(
                     name=problem.name, nvar=problem.n,
@@ -177,14 +158,14 @@ def performance_profile(records_by_solver, metric="time"):
                 ratios[s].append(vals[s] / best if best > 0 else np.inf)
 
     n_problems = len(ratios[solvers[0]])
-    all_finite = np.concatenate([
-        np.asarray([r for r in ratios[s] if np.isfinite(r)]) for s in solvers
-    ]) if n_problems else np.array([])
-    taus = np.unique(np.concatenate([[1.0], all_finite]))
+    if not n_problems:
+        raise ValueError(f"no problem left to profile by {metric!r}")
+    table = np.array([ratios[s] for s in solvers])
+    taus = np.unique(np.append(1.0, table[np.isfinite(table)]))
 
     curves = []
-    for s in solvers:
-        r = np.sort(np.asarray(ratios[s], dtype=float))
+    for s, row in zip(solvers, table):
+        r = np.sort(row)
         rhos = np.array([np.count_nonzero(r <= t) / n_problems for t in taus])
         curves.append(ProfileCurve(
             solver=s, ratios=r, taus=taus, rhos=rhos,
@@ -194,7 +175,7 @@ def performance_profile(records_by_solver, metric="time"):
 
 
 # ---------------------------------------------------------------------------
-# emitters
+# writers and readers
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -202,57 +183,80 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _open_for_write(path):
-    try:
-        return open(path, "w", newline="")
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
-
-
-def _records_csv(records, path):
-    with _open_for_write(path) as fh:
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(BENCH_FIELDS)
-        for rec in records:
-            writer.writerow([_fmt(getattr(rec, name)) for name in BENCH_FIELDS])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _records_json(obj, path):
-    if isinstance(obj, dict):
-        payload = {s: [record_to_dict(r) for r in rows] for s, rows in obj.items()}
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+
+
+def write_records_csv(rows, path):
+    """Write one solver's records as csv, floats to 17 digits."""
+    _write_csv(path, BENCH_FIELDS, ([_fmt(getattr(rec, name))
+                                     for name in BENCH_FIELDS] for rec in rows))
+
+
+def write_records_json(table, path):
+    """Write a solver-keyed record table ``{solver: [BenchRecord, ...]}``."""
+    _write_json(path, {s: [asdict(r) for r in rows]
+                       for s, rows in table.items()})
+
+
+def read_records_json(path):
+    """The solver-keyed record table of a ``write_records_json`` file;
+    any other JSON raises ``ValueError``."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    if not (isinstance(payload, dict) and all(
+            isinstance(rows, list) and all(isinstance(r, dict) for r in rows)
+            for rows in payload.values())):
+        raise ValueError(f"{path} holds no solver-keyed record table "
+                         "{solver: [record, ...]}")
+    return {s: [record_from_dict(r) for r in rows]
+            for s, rows in payload.items()}
+
+
+def read_records_csv(path):
+    """One solver's records from a ``write_records_csv`` file."""
+    with open(path, newline="") as fh:
+        return [record_from_dict(row) for row in csv.DictReader(fh)]
+
+
+def write_profile(curves, path, title=None):
+    """Write profile curves as csv, json or svg, by the extension of
+    ``path``; any other extension raises ``ValueError``."""
+    ext = os.path.splitext(path)[1].lower()
+    if ext == ".csv":
+        _write_csv(path, ["tau"] + [c.solver for c in curves],
+                   ([_fmt(float(tau))] + [_fmt(float(c.rhos[i])) for c in curves]
+                    for i, tau in enumerate(curves[0].taus)))
+    elif ext == ".json":
+        _write_json(path, [
+            {"solver": c.solver,
+             "ratios": [r if np.isfinite(r) else None for r in c.ratios],
+             "taus": list(map(float, c.taus)),
+             "rhos": list(map(float, c.rhos)),
+             "n_problems": c.n_problems,
+             "fraction_solved": c.fraction_solved} for c in curves])
+    elif ext == ".svg":
+        with open(path, "w") as fh:
+            fh.write(_svg(curves, title or "performance profile"))
     else:
-        payload = [record_to_dict(r) for r in obj]
-    with _open_for_write(path) as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
-def _curves_csv(curves, path):
-    with _open_for_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau"] + [c.solver for c in curves])
-        for i, tau in enumerate(curves[0].taus):
-            writer.writerow([_fmt(float(tau))] +
-                            [_fmt(float(c.rhos[i])) for c in curves])
-
-
-def _curves_json(curves, path):
-    payload = [{"solver": c.solver,
-                "ratios": [r if np.isfinite(r) else None for r in c.ratios],
-                "taus": list(map(float, c.taus)),
-                "rhos": list(map(float, c.rhos)),
-                "n_problems": c.n_problems,
-                "fraction_solved": c.fraction_solved} for c in curves]
-    with _open_for_write(path) as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        raise ValueError(f"profile output {path}: the extension must be "
+                         ".csv, .json or .svg")
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                "#8c564b")
 
 
-def _curves_svg(curves, path, title="performance profile"):
+def _svg(curves, title):
     """Self-contained SVG step plot on a log2 ratio axis.
 
     Failed runs are rendered by truncation: a curve simply levels off below
@@ -320,41 +324,5 @@ def _curves_svg(curves, path, title="performance profile"):
                      f'font-family="sans-serif" font-size="12">'
                      f'{curve.solver}</text>')
     parts.append("</svg>")
-    with _open_for_write(path) as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
-
-def emit(obj, fmt, path, title=None):
-    """Write records or profile curves as csv, json or (curves only) svg."""
-    if fmt not in ("csv", "json", "svg"):
-        raise ValueError(f"unknown format {fmt!r}")
-    is_curves = (isinstance(obj, (list, tuple)) and obj
-                 and isinstance(obj[0], ProfileCurve))
-    if fmt == "svg":
-        if not is_curves:
-            raise ValueError("svg output is only defined for profile curves")
-        _curves_svg(obj, path, title or "performance profile")
-    elif is_curves:
-        (_curves_csv if fmt == "csv" else _curves_json)(obj, path)
-    elif fmt == "csv":
-        if isinstance(obj, dict):
-            raise ValueError("csv records output needs a flat record list")
-        _records_csv(obj, path)
-    else:
-        _records_json(obj, path)
-    return path
-
-
-def read_records_json(path):
-    """Inverse of ``emit(..., "json", ...)`` for benchmark records."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if isinstance(payload, dict):
-        return {s: [record_from_dict(r) for r in rows]
-                for s, rows in payload.items()}
-    return [record_from_dict(r) for r in payload]
-
-
-def read_records_csv(path):
-    with open(path, newline="") as fh:
-        return [record_from_dict(row) for row in csv.DictReader(fh)]

@@ -6,10 +6,11 @@ import argparse
 import os
 import sys
 
-from .bench import (PROFILE_METRICS, SOLVERS, emit, performance_profile,
-                    read_records_json, run_matrix)
+from .bench import (PROFILE_METRICS, SOLVERS, performance_profile,
+                    read_records_json, run_matrix, solver_params,
+                    write_profile, write_records_csv, write_records_json)
 from .problems import check_derivatives, suite_problems
-from .records import BENCH_FIELDS
+from .records import BENCH_FIELDS, RECORD_SUCCESS
 
 
 def _parse_params(pairs):
@@ -39,8 +40,9 @@ def _get_problem(name, seed):
 
 def _cmd_solve(args):
     problem = _get_problem(args.problem, args.seed)
-    overrides = _parse_params(args.param)
-    record = SOLVERS[args.solver](problem, args.time_budget, overrides)
+    params = solver_params(args.solver, args.time_budget,
+                           _parse_params(args.param))
+    record = SOLVERS[args.solver][1](problem, params)
     for field in BENCH_FIELDS:
         print(f"{field}: {getattr(record, field)}")
     return 0
@@ -59,10 +61,10 @@ def _cmd_bench(args):
     results = run_matrix(problems, solvers, budget_per_run=args.time_budget,
                          overrides=overrides)
     os.makedirs(args.out, exist_ok=True)
-    emit(results, "json", os.path.join(args.out, "records.json"))
+    write_records_json(results, os.path.join(args.out, "records.json"))
     for solver, rows in results.items():
-        emit(rows, "csv", os.path.join(args.out, f"records_{solver}.csv"))
-        solved = sum(r.status == "success" for r in rows)
+        write_records_csv(rows, os.path.join(args.out, f"records_{solver}.csv"))
+        solved = sum(r.status == RECORD_SUCCESS for r in rows)
         print(f"{solver}: {solved}/{len(rows)} solved "
               f"-> {args.out}/records_{solver}.csv")
     print(f"combined table -> {args.out}/records.json")
@@ -71,14 +73,9 @@ def _cmd_bench(args):
 
 def _cmd_profile(args):
     records = read_records_json(args.infile)
-    if not isinstance(records, dict):
-        raise SystemExit(f"{args.infile} holds a flat record list; profiles "
-                         "need the solver-keyed records.json written by bench")
     curves = performance_profile(records, metric=args.metric)
-    ext = os.path.splitext(args.out)[1].lstrip(".").lower()
-    if ext not in ("csv", "json", "svg"):
-        raise SystemExit(f"--out extension must be .csv, .json or .svg")
-    emit(curves, ext, args.out, title=f"performance profile ({args.metric})")
+    write_profile(curves, args.out,
+                  title=f"performance profile ({args.metric})")
     print(f"{args.metric} profile for {', '.join(records)} -> {args.out}")
     return 0
 
@@ -143,7 +140,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,6 @@
 """Benchmark result records shared by all solvers."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 RECORD_SUCCESS = "success"
 RECORD_EXCEPTION = "exception"
@@ -55,25 +53,17 @@ class BenchRecord:
 
 
 BENCH_FIELDS = tuple(f.name for f in fields(BenchRecord))
-INT_FIELDS = ("nvar", "iter", "neval_f", "neval_grad", "neval_hvp")
-FLOAT_FIELDS = ("f", "grad_norm", "elapsed_seconds")
-
-
-def record_to_dict(rec: BenchRecord) -> dict:
-    return {name: getattr(rec, name) for name in BENCH_FIELDS}
 
 
 def record_from_dict(row: dict) -> BenchRecord:
-    """Record from a json or csv row; rows written before ``detail`` existed
-    lack it and read back with its default."""
-    kwargs = {}
-    for name in BENCH_FIELDS:
-        if name == "detail" and name not in row:
-            continue
-        value = row[name]
-        if name in INT_FIELDS:
-            value = int(value)
-        elif name in FLOAT_FIELDS:
-            value = float(value)
-        kwargs[name] = value
-    return BenchRecord(**kwargs)
+    """Record from a json or csv row, each field converted to the type that
+    ``BenchRecord`` declares (this module evaluates its annotations, so
+    ``f.type`` is the class itself).  An absent field that has a default
+    takes it (rows written before ``detail`` existed lack it); any other
+    absent field raises ``ValueError``."""
+    given = [f for f in fields(BenchRecord) if row.get(f.name) is not None]
+    missing = [f.name for f in fields(BenchRecord)
+               if f not in given and f.default is MISSING]
+    if missing:
+        raise ValueError(f"record row lacks field(s): {', '.join(missing)}")
+    return BenchRecord(**{f.name: f.type(row[f.name]) for f in given})

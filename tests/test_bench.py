@@ -1,14 +1,16 @@
 import json
+import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from arcqk.bench import (emit, performance_profile, read_records_csv,
-                         read_records_json, run_matrix)
-from arcqk.problems import suite_problems
-from arcqk.records import (BENCH_FIELDS, BenchRecord, record_from_dict,
-                           record_to_dict)
+from arcqk.bench import (performance_profile, read_records_csv,
+                         read_records_json, run_matrix, write_profile,
+                         write_records_csv, write_records_json)
+from arcqk.problems import SmoothProblem, suite_problems
+from arcqk.records import BENCH_FIELDS, BenchRecord, record_from_dict
 from arcqk.shifted_cg import ShiftGrid
 
 
@@ -39,20 +41,21 @@ class TestRunMatrix:
             assert all(r.status == "success" for r in rows)
 
     def test_exception_isolated(self):
-        def bad_solver(problem, budget, overrides=None):
-            if problem.name == "sphere":
-                raise RuntimeError("boom")
-            from arcqk.bench import solve_st
-            return solve_st(problem, budget, overrides)
+        def boom(x):
+            raise RuntimeError("boom")
 
-        problems = suite_problems("sphere") + suite_problems("beale")
-        out = run_matrix(problems, [("bad", bad_solver), "arcqk"])
-        by_name = {r.name: r for r in out["bad"]}
-        assert by_name["sphere"].status == "exception"
-        assert by_name["sphere"].detail == "RuntimeError: boom"
-        assert by_name["beale"].status == "success"
-        assert by_name["beale"].detail == "first_order_stationary"
-        assert all(r.status == "success" for r in out["arcqk"])
+        raising = SmoothProblem("boom", 2, [1.0, 1.0], f=boom,
+                                grad=lambda x: 2.0 * x,
+                                hvp=lambda x, v: 2.0 * v)
+        problems = [raising] + suite_problems("beale")
+        out = run_matrix(problems, ["arcqk", "st"])
+        for rows in out.values():
+            by_name = {r.name: r for r in rows}
+            assert by_name["boom"].status == "exception"
+            assert by_name["boom"].detail == "RuntimeError: boom"
+            assert (by_name["boom"].nvar, by_name["boom"].iter) == (2, 0)
+            assert by_name["beale"].status == "success"
+            assert by_name["beale"].detail == "first_order_stationary"
 
     def test_unknown_solver(self):
         with pytest.raises(ValueError, match="unknown solver"):
@@ -160,6 +163,16 @@ class TestPerformanceProfile:
         with pytest.raises(ValueError, match="unknown metric"):
             performance_profile(table, metric="nope")
 
+    def test_empty_table_raises(self):
+        with pytest.raises(ValueError, match="no problem left"):
+            performance_profile({"A": [], "B": []})
+
+    def test_every_problem_dropped_raises(self):
+        table = {"A": [rec("p1", neval_hvp=0)], "B": [rec("p1", neval_hvp=0)]}
+        with pytest.warns(UserWarning, match="dropping problem"):
+            with pytest.raises(ValueError, match="no problem left"):
+                performance_profile(table, metric="neval_hvp")
+
     def test_mismatched_problem_sets(self):
         table = {"A": [rec("p1")], "B": [rec("p2")]}
         with pytest.raises(ValueError, match="identical problem sets"):
@@ -169,47 +182,46 @@ class TestPerformanceProfile:
 class TestEmit:
     def test_csv_single_record(self, tmp_path):
         path = tmp_path / "one.csv"
-        emit([rec("p1", 1.5)], "csv", path)
+        write_records_csv([rec("p1", 1.5)], path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert lines[0] == ",".join(BENCH_FIELDS)
         assert lines[1].startswith("p1,2,")
 
     def test_json_round_trip(self, tmp_path):
-        records = [rec("p1", 1.2345678901234567), rec("p2", 2.0, status="other")]
+        table = {"A": [rec("p1", 1.2345678901234567),
+                       rec("p2", 2.0, status="other")]}
         path = tmp_path / "r.json"
-        emit(records, "json", path)
+        write_records_json(table, path)
         back = read_records_json(path)
-        assert back == records
+        assert back == table
 
     def test_solver_keyed_json_round_trip(self, tmp_path):
         table = hand_example()
         path = tmp_path / "r.json"
-        emit(table, "json", path)
+        write_records_json(table, path)
         back = read_records_json(path)
         assert back == table
 
     def test_csv_json_csv_round_trip(self, tmp_path):
         records = [rec("p1", np.pi), rec("p2", 1e-17)]
         p1, p2, p3 = (tmp_path / n for n in ("a.csv", "b.json", "c.csv"))
-        emit(records, "csv", p1)
-        emit(read_records_csv(p1), "json", p2)
-        emit(read_records_json(p2), "csv", p3)
+        write_records_csv(records, p1)
+        write_records_json({"A": read_records_csv(p1)}, p2)
+        write_records_csv(read_records_json(p2)["A"], p3)
         assert p1.read_bytes() == p3.read_bytes()
 
     def test_detail_round_trip(self, tmp_path):
         records = [rec("p1", detail="max_iter"),
                    rec("p2", status="exception", detail="ValueError: a, b")]
-        for fmt, read in (("csv", read_records_csv),
-                          ("json", read_records_json)):
-            path = tmp_path / f"r.{fmt}"
-            emit(records, fmt, path)
-            assert read(path) == records
+        write_records_csv(records, tmp_path / "r.csv")
+        assert read_records_csv(tmp_path / "r.csv") == records
+        write_records_json({"A": records}, tmp_path / "r.json")
+        assert read_records_json(tmp_path / "r.json") == {"A": records}
 
     def test_rows_without_detail_read_back(self, tmp_path):
         # rows written before the field existed
-        old = {f: v for f, v in record_to_dict(rec("p1")).items()
-               if f != "detail"}
+        old = {f: v for f, v in asdict(rec("p1")).items() if f != "detail"}
         assert record_from_dict(old) == rec("p1")
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"A": [old]}))
@@ -220,39 +232,59 @@ class TestEmit:
         assert read_records_csv(path) == [rec("p1")]
         assert rec("p1").detail == ""
 
+    def test_missing_field_is_named(self, tmp_path):
+        row = {f: v for f, v in asdict(rec("p1")).items()
+               if f not in ("nvar", "status")}
+        with pytest.raises(ValueError, match="lacks field.*nvar, status"):
+            record_from_dict(row)
+        path = tmp_path / "short.csv"
+        path.write_text("name,nvar\np1\n")
+        with pytest.raises(ValueError, match="lacks field.*nvar, f,"):
+            read_records_csv(path)
+
+    @pytest.mark.parametrize("payload", [
+        [asdict(rec("p1"))], {"A": asdict(rec("p1"))}, {"A": [[1, 2]]}, 3,
+    ], ids=["flat-list", "row-not-list", "row-not-dict", "number"])
+    def test_json_other_than_the_table_rejected(self, tmp_path, payload):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="solver-keyed record table"):
+            read_records_json(path)
+
     def test_seventeen_digit_floats(self, tmp_path):
         path = tmp_path / "r.csv"
-        emit([rec("p1", 1.0 / 3.0)], "csv", path)
+        write_records_csv([rec("p1", 1.0 / 3.0)], path)
         assert "0.33333333333333331" in path.read_text()
 
     def test_profile_svg(self, tmp_path):
         curves = performance_profile(hand_example())
         path = tmp_path / "p.svg"
-        emit(curves, "svg", path)
+        write_profile(curves, path)
         text = path.read_text()
         assert text.count("<polyline") == 2
         assert text.startswith("<svg")
         assert "log2" in text
+        assert "performance profile</text>" in text
 
     def test_profile_csv_and_json(self, tmp_path):
         curves = performance_profile(hand_example())
         cpath = tmp_path / "p.csv"
-        emit(curves, "csv", cpath)
+        write_profile(curves, cpath)
         lines = cpath.read_text().strip().splitlines()
         assert lines[0] == "tau,A,B"
         assert len(lines) == 1 + len(curves[0].taus)
-        emit(curves, "json", tmp_path / "p.json")
-        payload = json.loads((tmp_path / "p.json").read_text())
+        write_profile(curves, tmp_path / "p.JSON")
+        payload = json.loads((tmp_path / "p.JSON").read_text())
         assert [c["solver"] for c in payload] == ["A", "B"]
 
-    def test_records_svg_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="svg"):
-            emit([rec("p1")], "svg", tmp_path / "x.svg")
-
     def test_bad_path_reports_context(self, tmp_path):
-        with pytest.raises(OSError, match="cannot write"):
-            emit([rec("p1")], "csv", tmp_path / "nodir" / "x.csv")
+        path = tmp_path / "nodir" / "x.csv"
+        with pytest.raises(OSError, match=re.escape(str(path))):
+            write_records_csv([rec("p1")], path)
 
     def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown format"):
-            emit([rec("p1")], "yaml", tmp_path / "x.yaml")
+        curves = performance_profile(hand_example())
+        for name in ("x.yaml", "x.png", "x"):
+            with pytest.raises(ValueError, match=".csv, .json or .svg"):
+                write_profile(curves, tmp_path / name)
+        assert not any(tmp_path.iterdir())

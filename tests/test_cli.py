@@ -101,13 +101,37 @@ class TestBenchAndProfile:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_profile_bad_extension(self, tmp_path):
+    def test_profile_bad_extension(self, tmp_path, capsys):
         out = tmp_path / "b"
         run_cli("bench", "--suite", "sphere", "--solvers", "arcqk",
                 "--out", str(out))
-        with pytest.raises(SystemExit):
-            run_cli("profile", "--in", str(out / "records.json"),
-                    "--out", str(tmp_path / "x.png"))
+        assert run_cli("profile", "--in", str(out / "records.json"),
+                       "--out", str(tmp_path / "x.png")) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.png").exists()
+
+    @pytest.mark.parametrize("payload, match", [
+        ({"A": [], "B": []}, "no problem left"),
+        ({"A": [{"name": "p1"}]}, "lacks field"),
+        ([], "solver-keyed record table"),
+    ], ids=["empty", "row-missing-fields", "flat-list"])
+    def test_profile_bad_records_exit_2(self, tmp_path, capsys, payload,
+                                        match):
+        path = tmp_path / "records.json"
+        path.write_text(json.dumps(payload))
+        csv_out = tmp_path / "p.csv"
+        assert run_cli("profile", "--in", str(path),
+                       "--out", str(csv_out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and match in err
+        assert not csv_out.exists()
+
+    def test_profile_missing_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert run_cli("profile", "--in", str(path),
+                       "--out", str(tmp_path / "p.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
 
 
 class TestCheck:

@@ -39,6 +39,8 @@ CG = "src/arcqk/shifted_cg.py"
 CGLS = "src/arcqk/shifted_cgls.py"
 ARC = "src/arcqk/arc.py"
 ST = "src/arcqk/steihaug.py"
+BENCH = "src/arcqk/bench.py"
+RECORDS = "src/arcqk/records.py"
 
 
 class Mutant(NamedTuple):
@@ -148,6 +150,30 @@ MUTANTS = (
            "if False:\n"
            "            state.status = STATUS_TIME",
            "no trial starts past the deadline"),
+    # -- the Gauss-Newton residual hand-off
+    Mutant("gn-stale-residual", ARC,
+           "        self._residual = self._trial_residual\n",
+           "",
+           "an accepted Gauss-Newton step takes the trial point's residual"),
+    # -- the benchmark harness
+    Mutant("codec-no-conversion", RECORDS,
+           "{f.name: f.type(row[f.name]) for f in given}",
+           "{f.name: row[f.name] for f in given}",
+           "a record read back holds the types BenchRecord declares"),
+    Mutant("failed-ratio-finite", BENCH,
+           "            if s not in vals:\n"
+           "                ratios[s].append(np.inf)",
+           "            if s not in vals:\n"
+           "                ratios[s].append(1.0)",
+           "a failed run's performance ratio is infinite"),
+    Mutant("ratio-inverted", BENCH,
+           "vals[s] / best if best > 0",
+           "best / vals[s] if best > 0",
+           "a performance ratio is the solver's metric over the best one"),
+    Mutant("empty-profile-unchecked", BENCH,
+           "    if not n_problems:\n        raise ValueError",
+           "    if False:\n        raise ValueError",
+           "a profile with no problem left raises instead of writing NaN"),
 )
 
 
