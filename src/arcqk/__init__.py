@@ -9,8 +9,7 @@ from .bench import (ProfileCurve, SOLVERS, performance_profile,
                     read_records_csv, read_records_json, run_matrix,
                     write_profile, write_records_csv, write_records_json)
 from .problems import (Counters, DerivativeReport, LeastSquaresProblem,
-                       SmoothProblem, check_derivatives, suite_problems,
-                       with_hvp)
+                       SmoothProblem, check_derivatives, suite_problems)
 from .records import BenchRecord
 from .shifted_cg import (MultishiftSolution, MultishiftState, ShiftGrid,
                          curvature_certificate, multishift_cg)

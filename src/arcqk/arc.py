@@ -322,6 +322,10 @@ def _outer_loop(problem, driver, params: SolverParams, state, propose,
     record by the same rules.  ``record`` is the solver's trace record
     class, built from the common fields and ``fields``.
 
+    Only a trial value of -inf ends the run as ``unbounded_below``.  A NaN
+    or +inf trial value makes rho NaN or -inf, which fails ``rho >= eta1``,
+    so the trial is rejected like any other unsuccessful step.
+
     The trace keeps scalars only, so its memory does not grow with n.
     ``callback(rec, state, d)`` is called after every trial, before the
     iterate moves, with the trial's record and step ``d``; a caller that
@@ -356,8 +360,7 @@ def _outer_loop(problem, driver, params: SolverParams, state, propose,
         except (GridExhausted, AllShiftsIndefinite, TimeExceeded) as exc:
             state.status = exc.status
             break
-        unbounded = ev.f_trial is not None and (
-            np.isnan(ev.f_trial) or ev.f_trial == -np.inf)
+        unbounded = ev.f_trial == -np.inf
         success = not (unbounded or ev.degenerate) and ev.rho >= params.eta1
         rec = record(k=state.k, step_norm=float(np.linalg.norm(d)),
                      rho=ev.rho, success=success, delta_q=ev.delta_q,

@@ -18,14 +18,14 @@ def _parse_params(pairs):
     for pair in pairs or ():
         key, sep, value = pair.partition("=")
         if not sep:
-            raise SystemExit(f"bad --param {pair!r}: expected key=value")
+            raise ValueError(f"bad --param {pair!r}: expected key=value")
         try:
             parsed = int(value)
         except ValueError:
             try:
                 parsed = float(value)
             except ValueError:
-                raise SystemExit(f"bad --param {pair!r}: value must be numeric")
+                raise ValueError(f"bad --param {pair!r}: value must be numeric")
         out[key] = parsed
     return out
 
@@ -33,7 +33,7 @@ def _parse_params(pairs):
 def _get_problem(name, seed):
     problems = suite_problems(name=name, rng_seed=seed)
     if len(problems) != 1:
-        raise SystemExit(f"--problem must name exactly one problem, "
+        raise ValueError(f"--problem must name exactly one problem, "
                          f"{name!r} matched {len(problems)}")
     return problems[0]
 
@@ -55,7 +55,8 @@ def _cmd_bench(args):
         size = (int(lo), int(hi)) if sep else int(lo)
     problems = suite_problems(name=args.suite, size=size, rng_seed=args.seed)
     if not problems:
-        raise SystemExit(f"no problems selected by --suite {args.suite!r}")
+        raise ValueError(f"no problem of --suite {args.suite!r} has its "
+                         f"dimension in --size {args.size}")
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     overrides = _parse_params(args.param)
     results = run_matrix(problems, solvers, budget_per_run=args.time_budget,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import fnmatch
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,12 +24,8 @@ class Counters:
         self.reset()
 
     def reset(self):
-        self.neval_f = 0
-        self.neval_grad = 0
-        self.neval_hvp = 0
-        self.neval_residual = 0
-        self.neval_jprod = 0
-        self.neval_jtprod = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def snapshot(self):
         return {name: getattr(self, name) for name in self.__slots__}
@@ -38,7 +35,29 @@ class Counters:
         return f"Counters({parts})"
 
 
-class SmoothProblem:
+class _Bundle:
+    """Name, dimension, start point, known minimizer and counters of a bundle.
+
+    Each subclass defines its own counted ``eval_*`` methods.
+    """
+
+    def __init__(self, name, n, x0, x_star):
+        self.name = str(name)
+        self.n = int(n)
+        self.x0 = np.array(x0, dtype=float)
+        if self.x0.shape != (self.n,):
+            raise ValueError(f"x0 must have shape ({self.n},), got {self.x0.shape}")
+        self.x_star = None if x_star is None else np.array(x_star, dtype=float)
+        self.counters = Counters()
+
+    def reset_counters(self):
+        self.counters.reset()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.name!r}, n={self.n})"
+
+
+class SmoothProblem(_Bundle):
     """Unconstrained objective bundle: f, gradient and Hessian-vector products.
 
     The operator behind ``eval_hvp`` may be the exact Hessian or any symmetric
@@ -47,16 +66,10 @@ class SmoothProblem:
     """
 
     def __init__(self, name, n, x0, f, grad, hvp, x_star=None):
-        self.name = str(name)
-        self.n = int(n)
-        self.x0 = np.array(x0, dtype=float)
-        if self.x0.shape != (self.n,):
-            raise ValueError(f"x0 must have shape ({self.n},), got {self.x0.shape}")
+        super().__init__(name, n, x0, x_star)
         self._f = f
         self._grad = grad
         self._hvp = hvp
-        self.x_star = None if x_star is None else np.array(x_star, dtype=float)
-        self.counters = Counters()
 
     def eval_f(self, x) -> float:
         self.counters.neval_f += 1
@@ -72,28 +85,16 @@ class SmoothProblem:
             self._hvp(np.asarray(x, dtype=float), np.asarray(v, dtype=float)),
             dtype=float)
 
-    def reset_counters(self):
-        self.counters.reset()
 
-    def __repr__(self):
-        return f"SmoothProblem({self.name!r}, n={self.n})"
-
-
-class LeastSquaresProblem:
+class LeastSquaresProblem(_Bundle):
     """Residual bundle F with Jacobian products, for 0.5*||F(x)||^2 problems."""
 
     def __init__(self, name, n, m_res, x0, residual, jprod, jtprod, x_star=None):
-        self.name = str(name)
-        self.n = int(n)
+        super().__init__(name, n, x0, x_star)
         self.m_res = int(m_res)
-        self.x0 = np.array(x0, dtype=float)
-        if self.x0.shape != (self.n,):
-            raise ValueError(f"x0 must have shape ({self.n},), got {self.x0.shape}")
         self._residual = residual
         self._jprod = jprod
         self._jtprod = jtprod
-        self.x_star = None if x_star is None else np.array(x_star, dtype=float)
-        self.counters = Counters()
 
     def eval_residual(self, x) -> np.ndarray:
         self.counters.neval_residual += 1
@@ -110,9 +111,6 @@ class LeastSquaresProblem:
         return np.asarray(
             self._jtprod(np.asarray(x, dtype=float), np.asarray(u, dtype=float)),
             dtype=float)
-
-    def reset_counters(self):
-        self.counters.reset()
 
     def as_smooth(self) -> SmoothProblem:
         """Gauss-Newton smooth view: f = 0.5*||F||^2, grad = J'F, Hv = J'(Jv).
@@ -137,16 +135,6 @@ class LeastSquaresProblem:
         return f"LeastSquaresProblem({self.name!r}, n={self.n}, m={self.m_res})"
 
 
-def with_hvp(problem: SmoothProblem, hvp, name=None) -> SmoothProblem:
-    """Wrap a smooth problem so its Hessian operator is replaced by ``hvp``.
-
-    Used for inexact-Hessian runs: the wrapper carries fresh counters and the
-    consuming solver never learns the operator changed.
-    """
-    return SmoothProblem(name or problem.name, problem.n, problem.x0,
-                         problem._f, problem._grad, hvp, x_star=problem.x_star)
-
-
 # ---------------------------------------------------------------------------
 # derivative checking
 
@@ -156,10 +144,10 @@ def fd_step(x) -> float:
     return _FD_BASE * (1.0 + scale)
 
 
-def fd_gradient(f, x, h=None) -> np.ndarray:
+def fd_gradient(f, x) -> np.ndarray:
     """Central-difference gradient of a scalar function."""
     x = np.asarray(x, dtype=float)
-    h = fd_step(x) if h is None else h
+    h = fd_step(x)
     g = np.empty_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
@@ -168,22 +156,17 @@ def fd_gradient(f, x, h=None) -> np.ndarray:
     return g
 
 
+@dataclass(frozen=True)
 class DerivativeReport:
     """Worst relative discrepancies seen by the derivative checker."""
 
-    def __init__(self, name, grad_error, hvp_error):
-        self.name = name
-        self.grad_error = float(grad_error)
-        self.hvp_error = float(hvp_error)
+    name: str
+    grad_error: float
+    hvp_error: float
 
     @property
     def passed(self) -> bool:
         return max(self.grad_error, self.hvp_error) <= CHECK_FAIL_THRESHOLD
-
-    def __repr__(self):
-        verdict = "pass" if self.passed else "FAIL"
-        return (f"DerivativeReport({self.name}: grad={self.grad_error:.3e}, "
-                f"hvp={self.hvp_error:.3e}, {verdict})")
 
 
 def _require_finite(value, what, where):
@@ -194,11 +177,11 @@ def _require_finite(value, what, where):
 def check_derivatives(problem, x=None, seed=8675309) -> DerivativeReport:
     """Compare implemented derivatives against finite differences.
 
-    For smooth problems the gradient is checked against central differences
-    of f and the Hessian operator against symmetry, linearity and finite
-    differences of the gradient.  For least-squares problems the gradient
-    J'F is checked against differences of 0.5*||F||^2 and the J/J' pair
-    against the adjoint identity.
+    For both problem kinds the gradient (J'F for least squares) is checked
+    against central differences of the objective (0.5*||F||^2).  For smooth
+    problems the Hessian operator is checked against symmetry, linearity and
+    finite differences of the gradient; for least-squares problems the J/J'
+    pair is checked against the adjoint identity.
     """
     rng = np.random.default_rng(seed)
     x = np.asarray(problem.x0 if x is None else x, dtype=float)
@@ -208,57 +191,62 @@ def check_derivatives(problem, x=None, seed=8675309) -> DerivativeReport:
         _require_finite(r, "residual", f"x={x}")
         g = problem.eval_jtprod(x, r)
         _require_finite(g, "jtprod", f"x={x}")
-        g_fd = fd_gradient(lambda z: 0.5 * float(problem._residual(z) @ problem._residual(z)), x)
-        grad_err = np.linalg.norm(g - g_fd) / max(1.0, np.linalg.norm(g_fd))
+
+        def f(z):
+            rz = problem._residual(z)
+            return 0.5 * float(rz @ rz)
+
         u = rng.standard_normal(problem.m_res)
         v = rng.standard_normal(problem.n)
         jv = problem.eval_jprod(x, v)
         jtu = problem.eval_jtprod(x, u)
-        adj = abs(float(u @ jv) - float(jtu @ v)) / (1.0 + abs(float(u @ jv)))
-        return DerivativeReport(problem.name, grad_err, adj)
+        op_err = abs(float(u @ jv) - float(jtu @ v)) / (1.0 + abs(float(u @ jv)))
+    else:
+        f = problem._f
+        _require_finite(problem.eval_f(x), "objective", f"x={x}")
+        g = problem.eval_grad(x)
+        _require_finite(g, "gradient", f"x={x}")
 
-    f0 = problem.eval_f(x)
-    _require_finite(f0, "objective", f"x={x}")
-    g = problem.eval_grad(x)
-    _require_finite(g, "gradient", f"x={x}")
-    g_fd = fd_gradient(problem._f, x)
+        u = rng.standard_normal(problem.n)
+        v = rng.standard_normal(problem.n)
+        hu = problem.eval_hvp(x, u)
+        hv = problem.eval_hvp(x, v)
+        _require_finite(hv, "hvp", f"x={x}")
+        sym = abs(float(u @ hv) - float(v @ hu)) / (1.0 + abs(float(u @ hv)))
+        a, b = 0.7, -1.3
+        lin = (np.linalg.norm(problem.eval_hvp(x, a * u + b * v) - a * hu - b * hv)
+               / (1.0 + np.linalg.norm(hu) + np.linalg.norm(hv)))
+        h = fd_step(x) / max(1.0, np.linalg.norm(v))
+        hv_fd = (problem._grad(x + h * v) - problem._grad(x - h * v)) / (2.0 * h)
+        fd = np.linalg.norm(hv - hv_fd) / max(1.0, np.linalg.norm(hv_fd))
+        op_err = max(sym, lin, fd)
+
+    g_fd = fd_gradient(f, x)
     grad_err = np.linalg.norm(g - g_fd) / max(1.0, np.linalg.norm(g_fd))
-
-    u = rng.standard_normal(problem.n)
-    v = rng.standard_normal(problem.n)
-    hu = problem.eval_hvp(x, u)
-    hv = problem.eval_hvp(x, v)
-    _require_finite(hv, "hvp", f"x={x}")
-    sym = abs(float(u @ hv) - float(v @ hu)) / (1.0 + abs(float(u @ hv)))
-    a, b = 0.7, -1.3
-    lin = (np.linalg.norm(problem.eval_hvp(x, a * u + b * v) - a * hu - b * hv)
-           / (1.0 + np.linalg.norm(hu) + np.linalg.norm(hv)))
-    h = fd_step(x) / max(1.0, np.linalg.norm(v))
-    hv_fd = (problem._grad(x + h * v) - problem._grad(x - h * v)) / (2.0 * h)
-    fd = np.linalg.norm(hv - hv_fd) / max(1.0, np.linalg.norm(hv_fd))
-    return DerivativeReport(problem.name, grad_err, max(sym, lin, fd))
+    return DerivativeReport(problem.name, float(grad_err), float(op_err))
 
 
 # ---------------------------------------------------------------------------
 # built-in suite
 
-def make_sphere(n=5):
+def _diagonal_quadratic(name, d):
+    """0.5 * x'Dx with D = diag(d), started at ones and minimized at zero."""
+    n = d.size
     return SmoothProblem(
-        "sphere", n, np.ones(n),
-        f=lambda x: 0.5 * float(x @ x),
-        grad=lambda x: x.copy(),
-        hvp=lambda x, v: v.copy(),
-        x_star=np.zeros(n))
-
-
-def make_diagquad(n=100):
-    d = np.arange(1.0, n + 1.0)
-    return SmoothProblem(
-        "diagquad", n, np.ones(n),
+        name, n, np.ones(n),
         f=lambda x: 0.5 * float(x @ (d * x)),
         grad=lambda x: d * x,
         hvp=lambda x, v: d * v,
         x_star=np.zeros(n))
+
+
+def make_sphere(n=5):
+    # d = 1 scales by exactly one, so f, grad and Hv are 0.5 x'x, x and v.
+    return _diagonal_quadratic("sphere", np.ones(n))
+
+
+def make_diagquad(n=100):
+    return _diagonal_quadratic("diagquad", np.arange(1.0, n + 1.0))
 
 
 def make_rosenbrock():
@@ -509,7 +497,17 @@ def make_convexquartic(n=8):
                          x_star=np.zeros(n))
 
 
-def _linearls_data():
+def _linear_ls(name, a, b, x0, x_star):
+    """Linear residual F(x) = Ax - b, so J = A at every x."""
+    return LeastSquaresProblem(
+        name, a.shape[1], a.shape[0], x0,
+        residual=lambda x: a @ x - b,
+        jprod=lambda x, v: a @ v,
+        jtprod=lambda x, u: a.T @ u,
+        x_star=x_star)
+
+
+def make_linearls():
     # Fixed data so the suite stays deterministic.  Singular values are kept
     # well above one so the stopping tolerance translates into a tight
     # solution accuracy, and the start sits close to the minimizer so the
@@ -524,17 +522,7 @@ def _linearls_data():
     resid -= u @ (u.T @ resid)          # residual orthogonal to range(A)
     b = a @ x_hat + 0.5 * resid
     x0 = x_hat + 2e-4 * rng.standard_normal(n)
-    return a, b, x0, x_hat
-
-
-def make_linearls():
-    a, b, x0, x_hat = _linearls_data()
-    return LeastSquaresProblem(
-        "linearls", a.shape[1], a.shape[0], x0,
-        residual=lambda x: a @ x - b,
-        jprod=lambda x, v: a @ v,
-        jtprod=lambda x, u: a.T @ u,
-        x_star=x_hat)
+    return _linear_ls("linearls", a, b, x0, x_hat)
 
 
 def make_rosenbrockls():
@@ -580,14 +568,7 @@ def make_quadfitls():
     t = np.linspace(-1.0, 1.0, 15)
     basis = np.column_stack([np.ones_like(t), t, t ** 2])
     coeff = np.array([1.0, -2.0, 0.5])
-    y = basis @ coeff
-
-    return LeastSquaresProblem(
-        "quadfitls", 3, t.size, np.zeros(3),
-        residual=lambda x: basis @ x - y,
-        jprod=lambda x, v: basis @ v,
-        jtprod=lambda x, u: basis.T @ u,
-        x_star=coeff)
+    return _linear_ls("quadfitls", basis, basis @ coeff, np.zeros(3), coeff)
 
 
 _BUILDERS = {
@@ -618,8 +599,9 @@ def suite_problems(name=None, size=None, rng_seed=None):
     Parameters
     ----------
     name : str, optional
-        Exact problem name, or a glob pattern (``"*ls"``).  An unknown exact
-        name raises with the list of available names.
+        Problem name or glob pattern (``"*ls"``), matched by one rule; a
+        name that matches no problem raises with the list of available
+        names.
     size : int or (int, int), optional
         Keep problems with dimension equal to ``size`` or inside the
         inclusive range.
@@ -627,18 +609,10 @@ def suite_problems(name=None, size=None, rng_seed=None):
         When given, start points are perturbed by a small seeded offset.
         Without a seed the suite is fully deterministic.
     """
-    if name is None:
-        selected = list(SUITE_NAMES)
-    elif any(ch in name for ch in "*?["):
-        selected = [k for k in SUITE_NAMES if fnmatch.fnmatch(k, name)]
-        if not selected:
-            raise ValueError(f"no suite problem matches pattern {name!r}; "
-                             f"available: {', '.join(SUITE_NAMES)}")
-    else:
-        if name not in _BUILDERS:
-            raise ValueError(f"unknown problem {name!r}; "
-                             f"available: {', '.join(SUITE_NAMES)}")
-        selected = [name]
+    selected = fnmatch.filter(SUITE_NAMES, "*" if name is None else name)
+    if not selected:
+        raise ValueError(f"unknown problem {name!r}: no suite problem matches; "
+                         f"available: {', '.join(SUITE_NAMES)}")
 
     problems = [_BUILDERS[k]() for k in selected]
     if size is not None:

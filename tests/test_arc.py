@@ -289,6 +289,27 @@ class TestArcMinimize:
         assert rec.status == "other"
         assert audit_trace_contract(st, rec) == []
 
+    @pytest.mark.parametrize("solve", [arcqk_minimize, st_minimize],
+                             ids=["arc", "st"])
+    def test_nan_trial_is_rejected(self, solve):
+        # f = x - log x is NaN for x < 0: a trial that crosses zero is a
+        # failed step, not evidence that f is unbounded below
+        def f(x):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return float(x[0] - np.log(x[0]))
+
+        nan_trials = 0
+        for x0 in (5.0, 10.0, 20.0, 50.0, 100.0, 1000.0):
+            p = SmoothProblem("xlogx", 1, [x0], f,
+                              grad=lambda x: 1.0 - 1.0 / x,
+                              hvp=lambda x, v: v / x ** 2, x_star=[1.0])
+            st, rec = solve(p)
+            assert st.status == "first_order_stationary", x0
+            assert st.x[0] == pytest.approx(1.0, rel=1e-4)
+            assert audit_trace_contract(st, rec) == []
+            nan_trials += sum(np.isnan(r.rho) for r in st.trace)
+        assert nan_trials > 0
+
     def test_too_indefinite_when_hessian_outgrows_grid(self):
         # the Hessian of -exp(|x|^2) eventually has negative eigenvalues
         # larger in magnitude than the largest allowed shift

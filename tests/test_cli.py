@@ -38,9 +38,22 @@ class TestSolve:
         assert run_cli("solve", "--problem", "nope") == 2
         assert "unknown problem" in capsys.readouterr().err
 
-    def test_bad_param(self):
-        with pytest.raises(SystemExit):
-            run_cli("solve", "--problem", "sphere", "--param", "alpha0")
+    def test_bad_param(self, capsys):
+        assert run_cli("solve", "--problem", "sphere",
+                       "--param", "alpha0") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "expected key=value" in err
+
+    def test_non_numeric_param(self, capsys):
+        assert run_cli("solve", "--problem", "sphere",
+                       "--param", "alpha0=x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be numeric" in err
+
+    def test_ambiguous_problem(self, capsys):
+        assert run_cli("solve", "--problem", "*ls") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "matched 4" in err
 
     def test_unknown_param_name(self, capsys):
         assert run_cli("solve", "--problem", "sphere",
@@ -92,6 +105,13 @@ class TestBenchAndProfile:
         r1 = json.loads((out1 / "records.json").read_text())["arcqk"][0]
         r2 = json.loads((out2 / "records.json").read_text())["arcqk"][0]
         assert r1["f"] != r2["f"]
+
+    def test_bench_empty_size_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert run_cli("bench", "--size", "7", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--size 7" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("param", ["xi=2", "xi=nan"])
     def test_bench_bad_param_exits_2(self, tmp_path, capsys, param):

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from arcqk.problems import (LeastSquaresProblem, SmoothProblem,
                             check_derivatives, fd_gradient, make_beale,
                             make_extrosenbrock, make_rosenbrock, make_sphere,
-                            suite_problems, with_hvp, SUITE_NAMES)
+                            suite_problems, SUITE_NAMES)
 
 REQUIRED = {"sphere", "diagquad", "rosenbrock", "extrosenbrock",
             "powellsingular", "wood", "beale", "himmelblau", "penalty",
@@ -36,6 +36,17 @@ class TestSuite:
         assert_allclose(p.eval_grad(p.x0), p.x0)
         x = np.array([2.0, -1.0, 0.5, 0.0, 3.0])
         assert p.eval_f(x) == pytest.approx(0.5 * x @ x)
+
+    def test_sphere_oracles_exact(self):
+        # sphere shares the diagonal-quadratic builder with d = 1, which
+        # must leave every value bitwise equal to 0.5 x'x, x and v
+        rng = np.random.default_rng(29)
+        p = make_sphere(7)
+        for _ in range(20):
+            x, v = rng.standard_normal((2, 7)) * 10.0 ** rng.integers(-8, 9)
+            assert p.eval_f(x) == 0.5 * float(x @ x)
+            assert np.array_equal(p.eval_grad(x), x)
+            assert np.array_equal(p.eval_hvp(x, v), v)
 
     def test_size_filter_includes_extended_rosenbrock(self):
         probs = suite_problems(size=100)
@@ -176,14 +187,6 @@ class TestDerivativeChecks:
 
 
 class TestWrappers:
-    def test_with_hvp_overrides_operator(self):
-        p = make_rosenbrock()
-        wrapped = with_hvp(p, lambda x, v: 2.0 * v)
-        assert_allclose(wrapped.eval_hvp(p.x0, np.ones(2)), 2.0 * np.ones(2))
-        # objective and gradient unchanged, counters independent
-        assert wrapped.eval_f(p.x0) == pytest.approx(24.2)
-        assert p.counters.neval_hvp == 0
-
     def test_as_smooth_gauss_newton_view(self):
         (p,) = suite_problems("rosenbrockls")
         s = p.as_smooth()

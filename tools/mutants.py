@@ -41,6 +41,8 @@ ARC = "src/arcqk/arc.py"
 ST = "src/arcqk/steihaug.py"
 BENCH = "src/arcqk/bench.py"
 RECORDS = "src/arcqk/records.py"
+CLI = "src/arcqk/cli.py"
+PROBLEMS = "src/arcqk/problems.py"
 
 
 class Mutant(NamedTuple):
@@ -174,6 +176,32 @@ MUTANTS = (
            "    if not n_problems:\n        raise ValueError",
            "    if False:\n        raise ValueError",
            "a profile with no problem left raises instead of writing NaN"),
+    Mutant("cli-param-system-exit", CLI,
+           'raise ValueError(f"bad --param {pair!r}: expected key=value")',
+           'raise SystemExit(f"bad --param {pair!r}: expected key=value")',
+           "a malformed --param prints error: and exits 2"),
+    # -- the problem layer
+    Mutant("reset-skips-first", PROBLEMS,
+           "for name in self.__slots__:\n            setattr(self, name, 0)",
+           "for name in self.__slots__[1:]:\n            setattr(self, name, 0)",
+           "resetting zeroes every counter the slots declare"),
+    Mutant("bundle-no-shape-check", PROBLEMS,
+           "        if self.x0.shape != (self.n,):\n"
+           '            raise ValueError(f"x0 must have shape',
+           "        if False:\n"
+           '            raise ValueError(f"x0 must have shape',
+           "every bundle rejects a start point of the wrong shape"),
+    Mutant("select-exact-only", PROBLEMS,
+           'selected = fnmatch.filter(SUITE_NAMES, "*" if name is None '
+           'else name)',
+           "selected = [k for k in SUITE_NAMES if name in (None, k)]",
+           "exact names and glob patterns select through one rule"),
+    # -- the outer loop's trial outcome
+    Mutant("nan-trial-unbounded", ARC,
+           "unbounded = ev.f_trial == -np.inf",
+           "unbounded = ev.f_trial is not None and (\n"
+           "            np.isnan(ev.f_trial) or ev.f_trial == -np.inf)",
+           "a NaN trial value is a rejected trial; only -inf is unbounded"),
 )
 
 
