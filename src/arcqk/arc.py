@@ -142,12 +142,24 @@ def acceptance_ratio(f_x, g_x, d, lam, trial) -> RatioEval:
 
         delta_q = -g'd - d'Hd / 2 = (lam ||d||^2 - g'd) / 2
 
-    costs no operator product.  ``trial()`` returns f(x + d) and is the one
-    objective evaluation; a model decrease at rounding level marks the
-    evaluation degenerate, which callers treat as an unsuccessful step.
+    costs no operator product: ``model_decrease`` with d'(g + Hd) =
+    -lam ||d||^2.  ``trial()`` returns f(x + d) and is the one objective
+    evaluation; a model decrease at rounding level marks the evaluation
+    degenerate, which callers treat as an unsuccessful step.
     """
-    delta_q = 0.5 * (lam * float(d @ d) - float(g_x @ d))
+    delta_q = model_decrease(float(g_x @ d), -(lam * float(d @ d)))
     return _ratio(f_x, delta_q, trial)
+
+
+def model_decrease(gd, dr):
+    """The quadratic model's decrease -g'd - d'Hd/2 along a step d.
+
+    ``gd`` is g'd and ``dr`` is d'(g + Hd), which both solvers price from
+    scalars they already hold, never from a product with H: ARC's Galerkin
+    identity gives -lam ||d||^2 (see ``acceptance_ratio``) and ST's
+    truncated CG gives ``TruncatedCgResult.dr``.
+    """
+    return -0.5 * (gd + dr)
 
 
 def _ratio(f_x, delta_q, trial) -> RatioEval:

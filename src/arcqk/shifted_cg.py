@@ -95,6 +95,18 @@ class ShiftGrid:
         return rows, yc, np.zeros(m1, dtype=np.int8)
 
 
+def _product(apply, w):
+    """``apply(w)`` as a float array, raising on a non-finite value.
+
+    The one checked operator product of the package: the CG and CGLS
+    kernels and ST's truncated CG form every product through it.
+    """
+    out = np.asarray(apply(w), dtype=float)
+    if not np.isfinite(out).all():
+        raise ValueError("operator returned non-finite values")
+    return out
+
+
 class _ShiftBlock:
     """The per-shift CG recurrences of one joint solve over a Lanczos source.
 
@@ -205,13 +217,6 @@ class _ShiftBlock:
         self.wsq[:2] = 0.0, beta0 * beta0
         return beta0
 
-    def _product(self, apply, w):
-        """``apply(w)`` as a float array, raising on a non-finite value."""
-        out = np.asarray(apply(w), dtype=float)
-        if not np.isfinite(out).all():
-            raise ValueError("operator returned non-finite values")
-        return out
-
     @property
     def status(self):
         """Per-shift status names, a tuple of the module's constants."""
@@ -269,7 +274,7 @@ class MultishiftState(_ShiftBlock):
         self.v = b / beta0
         self.v_prev = np.zeros(b.size)
         self.beta = 0.0                       # multiplies v_{j-1}; unused at j=0
-        self.q = self._product(apply_op, self.v)
+        self.q = _product(apply_op, self.v)
 
     def step(self):
         """One joint Lanczos pass updating every running shift."""
@@ -292,7 +297,7 @@ class MultishiftState(_ShiftBlock):
             self.v_prev = v
             self.v = v_next
             self.beta = beta_next
-            self.q = self._product(self._apply_op, v_next)
+            self.q = _product(self._apply_op, v_next)
 
 
 def _rows(W, Y, X, P, rows):

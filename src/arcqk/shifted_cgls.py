@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .shifted_cg import (_CAPPED, _EPS, MultishiftSolution, ShiftGrid,
-                         _shift_block_step, _ShiftBlock)
+                         _product, _shift_block_step, _ShiftBlock)
 
 
 class CglsState(_ShiftBlock):
@@ -32,7 +32,7 @@ class CglsState(_ShiftBlock):
         self._apply_A = apply_A
         self._apply_At = apply_At
         # a caller's A'b passes the same finite-value check as a product
-        atb = self._product(apply_At if atb is None else (lambda _: atb), b)
+        atb = _product(apply_At if atb is None else (lambda _: atb), b)
         # beta0 = ||A'b||, the norm of the normal-equations rhs
         beta0 = self._open(atb, grid, tol, max_iter, alpha, deadline)
         if self.done:
@@ -41,7 +41,7 @@ class CglsState(_ShiftBlock):
         self.u_prev = np.zeros(b.size)
         self.beta = beta0                   # multiplies u_{j-1}; unused at j=0
         # A v_0 with v_0 = A'b / beta0, u-tilde for the first pass
-        self.q = self._product(apply_A, atb / beta0)
+        self.q = _product(apply_A, atb / beta0)
 
     def step(self):
         """One joint pass: one A product, one A' product, block updates."""
@@ -54,7 +54,7 @@ class CglsState(_ShiftBlock):
         u_next = ut - delta * self.u
         if j > 0:
             u_next -= self.beta * self.u_prev
-        atu = self._product(self._apply_At, u_next)
+        atu = _product(self._apply_At, u_next)
         beta_next = math.sqrt(atu @ atu)
         breakdown = beta_next <= _EPS * (1.0 + delta)
         v_next = None if breakdown else atu / beta_next
@@ -67,7 +67,7 @@ class CglsState(_ShiftBlock):
             self.u_prev = self.u
             self.u = u_next / beta_next
             self.beta = beta_next
-            self.q = self._product(self._apply_A, v_next)
+            self.q = _product(self._apply_A, v_next)
 
 
 def multishift_cgls(apply_A, apply_At, b, grid: ShiftGrid, tol=1e-8,

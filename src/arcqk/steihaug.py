@@ -8,9 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arc import (SolverParams, _outer_loop, _positive_finite, _ratio,
-                  _RunState, _SmoothDriver, _TrialRecord, inner_tolerance)
+                  _RunState, _SmoothDriver, _TrialRecord, inner_tolerance,
+                  model_decrease)
 from .problems import SmoothProblem
-from .shifted_cg import TimeExceeded
+from .shifted_cg import TimeExceeded, _product
 
 EXIT_INTERIOR = "interior"
 EXIT_BOUNDARY = "boundary"
@@ -34,7 +35,7 @@ class TruncatedCgResult:
     d: np.ndarray
     exit: str
     iterations: int
-    hd: np.ndarray          # H @ d, maintained for free from the recurrence
+    dr: float   # d'(g + Hd) from the recurrence's scalars; see truncated_cg
 
 
 def _boundary_tau(d, p, delta):
@@ -50,55 +51,58 @@ def _boundary_tau(d, p, delta):
     return (-b + root) / (2.0 * a)
 
 
-def truncated_cg(apply_H, g, delta, tol, max_iter=None, callback=None,
+def truncated_cg(apply_H, g, delta, tol, max_iter=None,
                  deadline=None) -> TruncatedCgResult:
     """Steihaug-Toint CG for min g'd + 0.5 d'Hd subject to ||d|| <= delta.
 
-    Iterations stop at the required accuracy, when crossing the region
-    boundary, or when a direction of nonpositive curvature appears; in the
-    latter two cases the returned step sits exactly on the boundary.
+    Iterations stop at the required accuracy (``interior``), after
+    ``max_iter`` iterations (``capped``, default 2 n), or, on reaching the
+    region boundary or a direction p of nonpositive curvature, at the step
+    d = d_prev + tau p on the boundary.  Every product with H goes through
+    ``shifted_cg._product``, which raises on a non-finite value.
     ``deadline`` is a ``time.perf_counter()`` value: the first iteration
     that ends past it and does not stop the CG raises ``TimeExceeded``, as
     a multishift solve does; ``None`` sets no limit.
+
+    The result's ``dr`` = d'(g + Hd) is priced without a product
+    (Steihaug, SIAM J. Numer. Anal. 20, 1983).  A CG iterate's residual
+    g + H d_prev is orthogonal to d_prev and the directions are
+    H-conjugate, so ``dr`` is 0 at an interior or capped exit and
+    tau (g'p + tau p'Hp) on the boundary.
     """
     g = np.asarray(g, dtype=float)
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
-    if max_iter is None:
-        max_iter = 2 * g.size
+    if not 0.0 <= tol < np.inf:
+        raise ValueError("tol must be finite and nonnegative")
+    max_iter = int(2 * g.size if max_iter is None else max_iter)
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     d = np.zeros_like(g)
-    hd = np.zeros_like(g)
     r = g.copy()                      # gradient of the model at d
     p = -g
     rr = float(r @ r)
     for j in range(max_iter):
-        hp = np.asarray(apply_H(p), dtype=float)
-        if not np.all(np.isfinite(hp)):
-            raise ValueError("operator returned non-finite values")
+        hp = _product(apply_H, p)
         kappa = float(p @ hp)
-        if kappa <= 0.0:
+        if kappa > 0.0:
+            alpha = rr / kappa
+            d_next = d + alpha * p
+        if kappa <= 0.0 or float(np.linalg.norm(d_next)) >= delta:
             tau = _boundary_tau(d, p, delta)
-            return TruncatedCgResult(d + tau * p, EXIT_NEGATIVE_CURVATURE,
-                                     j + 1, hd + tau * hp)
-        alpha = rr / kappa
-        d_next = d + alpha * p
-        if float(np.linalg.norm(d_next)) >= delta:
-            tau = _boundary_tau(d, p, delta)
-            return TruncatedCgResult(d + tau * p, EXIT_BOUNDARY, j + 1,
-                                     hd + tau * hp)
+            kind = EXIT_BOUNDARY if kappa > 0.0 else EXIT_NEGATIVE_CURVATURE
+            return TruncatedCgResult(d + tau * p, kind, j + 1,
+                                     tau * (float(g @ p) + tau * kappa))
         d = d_next
-        hd = hd + alpha * hp
         r = r + alpha * hp
         rr_next = float(r @ r)
-        if callback is not None:
-            callback(j, d)
         if np.sqrt(rr_next) <= tol:
-            return TruncatedCgResult(d, EXIT_INTERIOR, j + 1, hd)
+            return TruncatedCgResult(d, EXIT_INTERIOR, j + 1, 0.0)
         p = -r + (rr_next / rr) * p
         rr = rr_next
         if deadline is not None and time.perf_counter() > deadline:
             raise TimeExceeded(f"deadline passed in iteration {j}")
-    return TruncatedCgResult(d, EXIT_CAPPED, max_iter, hd)
+    return TruncatedCgResult(d, EXIT_CAPPED, max_iter, 0.0)
 
 
 @dataclass
@@ -131,8 +135,8 @@ def st_minimize(problem: SmoothProblem, params: TrParams = None,
                            inner_tolerance(gnorm, params.zeta),
                            deadline=deadline)
         d = res.d
-        delta_q = -float(g @ d) - 0.5 * float(d @ res.hd)
-        ev = _ratio(f, delta_q, lambda: driver.trial(x + d))
+        ev = _ratio(f, model_decrease(float(g @ d), res.dr),
+                    lambda: driver.trial(x + d))
         return d, ev, dict(delta=state.delta, exit=res.exit,
                            inner_iterations=res.iterations)
 

@@ -15,10 +15,11 @@ from arcqk.problems import LeastSquaresProblem, SmoothProblem, suite_problems
 from arcqk.records import BenchRecord
 from arcqk.shifted_cg import (CONVERGED, INDEFINITE, ShiftGrid, multishift_cg)
 from arcqk.shifted_cgls import multishift_cgls
-from arcqk.steihaug import TrParams, st_minimize, truncated_cg
+from arcqk.steihaug import TrParams, st_minimize
 
 from audits import (StepLog, accepted_gradient_path, audit_accepted_steps,
-                    audit_alpha_dynamics, audit_trace_contract)
+                    audit_alpha_dynamics, audit_model_decrease,
+                    audit_trace_contract, cg_iterate_norms)
 
 ARC_PARAMS = ArcParams()
 # the baseline carries no iteration criterion of its own; give it room on
@@ -238,7 +239,7 @@ def test_criterion_08_superlinear_tail(arc_runs):
 
 def test_criterion_09_steihaug_baseline(st_runs):
     failures = []
-    for name, (p, state, record, _) in st_runs.items():
+    for name, (p, state, record, steps) in st_runs.items():
         if state.status != "first_order_stationary":
             failures.append(f"{name}: {state.status}")
         for rec in state.trace:
@@ -246,6 +247,8 @@ def test_criterion_09_steihaug_baseline(st_runs):
                 if abs(rec.step_norm - rec.delta) > 1e-12 * rec.delta:
                     failures.append(f"{name}: boundary step off the sphere")
                     break
+        failures += [f"{name}: {v}"
+                     for v in audit_model_decrease(p, state, steps)]
     # Steihaug property on seeded instances with n <= 50
     rng = np.random.default_rng(109)
     for _ in range(20):
@@ -253,15 +256,16 @@ def test_criterion_09_steihaug_baseline(st_runs):
         A = rng.standard_normal((n, n))
         H = A @ A.T + 0.5 * np.eye(n)
         g = rng.standard_normal(n)
-        norms = []
-        truncated_cg(lambda v: H @ v, g, 1e6, 1e-10,
-                     callback=lambda j, d: norms.append(np.linalg.norm(d)))
+        norms = cg_iterate_norms(lambda v: H @ v, g, 1e6, 1e-10)
         if any(b < a * (1.0 - 1e-6) for a, b in zip(norms, norms[1:])):
             failures.append("inner iterate norms not monotone")
             break
+    n_steps = sum(sum(r.success for r in state.trace)
+                  for _, state, _, _ in st_runs.values())
     _report(9, not failures,
             f"baseline solved all {len(st_runs)} problems with exact "
-            f"boundary steps and monotone inner iterates" +
+            f"boundary steps, monotone inner iterates and the oracle's "
+            f"model decrease at {n_steps} accepted steps" +
             (f"; failures: {failures}" if failures else ""))
 
 

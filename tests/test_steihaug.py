@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from arcqk.arc import model_decrease
 from arcqk.problems import (SmoothProblem, make_extrosenbrock,
                             make_rosenbrock, make_sphere, suite_problems)
 from arcqk.steihaug import (EXIT_BOUNDARY, EXIT_CAPPED, EXIT_INTERIOR,
                             EXIT_NEGATIVE_CURVATURE, TrParams, st_minimize,
                             truncated_cg)
 
-from audits import audit_trace_contract
+from audits import (StepLog, audit_model_decrease, audit_trace_contract,
+                    cg_iterate_norms)
 
 
 class TestTruncatedCg:
@@ -52,9 +54,7 @@ class TestTruncatedCg:
             A = rng.standard_normal((n, n))
             H = A @ A.T + 0.5 * np.eye(n)
             g = rng.standard_normal(n)
-            norms = []
-            truncated_cg(lambda v: H @ v, g, 1e6, 1e-12,
-                         callback=lambda j, d: norms.append(np.linalg.norm(d)))
+            norms = cg_iterate_norms(lambda v: H @ v, g, 1e6, 1e-12)
             # exact-arithmetic monotonicity; rounding wobble scales with the
             # conditioning, keep the usual 1e-6 slack
             assert all(b >= a * (1.0 - 1e-6) for a, b in zip(norms, norms[1:]))
@@ -67,8 +67,32 @@ class TestTruncatedCg:
         res = truncated_cg(lambda v: H @ v, g, 1e9, 1e-8)
         assert res.exit == EXIT_INTERIOR
         assert np.linalg.norm(H @ res.d + g) <= 1e-8 * (1 + np.linalg.norm(g))
-        # the recurred H*d matches the true product
-        assert_allclose(res.hd, H @ res.d, atol=1e-10)
+
+    def test_model_decrease_at_every_exit(self):
+        # dr prices -g'd - d'Hd/2 without a product at each of the four
+        # exits; the boundary ones stop after more than one iteration, so
+        # the conjugacy of d_prev and p is exercised
+        rng = np.random.default_rng(35)
+        n = 12
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        spd = np.arange(1.0, n + 1)
+        indefinite = np.r_[-0.5, np.arange(1.0, n)]
+        g = rng.standard_normal(n)
+        newton = np.linalg.norm(np.linalg.solve(Q @ np.diag(spd) @ Q.T, g))
+        cases = ((EXIT_INTERIOR, spd, 1e9, 1e-8, None),
+                 (EXIT_CAPPED, spd, 1e9, 1e-14, 3),
+                 (EXIT_BOUNDARY, spd, 0.9 * newton, 1e-10, None),
+                 (EXIT_NEGATIVE_CURVATURE, indefinite, 1e3, 1e-10, None))
+        for exit_, eigs, delta, tol, max_iter in cases:
+            H = Q @ np.diag(eigs) @ Q.T
+            res = truncated_cg(lambda v: H @ v, g, delta, tol,
+                               max_iter=max_iter)
+            assert res.exit == exit_
+            assert res.iterations > 1
+            d = res.d
+            oracle = -float(g @ d) - 0.5 * float(d @ (H @ d))
+            assert model_decrease(float(g @ d), res.dr) == pytest.approx(
+                oracle, rel=1e-12), exit_
 
     def test_capped(self):
         rng = np.random.default_rng(34)
@@ -82,6 +106,27 @@ class TestTruncatedCg:
     def test_bad_delta(self):
         with pytest.raises(ValueError):
             truncated_cg(lambda v: v, np.ones(2), 0.0, 1e-8)
+
+    def test_nan_delta(self):
+        with pytest.raises(ValueError, match="delta"):
+            truncated_cg(lambda v: v, np.ones(2), np.nan, 1e-8)
+
+    def test_overflowed_radius_is_legal(self):
+        res = truncated_cg(lambda v: v, np.ones(2), np.inf, 1e-8)
+        assert res.exit == EXIT_INTERIOR
+        assert_allclose(res.d, [-1.0, -1.0], rtol=1e-12)
+
+    def test_negative_tol(self):
+        with pytest.raises(ValueError, match="tol"):
+            truncated_cg(lambda v: v, np.ones(2), 1.0, -1e-8)
+
+    def test_nan_tol(self):
+        with pytest.raises(ValueError, match="tol"):
+            truncated_cg(lambda v: v, np.ones(2), 1.0, np.nan)
+
+    def test_zero_max_iter(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            truncated_cg(lambda v: v, np.ones(2), 1.0, 1e-8, max_iter=0)
 
     def test_nonfinite_operator(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -114,6 +159,15 @@ class TestStMinimize:
             if rec.success:
                 assert rec.f_before <= f + 1e-12
                 f = rec.f_before
+
+    def test_model_decrease_audit(self):
+        (p,) = suite_problems("rosenbrock")
+        steps = StepLog()
+        st, _ = st_minimize(p, callback=steps)
+        assert audit_model_decrease(p, st, steps) == []
+        k = next(rec.k for rec in st.trace if rec.success)
+        st.trace[k].delta_q *= 1.0 + 1e-2
+        assert audit_model_decrease(p, st, steps) != []
 
     def test_radius_update_rules(self):
         params = TrParams()

@@ -126,15 +126,34 @@ MUTANTS = (
            "ok = norms[below] - alpha_lam[below] > score",
            "ok = norms[below] - alpha_lam[below] >= score",
            "a shift whose bound ties b's score may still be picked"),
-    # -- the acceptance ratio
+    # -- the model decrease and the acceptance ratio
     Mutant("galerkin-sign", ARC,
-           "delta_q = 0.5 * (lam * float(d @ d) - float(g_x @ d))",
-           "delta_q = 0.5 * (lam * float(d @ d) + float(g_x @ d))",
-           "the model decrease is (lam ||d||^2 - g'd) / 2"),
+           "return -0.5 * (gd + dr)",
+           "return -0.5 * (gd - dr)",
+           "the model decrease is -(g'd + d'(g + Hd)) / 2, so ARC's is "
+           "(lam ||d||^2 - g'd) / 2"),
     Mutant("degenerate-zero", ARC,
            "if delta_q <= 64.0 * _EPS * (1.0 + abs(f_x)):",
            "if delta_q <= 0.0:",
            "a model decrease at rounding level is degenerate"),
+    # -- ST's truncated CG
+    Mutant("boundary-dr-tau-once", ST,
+           "tau * (float(g @ p) + tau * kappa)",
+           "tau * (float(g @ p) + kappa)",
+           "a boundary step's d'(g + Hd) weighs p'Hp by tau^2"),
+    Mutant("interior-dr-gd", ST,
+           "TruncatedCgResult(d, EXIT_INTERIOR, j + 1, 0.0)",
+           "TruncatedCgResult(d, EXIT_INTERIOR, j + 1, float(g @ d))",
+           "an interior CG iterate's residual is orthogonal to it: "
+           "d'(g + Hd) = 0"),
+    Mutant("st-unchecked-product", ST,
+           "hp = _product(apply_H, p)",
+           "hp = np.asarray(apply_H(p), dtype=float)",
+           "ST forms its products through the one checked product"),
+    Mutant("st-max-iter-unchecked", ST,
+           "    if max_iter < 1:\n        raise ValueError",
+           "    if False:\n        raise ValueError",
+           "truncated CG rejects max_iter < 1 as the kernels do"),
     # -- the time budget
     Mutant("deadline-kernel", CG,
            "if deadline is not None and time.perf_counter() > deadline:\n"

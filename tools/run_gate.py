@@ -24,8 +24,9 @@ its exception as status.
 
 ``--compare A B`` lists every run that is missing from one side or
 differs, with its differing fields (a run whose counts and trials agree
-and only the hash differs is marked ``hash only``), and exits 1 when there
-is any.
+and only the hash differs is marked ``hash only``), ends with the count
+of differing runs per solver, for example ``747 differ: arcqk 0 (0 hash
+only), st 747 (747 hash only)``, and exits 1 when there is any.
 """
 
 import argparse
@@ -129,28 +130,34 @@ def load(path):
 
 def compare(a_path, b_path):
     a, b = load(a_path), load(b_path)
-    differ = 0
+    # per solver: [runs that differ, of which only the hash differs]
+    differ = {"arcqk": [0, 0], "st": [0, 0]}
     for key in sorted(a.keys() | b.keys(), key=str):
         ra, rb = a.get(key), b.get(key)
         name = " ".join(map(str, key))
+        tally = differ[key[-1]]
         if ra is None or rb is None:
             print(f"{name}: only in {a_path if rb is None else b_path}")
-            differ += 1
+            tally[0] += 1
             continue
         fields = [f for f in sorted(ra.keys() | rb.keys())
                   if ra.get(f) != rb.get(f)]
         if not fields:
             continue
-        differ += 1
+        tally[0] += 1
         if fields == ["hash"]:
+            tally[1] += 1
             print(f"{name}: hash only")
         else:
             print(f"{name}: " + "; ".join(
                 f"{f} {ra.get(f)!r} -> {rb.get(f)!r}"
                 for f in fields if f != "hash"))
+    total = sum(n for n, _ in differ.values())
     print(f"{len(a)} runs in {a_path}, {len(b)} in {b_path}, "
-          f"{differ} differ")
-    return 1 if differ else 0
+          f"{total} differ: " + ", ".join(
+              f"{solver} {n} ({h} hash only)"
+              for solver, (n, h) in differ.items()))
+    return 1 if total else 0
 
 
 def main(argv=None):
