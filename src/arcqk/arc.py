@@ -102,24 +102,20 @@ def stationarity_threshold(g0_norm: float, params: SolverParams) -> float:
     return params.eps_abs + params.eps_rel * g0_norm
 
 
-def per_shift_tolerance(grad_norm: float, zeta: float, xi: float = 1.0) -> float:
-    """Residual tolerance ||r|| <= xi * ||g||**(1+zeta), floored near zero."""
+def inner_tolerance(grad_norm: float, zeta: float, xi: float = 1.0) -> float:
+    """Inner-solve residual tolerance, the one rule of both solvers.
+
+    The power rule ||r|| <= xi * ||g||**(1+zeta), floored near zero and
+    capped at 0.9*||g||.  Far from stationarity the power rule exceeds
+    ||g|| itself and the inner solver would accept its first Krylov
+    iterate; the cap forces every solve to improve on the zero step.  It is
+    inactive once ||g|| < 0.81 (for zeta = 0.5 and xi = 1), so the local
+    behavior is governed by the power rule alone.
+    """
     if grad_norm <= 0:
         raise ValueError("grad_norm must be positive")
     floor = 1e-12 * (1.0 + grad_norm)
-    return max(floor, xi * grad_norm ** (1.0 + zeta))
-
-
-def inner_tolerance(grad_norm: float, zeta: float, xi: float = 1.0) -> float:
-    """Inner-solve tolerance: the power rule capped below the residual norm.
-
-    Far from stationarity the power rule exceeds ||g|| itself and the inner
-    solver would accept its first Krylov iterate; capping at 0.9*||g||
-    forces every solve to improve on the zero step.  The cap is inactive
-    once ||g|| < 0.81 (for zeta = 0.5), so the local behavior is governed
-    by the power rule alone.
-    """
-    return min(per_shift_tolerance(grad_norm, zeta, xi), 0.9 * grad_norm)
+    return min(max(floor, xi * grad_norm ** (1.0 + zeta)), 0.9 * grad_norm)
 
 
 @dataclass
@@ -129,7 +125,6 @@ class RatioEval:
     rho: float
     delta_q: float
     f_trial: Optional[float]
-    degenerate: bool = False
 
 
 def acceptance_ratio(f_x, g_x, d, lam, trial) -> RatioEval:
@@ -144,8 +139,7 @@ def acceptance_ratio(f_x, g_x, d, lam, trial) -> RatioEval:
 
     costs no operator product: ``model_decrease`` with d'(g + Hd) =
     -lam ||d||^2.  ``trial()`` returns f(x + d) and is the one objective
-    evaluation; a model decrease at rounding level marks the evaluation
-    degenerate, which callers treat as an unsuccessful step.
+    evaluation; see ``_ratio`` for a model decrease at rounding level.
     """
     delta_q = model_decrease(float(g_x @ d), -(lam * float(d @ d)))
     return _ratio(f_x, delta_q, trial)
@@ -166,11 +160,11 @@ def _ratio(f_x, delta_q, trial) -> RatioEval:
     """Ratio of actual to model decrease, evaluating the trial point once.
 
     ``trial()`` returns f(x + d) and is not called when the model decrease
-    ``delta_q`` is at rounding level: such an evaluation is marked
-    degenerate, which the outer loop treats as an unsuccessful step.
+    ``delta_q`` is at rounding level: such a degenerate trial has rho =
+    -inf and no trial value, so it fails ``rho >= eta1`` and is rejected.
     """
     if delta_q <= 64.0 * _EPS * (1.0 + abs(f_x)):
-        return RatioEval(-np.inf, delta_q, None, degenerate=True)
+        return RatioEval(-np.inf, delta_q, None)
     f_trial = trial()
     return RatioEval((f_x - f_trial) / delta_q, delta_q, f_trial)
 
@@ -373,7 +367,7 @@ def _outer_loop(problem, driver, params: SolverParams, state, propose,
             state.status = exc.status
             break
         unbounded = ev.f_trial == -np.inf
-        success = not (unbounded or ev.degenerate) and ev.rho >= params.eta1
+        success = not unbounded and ev.rho >= params.eta1
         rec = record(k=state.k, step_norm=float(np.linalg.norm(d)),
                      rho=ev.rho, success=success, delta_q=ev.delta_q,
                      f_before=f, grad_norm=gnorm, **fields)

@@ -87,9 +87,9 @@ class ShiftGrid:
         ``_ShiftBlock._open`` copies: per-shift rows, the (Y, C) blocks and
         the status codes; O((m+1)^2) floats."""
         m1 = self.lambdas.size
-        rows = np.zeros((10, m1))
+        rows = np.zeros((8, m1))
         rows[[1, 3]] = 1.0                    # om and gamma
-        rows[8] = np.inf                      # score
+        rows[6] = np.inf                      # score
         yc = np.zeros((2, m1, m1 + 1))
         yc[1, :, 1] = 1.0                     # C: p_0 = W[0] for every shift
         return rows, yc, np.zeros(m1, dtype=np.int8)
@@ -126,13 +126,12 @@ class _ShiftBlock:
 
     Per-shift scalars are (m+1,) rows of one array: the stacked
     ``S = (gamma, omega, sigma)`` of the recurrence, the pass's new values
-    ``N = (g, om, sig)`` and ``sigma_prev``, ``denom`` and ``score``.  The
-    status of each shift is an int8 code in ``code`` (the ``_NAMES`` index;
-    ``status`` gives the names), and ``run`` masks the running shifts.  A
-    shift that converged, was frozen at a nonpositive pivot, retired or hit
-    the cap keeps its row; ``_freeze`` clears it in ``run`` and sets its g
-    and om to 0 and 1, so that the coefficient updates leave it unchanged
-    without a mask.  A solve on ``grid`` starts from copies of the grid's
+    ``N = (g, om, sig)``, ``score`` and ``tol``.  The status of each shift
+    is an int8 code in ``code`` (the ``_NAMES`` index; ``status`` gives the
+    names), and ``run`` masks the running shifts.  A shift that converged,
+    was frozen at a nonpositive pivot, retired or hit the cap keeps its
+    row; ``_freeze`` clears it in ``run`` and sets its g and om to 0 and 1,
+    so that the coefficient updates leave it unchanged without a mask.  A solve on ``grid`` starts from copies of the grid's
     ``_templates``.  ``iterations[i]`` is set when shift i freezes.
 
     The shift-major (m+1, n) iterate and direction blocks ``x`` and ``p``
@@ -195,13 +194,10 @@ class _ShiftBlock:
         self._P = None
         self.N, self.S = rows[0:3], rows[3:6]
         self.g, self.om, self.sig = rows[0], rows[1], rows[2]
-        rows[5:7] = beta0                     # sigma and sigma_prev
+        rows[5], rows[7] = beta0, tol
         self.sigma = rows[5]                  # signed; |sigma_j| = ||r_j||
-        self.sigma_prev = rows[6]
-        self.denom = rows[7]                  # last CG pivot delta+lam-omega/gamma
-        self.score = rows[8]                  # |bound| once converged
-        self.tol = rows[9]
-        self.tol[:] = tol
+        self.score = rows[6]                  # |bound| once converged
+        self.tol = rows[7]
         self.done = beta0 == 0.0              # zero solves every system
         if self.done:
             code[:] = _CONVERGED
@@ -369,7 +365,10 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
     ``delta`` and ``beta_next`` are the Lanczos coefficients of the pass and
     ``v_next`` the next Lanczos vector (``None`` on breakdown).  A running
     shift whose pivot is nonpositive is frozen with the status code
-    ``pivot_status`` before dividing, keeping its last iterate.  The update
+    ``pivot_status`` before dividing, keeping its last iterate.  The pivot
+    delta + lambda - omega/gamma is p'(M + lambda I)p over ||r||^2 for the
+    shift's direction p and residual r, so its sign is the curvature
+    certificate: no other record of it is kept.  The update
     ``x += g p``, ``p = om p + sig v_next`` acts on the window coefficients
     of every row, with g = 0 and om = 1 on frozen rows, so their
     coefficients gain exact zeros and keep their values.  Returns True when
@@ -377,12 +376,12 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
     and form the next product; once every shift has frozen no further
     product is needed.
 
-    A pass makes a fixed number of numpy calls (31 when no shift freezes),
-    however many shifts run: the pivots of every row are computed and
-    copied into the running rows under the kept mask ``run``, g, om and sig
-    are written in place into ``N`` and copied into ``S`` by one masked
-    copy, and ``run``, the codes, ``iterations`` and the g/om rows change
-    only in ``_freeze``, when some shift freezes.  Every floating-point
+    A pass makes a fixed number of numpy calls (29 when no shift freezes),
+    however many shifts run: the pivots of every row are computed, g, om
+    and sig are written in place into ``N`` under the kept mask ``run`` and
+    copied into ``S`` by one masked copy, and ``run``, the codes,
+    ``iterations`` and the g/om rows change only in ``_freeze``, when some
+    shift freezes.  Every floating-point
     expression is the one of the masked per-row update, so the iterates
     and counts do not depend on this layout.
 
@@ -429,8 +428,6 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
     """
     run, S, g, om, sig = state.run, state.S, state.g, state.om, state.sig
     denom = delta + state.lambdas - S[1] / S[0]
-    np.copyto(state.denom, denom, where=run)
-    np.copyto(state.sigma_prev, S[2], where=run)
     pivot = (denom <= 0.0) & run
     if np.count_nonzero(pivot):
         _freeze(state, pivot, pivot_status)
@@ -499,6 +496,15 @@ def _window_norms(W, y):
     return np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
 
 
+def _usable(codes):
+    """The selection rule on int8 status codes: usable iff converged.
+
+    ``MultishiftSolution.usable_mask`` and ``_retire`` both apply it, so
+    retirement picks its b from the candidates of ``arc.select_step``.
+    """
+    return codes == _CONVERGED
+
+
 def _closest(usable, norms, alpha_lam):
     """The selection rule: ``(j, score)`` for the shift j among the
     indices ``usable`` (increasing, not empty) of least
@@ -540,20 +546,9 @@ def _retire(state):
         return
     k = state.kw
     norms = _window_norms(state.W[:k], state.Y[:, 1:k + 1])
-    usable = np.flatnonzero(state.code == _CONVERGED)
+    usable = np.flatnonzero(_usable(state.code))
     _freeze(state, _retirees(norms, state.alpha_lam, usable, state.run),
             _RETIRED)
-
-
-def curvature_certificate(state: MultishiftState, i: int) -> float:
-    """Signed value of p_j'(M + lambda_i I)p_j recovered from recurrences.
-
-    Equal to sigma_j**2 / gamma_j, i.e. sigma_j**2 times the CG pivot, so its
-    sign matches the curvature of the current conjugate direction.
-    """
-    if state.j < 0:
-        raise ValueError("no iteration has been performed yet")
-    return float(state.sigma_prev[i] ** 2 * state.denom[i])
 
 
 @dataclass
@@ -593,8 +588,8 @@ class MultishiftSolution:
 
     @cached_property
     def usable_mask(self) -> np.ndarray:
-        """Per-shift bool: whether the shift converged."""
-        return self.codes == _CONVERGED
+        """Per-shift bool: whether the shift is usable (``_usable``)."""
+        return _usable(self.codes)
 
     def direction(self, i) -> np.ndarray:
         """Direction of shift i, formed from the block as a new vector."""

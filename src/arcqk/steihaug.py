@@ -18,6 +18,11 @@ EXIT_BOUNDARY = "boundary"
 EXIT_NEGATIVE_CURVATURE = "negative_curvature"
 EXIT_CAPPED = "capped"
 
+# The largest trust-region radius, Delta-hat of Nocedal & Wright's
+# Algorithm 4.1: an expansion is min(gamma2 * delta, MAX_RADIUS).  Its
+# square and the cross terms of ``_boundary_tau`` stay finite.
+MAX_RADIUS = 1e100
+
 
 @dataclass
 class TrParams(SolverParams):
@@ -28,6 +33,8 @@ class TrParams(SolverParams):
     def __post_init__(self):
         self.validate()
         _positive_finite("delta0", self.delta0)
+        if self.delta0 > MAX_RADIUS:
+            raise ValueError(f"delta0 must be at most {MAX_RADIUS:g}")
 
 
 @dataclass
@@ -71,8 +78,8 @@ def truncated_cg(apply_H, g, delta, tol, max_iter=None,
     tau (g'p + tau p'Hp) on the boundary.
     """
     g = np.asarray(g, dtype=float)
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < np.inf:
+        raise ValueError("delta must be positive and finite")
     if not 0.0 <= tol < np.inf:
         raise ValueError("tol must be finite and nonnegative")
     max_iter = int(2 * g.size if max_iter is None else max_iter)
@@ -144,7 +151,7 @@ def st_minimize(problem: SmoothProblem, params: TrParams = None,
         if not success:
             state.delta = params.gamma1 * state.delta
         elif rho > params.eta2:
-            state.delta = params.gamma2 * state.delta
+            state.delta = min(params.gamma2 * state.delta, MAX_RADIUS)
 
     return _outer_loop(problem, driver, params, state, propose, update,
                        TrTraceRecord, callback)

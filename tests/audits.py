@@ -3,7 +3,7 @@
 import numpy as np
 
 from arcqk.problems import LeastSquaresProblem
-from arcqk.arc import per_shift_tolerance
+from arcqk.arc import inner_tolerance
 from arcqk.steihaug import EXIT_CAPPED, truncated_cg
 
 # statuses that may end a run whose last trial was rejected
@@ -81,8 +81,8 @@ def audit_accepted_steps(problem, state, params, steps):
         dn = np.linalg.norm(d)
         gn = np.linalg.norm(g)
 
-        tol = per_shift_tolerance(gn, params.zeta, params.xi)
-        # recurrence drift allowance on top of the solve tolerance
+        # the tolerance the solve used; drift allowance on top of it
+        tol = inner_tolerance(gn, params.zeta, params.xi)
         if rn > tol * (1.0 + 1e-6) + 1e-8 * gn:
             bad.append(f"k={rec.k}: first-order residual {rn:.3e} > {tol:.3e}")
         curv = float(d @ hd) + lam * dn ** 2

@@ -6,10 +6,12 @@ from numpy.testing import assert_allclose
 
 import arcqk.shifted_cg as cg_mod
 import arcqk.shifted_cgls as cgls_mod
-from arcqk.shifted_cg import (CAPPED, CONVERGED, INDEFINITE, MultishiftState,
-                              ShiftGrid, TimeExceeded, curvature_certificate,
+from arcqk.shifted_cg import (CAPPED, CONVERGED, INDEFINITE, RUNNING,
+                              MultishiftState, ShiftGrid, TimeExceeded,
                               multishift_cg)
 from arcqk.shifted_cgls import CglsState, multishift_cgls
+
+from kernel_systems import seeded_system
 
 
 def counting_op(M):
@@ -269,49 +271,53 @@ class TestRecurrenceInvariants:
             assert sol.residual_norms[i] <= 1e-10
 
 
-class TestCurvatureCertificate:
-    def test_identity_first_iteration(self):
-        b = np.array([3.0, 4.0])
-        state = MultishiftState(lambda v: v, b, ShiftGrid([1.0]), 1e-10, 4)
+def certified_freezes(M, b, grid, tol):
+    """Step a CG solve of (M + lambda_i I) x = b and check, at every pass,
+    that the kernel's pivot sign is the curvature certificate; returns the
+    number of shifts frozen ``indefinite``.
+
+    p is a running shift's row of ``state.p`` before ``step()``.  A shift
+    the pass freezes ``indefinite`` must have p'(M + lambda I)p < 0, and
+    every other shift that ran the pass p'(M + lambda I)p > 0.
+    """
+    state = MultishiftState(lambda v: M @ v, b, grid, tol, None)
+    freezes = 0
+    while not state.done:
+        ran = np.flatnonzero(np.array(state.status) == RUNNING)
+        p = state.p[ran]
+        curv = (np.einsum("ij,ij->i", p @ M, p)
+                + grid.lambdas[ran] * np.einsum("ij,ij->i", p, p))
         state.step()
-        # delta0 = 1, shift 1, omega_{-1} = 0: certificate = sigma0^2 * 2
-        assert curvature_certificate(state, 0) == pytest.approx(25.0 * 2.0)
+        indefinite = np.array(state.status)[ran] == INDEFINITE
+        assert np.all(curv[indefinite] < 0.0), (state.j, ran[indefinite])
+        assert np.all(curv[~indefinite] > 0.0), (state.j, ran[~indefinite])
+        freezes += np.count_nonzero(indefinite)
+    return freezes
+
+
+class TestCurvatureCertificate:
+    """The pivot's sign is the certificate: a shift is interrupted as soon
+    as a conjugate direction of nonpositive curvature is certified, and
+    never otherwise (Steihaug, SIAM J. Numer. Anal. 20, 1983)."""
 
     def test_negative_on_flagged_shift(self):
+        # eigenvalue -2 + 1 < 0: the shift freezes on negative curvature
         M = np.diag([-2.0, 3.0])
-        state = MultishiftState(lambda v: M @ v, np.array([1.0, 1.0]),
-                                ShiftGrid([1.0]), 1e-12, 4)
-        cert = None
-        while not state.done:
-            state.step()
-            if state.status[0] == INDEFINITE:
-                cert = curvature_certificate(state, 0)
-                break
-        assert cert is not None and cert < 0
+        assert certified_freezes(M, np.array([1.0, 1.0]), ShiftGrid([1.0]),
+                                 1e-12) == 1
 
     def test_matches_explicit_quadratic_form(self):
-        rng = np.random.default_rng(15)
-        n = 5
-        M = random_spd(n, rng)
-        lam = 0.5
-        b = rng.standard_normal(n)
-        state = MultishiftState(lambda v: M @ v, b, ShiftGrid([lam]), 0.0, n)
-        while not state.done:
-            p = state.p[0].copy()
-            active = state.status[0] == "running"
-            state.step()
-            if not active:
-                break
-            explicit = p @ (M + lam * np.eye(n)) @ p
-            cert = curvature_certificate(state, 0)
-            assert cert > 0
-            assert abs(cert - explicit) / abs(explicit) <= 1e-8
-
-    def test_requires_a_step(self):
-        state = MultishiftState(lambda v: v, np.ones(2), ShiftGrid([1.0]),
-                                1e-8, 4)
-        with pytest.raises(ValueError, match="no iteration"):
-            curvature_certificate(state, 0)
+        # seeded draws on the default grid, dense M; the indefinite ones
+        # freeze shifts, so both signs are checked
+        grid = ShiftGrid.default()
+        freezes = 0
+        for spectrum in ("spread", "clustered", "indefinite"):
+            for n in (1, 2, 5, 12, 20, 30, 48):
+                for seed in range(15):
+                    M, b, _ = seeded_system("cg", n, spectrum, seed)
+                    freezes += certified_freezes(
+                        M, b, grid, 1e-8 * np.linalg.norm(b))
+        assert freezes > 0
 
 
 @pytest.mark.parametrize("kernel", ["cg", "cgls"])

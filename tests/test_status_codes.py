@@ -8,8 +8,11 @@ Between them the solves below reach every status: ``running``,
 ``converged``, ``indefinite`` at a pivot, ``retired``, ``capped`` at
 ``max_iter`` and, for CGLS, ``capped`` at a nonpositive pivot.  A
 ``capped`` shift never lies within its tolerance, so the rule that only
-converged shifts are usable loses no candidate.
+converged shifts are usable loses no candidate.  With one scalar tolerance
+the running shifts form one index range after every pass.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -167,3 +170,48 @@ def test_cgls_shift_capped_at_a_nonpositive_pivot_is_not_usable():
     assert not sol.usable_mask[:2].any()
     for alpha in np.logspace(-6, 12, 19):
         assert select_step(sol, alpha)[1] >= 2
+
+
+def running_span_gaps(kernel, spectrum, rhs_kind, n, seed, alpha, tol_frac):
+    """The passes of one seeded solve after which the running shifts do not
+    form one index range, as ``(pass, running indices)`` pairs."""
+    op, b, rhs = seeded_system(kernel, n, spectrum, seed, rhs_kind)
+    tol = tol_frac * np.linalg.norm(rhs)
+    grid = ShiftGrid.default()
+    if kernel == "cg":
+        state = MultishiftState(lambda v: op @ v, b, grid, tol, None,
+                                alpha=alpha)
+    else:
+        state = CglsState(lambda v: op @ v, lambda w: op.T @ w, b, grid, tol,
+                          None, alpha=alpha)
+    gaps = []
+    while not state.done:
+        state.step()
+        run = np.flatnonzero(np.array(state.status) == RUNNING)
+        if run.size and run[-1] - run[0] + 1 != run.size:
+            gaps.append((state.j, run.tolist()))
+    return gaps
+
+
+@pytest.mark.parametrize("kernel", ["cg", "cgls"])
+def test_running_shifts_form_one_range(kernel):
+    """With one scalar tolerance the running shifts are one index range
+    after every pass, with and without alpha.
+
+    In exact arithmetic each way a single shift freezes takes an end of the
+    running range: the pivot at a pass increases with lambda, so indefinite
+    freezes take a prefix; |sigma| decreases with lambda, so convergence
+    takes a suffix; retirement takes a prefix by its own rule.  The cap and
+    a breakdown freeze every running shift at once.  Per-shift tolerances
+    can break the range, as ``test_frozen_middle_shift_between_running_ones``
+    (``tests/test_shifted_cg.py``) does on purpose.  The seeded draws cover
+    the three spectra of ``seeded_system``, random and invariant right-hand
+    sides, loose and tight tolerances.
+    """
+    cases = itertools.product(("spread", "clustered", "indefinite"),
+                              ("random", "invariant"),
+                              (1, 2, 5, 12, 20, 30, 48), range(3),
+                              (None, 1e-2, 1.0), (1e-8, 1e-3))
+    gaps = {case: found for case in cases
+            if (found := running_span_gaps(kernel, *case))}
+    assert not gaps

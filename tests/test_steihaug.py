@@ -6,8 +6,8 @@ from arcqk.arc import model_decrease
 from arcqk.problems import (SmoothProblem, make_extrosenbrock,
                             make_rosenbrock, make_sphere, suite_problems)
 from arcqk.steihaug import (EXIT_BOUNDARY, EXIT_CAPPED, EXIT_INTERIOR,
-                            EXIT_NEGATIVE_CURVATURE, TrParams, st_minimize,
-                            truncated_cg)
+                            EXIT_NEGATIVE_CURVATURE, MAX_RADIUS, TrParams,
+                            st_minimize, truncated_cg)
 
 from audits import (StepLog, audit_model_decrease, audit_trace_contract,
                     cg_iterate_norms)
@@ -111,10 +111,12 @@ class TestTruncatedCg:
         with pytest.raises(ValueError, match="delta"):
             truncated_cg(lambda v: v, np.ones(2), np.nan, 1e-8)
 
-    def test_overflowed_radius_is_legal(self):
-        res = truncated_cg(lambda v: v, np.ones(2), np.inf, 1e-8)
-        assert res.exit == EXIT_INTERIOR
-        assert_allclose(res.d, [-1.0, -1.0], rtol=1e-12)
+    def test_infinite_radius_rejected(self):
+        # ST caps its radius at MAX_RADIUS, so no caller passes inf; at a
+        # negative-curvature exit the boundary root would be NaN
+        for H in (lambda v: v, lambda v: -v):
+            with pytest.raises(ValueError, match="finite"):
+                truncated_cg(H, np.ones(2), np.inf, 1e-8)
 
     def test_negative_tol(self):
         with pytest.raises(ValueError, match="tol"):
@@ -196,9 +198,29 @@ class TestStMinimize:
         assert st.status == "unbounded_below"
         assert audit_trace_contract(st, rec) == []
 
+    def test_radius_capped_on_unbounded_linear(self):
+        # f = -x_1 with a zero Hessian: every trial steps to the boundary
+        # along negative curvature with rho = 1, so the radius grows by
+        # gamma2 per trial; uncapped it overflowed inside _boundary_tau
+        p = SmoothProblem("neglinear", 2, [0.0, 0.0],
+                          lambda x: -float(x[0]),
+                          grad=lambda x: np.array([-1.0, 0.0]),
+                          hvp=lambda x, v: np.zeros(2))
+        st, rec = st_minimize(p)
+        assert st.status == "max_iter"
+        assert audit_trace_contract(st, rec) == []
+        for r in st.trace:
+            assert np.isfinite(r.rho) and np.isfinite(r.step_norm)
+            assert r.exit == EXIT_NEGATIVE_CURVATURE
+            assert r.delta <= MAX_RADIUS
+        assert st.trace[-1].delta == MAX_RADIUS
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             TrParams(delta0=0.0)
+        TrParams(delta0=MAX_RADIUS)
+        with pytest.raises(ValueError, match="delta0"):
+            TrParams(delta0=2.0 * MAX_RADIUS)
         with pytest.raises(ValueError):
             TrParams(eta1=0.9, eta2=0.5)
         for kwargs in ({"delta0": np.nan}, {"delta0": np.inf},

@@ -57,13 +57,13 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # -- the selection rule
     Mutant("usable-not-indefinite", CG,
-           "return self.codes == _CONVERGED",
-           "return self.codes != _INDEFINITE",
+           "return codes == _CONVERGED",
+           "return codes != _INDEFINITE",
            "usable means converged: capped and retired shifts are not "
            "candidates"),
     Mutant("usable-capped", CG,
-           "return self.codes == _CONVERGED",
-           "return (self.codes == _CONVERGED) | (self.codes == _CAPPED)",
+           "return codes == _CONVERGED",
+           "return (codes == _CONVERGED) | (codes == _CAPPED)",
            "a capped shift is never usable, whatever its residual"),
     Mutant("ties-to-larger", CG,
            "    k = int(scores.argmin())\n",
@@ -82,6 +82,11 @@ MUTANTS = (
            "stops = (~(alphas >= gamma1 * alpha)).nonzero()[0]",
            "the walk stops once alpha <= gamma1 * alpha_old, ties included"),
     # -- the kernel's freezing tests
+    Mutant("late-indefinite", CG,
+           "pivot = (denom <= 0.0) & run",
+           "pivot = (denom < -1.0) & run",
+           "a nonpositive pivot certifies negative curvature and freezes "
+           "the shift at once"),
     Mutant("conv-tie", CG,
            "conv = (np.abs(S[2]) <= state.tol) & run",
            "conv = (np.abs(S[2]) < state.tol) & run",
@@ -132,6 +137,12 @@ MUTANTS = (
            "return -0.5 * (gd - dr)",
            "the model decrease is -(g'd + d'(g + Hd)) / 2, so ARC's is "
            "(lam ||d||^2 - g'd) / 2"),
+    Mutant("inner-tolerance-uncapped", ARC,
+           "return min(max(floor, xi * grad_norm ** (1.0 + zeta)), "
+           "0.9 * grad_norm)",
+           "return max(floor, xi * grad_norm ** (1.0 + zeta))",
+           "far from stationarity the inner tolerance is capped at "
+           "0.9 ||g||"),
     Mutant("degenerate-zero", ARC,
            "if delta_q <= 64.0 * _EPS * (1.0 + abs(f_x)):",
            "if delta_q <= 0.0:",
@@ -150,6 +161,10 @@ MUTANTS = (
            "hp = _product(apply_H, p)",
            "hp = np.asarray(apply_H(p), dtype=float)",
            "ST forms its products through the one checked product"),
+    Mutant("radius-uncapped", ST,
+           "state.delta = min(params.gamma2 * state.delta, MAX_RADIUS)",
+           "state.delta = params.gamma2 * state.delta",
+           "an expanded radius stops at MAX_RADIUS, so it cannot overflow"),
     Mutant("st-max-iter-unchecked", ST,
            "    if max_iter < 1:\n        raise ValueError",
            "    if False:\n        raise ValueError",
