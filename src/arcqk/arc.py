@@ -33,6 +33,12 @@ STATUS_UNBOUNDED = "unbounded_below"
 STATUS_GRID_EXHAUSTED = "grid_exhausted"
 STATUS_TOO_INDEFINITE = "hessian_too_indefinite"
 
+# The largest regularization weight, the counterpart of ST's
+# ``steihaug.MAX_RADIUS``: an expansion is min(gamma2 * alpha, MAX_ALPHA),
+# so alpha * lambda stays finite on every grid.  The largest alpha of the
+# inputs of ``tools/run_gate.py`` is 2.8e31 (diagquad, n = 1e4).
+MAX_ALPHA = 1e100
+
 
 class GridExhausted(Exception):
     """No remaining shift can deliver the required regularization decrease."""
@@ -93,6 +99,8 @@ class ArcParams(SolverParams):
     def __post_init__(self):
         self.validate()
         _positive_finite("alpha0", self.alpha0)
+        if self.alpha0 > MAX_ALPHA:
+            raise ValueError(f"alpha0 must be at most {MAX_ALPHA:g}")
         _positive_finite("xi", self.xi)
         if not isinstance(self.grid, ShiftGrid):
             raise ValueError("grid must be a ShiftGrid")
@@ -198,7 +206,7 @@ def advance_shift_on_failure(solutions: MultishiftSolution, j: int,
     ``alpha = ||d(lambda_j)|| / lambda_j`` at each stop, until the new alpha
     is at most ``gamma1`` times the old one.  Raises :class:`GridExhausted`
     when the grid runs out first.  The first move always happens, also when
-    alpha has overflowed to inf.
+    alpha is inf.
     """
     above = solutions.usable_mask[j + 1:].nonzero()[0] + (j + 1)
     alphas = solutions.step_norms[above] / solutions.lambdas[above]
@@ -451,7 +459,7 @@ def _arc_loop(problem, driver, params: ArcParams, callback=None):
                 sols, j, state.alpha, params.gamma1)
             return
         if rho > params.eta2:
-            state.alpha = params.gamma2 * state.alpha
+            state.alpha = min(params.gamma2 * state.alpha, MAX_ALPHA)
         j = None
 
     return _outer_loop(problem, driver, params, state, propose, update,

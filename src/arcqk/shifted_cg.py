@@ -95,16 +95,23 @@ class ShiftGrid:
         return rows, yc, np.zeros(m1, dtype=np.int8)
 
 
-def _product(apply, w):
-    """``apply(w)`` as a float array, raising on a non-finite value.
+def _product(apply, w, u=None):
+    """``(out, s)``: ``out = apply(w)`` as a float array and the dot
+    ``s = u'out`` (``out'out`` when ``u`` is None) as a float, raising on a
+    non-finite value of ``out``.
 
     The one checked operator product of the package: the CG and CGLS
-    kernels and ST's truncated CG form every product through it.
+    kernels and ST's truncated CG form every product through it, and each
+    uses ``s`` in place of a dot it would take anyway.  An inf or NaN entry
+    of ``out`` makes ``s`` inf or NaN, so a finite ``s`` certifies every
+    entry without a second pass over ``out``; only a non-finite ``s``
+    (an overflowed dot of finite entries, say) pays for the exact test.
     """
     out = np.asarray(apply(w), dtype=float)
-    if not np.isfinite(out).all():
+    s = (out if u is None else u) @ out
+    if not np.isfinite(s) and not np.isfinite(out).all():
         raise ValueError("operator returned non-finite values")
-    return out
+    return out, float(s)
 
 
 class _ShiftBlock:
@@ -268,24 +275,34 @@ class MultishiftState(_ShiftBlock):
         if self.done:
             return
         self.v = b / beta0
-        self.v_prev = np.zeros(b.size)
+        self.v_prev = None                    # v_{j-1}; none at j=0
         self.beta = 0.0                       # multiplies v_{j-1}; unused at j=0
-        self.q = _product(apply_op, self.v)
+        self.q, self.qq = _product(apply_op, self.v)
 
     def step(self):
-        """One joint Lanczos pass updating every running shift."""
+        """One joint Lanczos pass updating every running shift.
+
+        The pass makes one new n-vector, w, and forms
+        w = (q - delta v) - beta v_prev and v_next = w / beta_next in it,
+        with the floating-point expressions of the out-of-place update.
+        ``v_prev`` is dead after the pass, so it is scaled by beta in
+        place; ``q`` belongs to the operator and is never written.  The
+        window keeps a copy of v_next: on a one-shift grid a flush
+        overwrites its row before the next pass reads it as ``v_prev``.
+        """
         if self.done:
             raise RuntimeError("multishift solve already finished")
         j = self.j + 1
         v, q = self.v, self.q
 
         delta = float(v @ q)
-        w = q - delta * v
+        w = np.multiply(v, delta)
+        np.subtract(q, w, out=w)
         if j > 0:
-            w -= self.beta * self.v_prev
+            w -= np.multiply(self.v_prev, self.beta, out=self.v_prev)
         beta_next = math.sqrt(w @ w)
-        breakdown = beta_next <= _EPS * (1.0 + math.sqrt(q @ q))
-        v_next = None if breakdown else w / beta_next
+        breakdown = beta_next <= _EPS * (1.0 + math.sqrt(self.qq))
+        v_next = None if breakdown else np.divide(w, beta_next, out=w)
 
         # Nonpositive pivot certifies p'(M + lam I)p <= 0 for that shift.
         if _shift_block_step(self, j, delta, beta_next, v_next, breakdown,
@@ -293,7 +310,7 @@ class MultishiftState(_ShiftBlock):
             self.v_prev = v
             self.v = v_next
             self.beta = beta_next
-            self.q = _product(self._apply_op, v_next)
+            self.q, self.qq = _product(self._apply_op, v_next)
 
 
 def _rows(W, Y, X, P, rows):
@@ -488,9 +505,23 @@ def _window_norms(W, y):
     """||y_i' W|| of every row i from the Gram matrix W W'.
 
     O(k^2 n) work for a (k, n) window; no orthogonality of its rows is
-    assumed.
+    assumed.  numpy sends ``W @ W.T`` to BLAS syrk, which is slow for the
+    few long rows that large-n solves end with; there the lower triangle
+    is filled by row products ``W[:i+1] @ W[i]`` and mirrored.  Best
+    time per Gram matrix, one BLAS thread on a 2-core machine (syrk /
+    rows): 216 / 60 us at n = 1e5, k = 2; 1009 / 457 us at n = 1e5,
+    k = 5; 95 / 35 us at n = 1e4, k = 5; but 1.3 / 3.9 us at n = 100,
+    k = 2, mixed at n = 1e3, and the rows lose from k = 8 on (736 / 1167
+    us at n = 1e5).  Hence rows for n > ``_CHUNK`` and k <= 6.
     """
-    z = y @ (W @ W.T)
+    k, n = W.shape
+    if n > _CHUNK and k <= 6:
+        G = np.zeros((k, k))
+        for i in range(k):
+            G[i, :i + 1] = G[:i + 1, i] = W[:i + 1] @ W[i]
+    else:
+        G = W @ W.T
+    z = y @ G
     # batched row dot products, cheaper than a row sum at small n
     sq = (z[:, None, :] @ y[:, :, None]).ravel()
     return np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)

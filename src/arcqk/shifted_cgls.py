@@ -32,30 +32,39 @@ class CglsState(_ShiftBlock):
         self._apply_A = apply_A
         self._apply_At = apply_At
         # a caller's A'b passes the same finite-value check as a product
-        atb = _product(apply_At if atb is None else (lambda _: atb), b)
+        atb, _ = _product(apply_At if atb is None else (lambda _: atb), b)
         # beta0 = ||A'b||, the norm of the normal-equations rhs
         beta0 = self._open(atb, grid, tol, max_iter, alpha, deadline)
         if self.done:
             return
         self.u = b / beta0
-        self.u_prev = np.zeros(b.size)
+        self.u_prev = None                  # u_{j-1}; none at j=0
         self.beta = beta0                   # multiplies u_{j-1}; unused at j=0
-        # A v_0 with v_0 = A'b / beta0, u-tilde for the first pass
-        self.q = _product(apply_A, atb / beta0)
+        # A v_0 with v_0 = A'b / beta0, u-tilde for the first pass, and
+        # its squared norm, the first pass's delta
+        self.q, self.qq = _product(apply_A, atb / beta0)
 
     def step(self):
-        """One joint pass: one A product, one A' product, block updates."""
+        """One joint pass: one A product, one A' product, block updates.
+
+        u_{j+1} is formed in place in one new n-vector, as ``MultishiftState``
+        forms w, with the dead ``u_prev`` scaled by beta in place.
+        ``q`` = A v_j and ``atu`` = A'u belong to the operators and are
+        never written, so v_next is a new array, and u_{j+1} is normalised
+        only after v_next is formed: A' may return its argument.
+        """
         if self.done:
             raise RuntimeError("multishift solve already finished")
         j = self.j + 1
-        ut = self.q                          # A v_j, shares storage with u_{j+1}
+        ut = self.q                          # A v_j, u-tilde of u_{j+1}
 
-        delta = float(ut @ ut)
-        u_next = ut - delta * self.u
+        delta = self.qq                      # ||A v_j||^2
+        u_next = np.multiply(self.u, delta)
+        np.subtract(ut, u_next, out=u_next)
         if j > 0:
-            u_next -= self.beta * self.u_prev
-        atu = _product(self._apply_At, u_next)
-        beta_next = math.sqrt(atu @ atu)
+            u_next -= np.multiply(self.u_prev, self.beta, out=self.u_prev)
+        atu, bb = _product(self._apply_At, u_next)
+        beta_next = math.sqrt(bb)
         breakdown = beta_next <= _EPS * (1.0 + delta)
         v_next = None if breakdown else atu / beta_next
 
@@ -65,9 +74,9 @@ class CglsState(_ShiftBlock):
         if _shift_block_step(self, j, delta, beta_next, v_next, breakdown,
                              _CAPPED):
             self.u_prev = self.u
-            self.u = u_next / beta_next
+            self.u = np.divide(u_next, beta_next, out=u_next)
             self.beta = beta_next
-            self.q = _product(self._apply_A, v_next)
+            self.q, self.qq = _product(self._apply_A, v_next)
 
 
 def multishift_cgls(apply_A, apply_At, b, grid: ShiftGrid, tol=1e-8,

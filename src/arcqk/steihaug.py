@@ -66,7 +66,8 @@ def truncated_cg(apply_H, g, delta, tol, max_iter=None,
     ``max_iter`` iterations (``capped``, default 2 n), or, on reaching the
     region boundary or a direction p of nonpositive curvature, at the step
     d = d_prev + tau p on the boundary.  Every product with H goes through
-    ``shifted_cg._product``, which raises on a non-finite value.
+    ``shifted_cg._product``, which raises on a non-finite value and
+    returns kappa = p'Hp, the dot its finiteness test reuses.
     ``deadline`` is a ``time.perf_counter()`` value: the first iteration
     that ends past it and does not stop the CG raises ``TimeExceeded``, as
     a multishift solve does; ``None`` sets no limit.
@@ -90,8 +91,7 @@ def truncated_cg(apply_H, g, delta, tol, max_iter=None,
     p = -g
     rr = float(r @ r)
     for j in range(max_iter):
-        hp = _product(apply_H, p)
-        kappa = float(p @ hp)
+        hp, kappa = _product(apply_H, p, p)
         if kappa > 0.0:
             alpha = rr / kappa
             d_next = d + alpha * p

@@ -3,7 +3,7 @@
 import numpy as np
 
 from arcqk.problems import LeastSquaresProblem
-from arcqk.arc import inner_tolerance
+from arcqk.arc import MAX_ALPHA, inner_tolerance
 from arcqk.steihaug import EXIT_CAPPED, truncated_cg
 
 # statuses that may end a run whose last trial was rejected
@@ -145,15 +145,17 @@ def cg_iterate_norms(apply_H, g, delta, tol):
 def audit_alpha_dynamics(state, params):
     """Check the regularization updates along the recorded trials.
 
-    Unsuccessful trials must end with alpha <= gamma1 * alpha (or terminate
-    the run); very successful ones multiply alpha by exactly gamma2.
+    Every alpha is finite and at most ``MAX_ALPHA``.  Unsuccessful trials
+    must end with alpha <= gamma1 * alpha (or terminate the run); very
+    successful ones set alpha to exactly min(gamma2 * alpha, MAX_ALPHA).
     """
-    bad = []
     trace = state.trace
+    bad = [f"k={rec.k}: alpha {rec.alpha} is not finite or above MAX_ALPHA"
+           for rec in trace if not 0.0 < rec.alpha <= MAX_ALPHA]
     for prev, nxt in zip(trace, trace[1:]):
         if prev.success:
             if prev.rho > params.eta2:
-                if nxt.alpha != params.gamma2 * prev.alpha:
+                if nxt.alpha != min(params.gamma2 * prev.alpha, MAX_ALPHA):
                     bad.append(f"k={prev.k}: very successful but alpha "
                                f"{prev.alpha} -> {nxt.alpha}")
             elif nxt.alpha != prev.alpha:

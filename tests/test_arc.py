@@ -1,4 +1,5 @@
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import arcqk.arc as arc_mod
-from arcqk.arc import (AllShiftsIndefinite, ArcParams, GridExhausted,
-                       acceptance_ratio, advance_shift_on_failure,
+from arcqk.arc import (MAX_ALPHA, AllShiftsIndefinite, ArcParams,
+                       GridExhausted, acceptance_ratio, advance_shift_on_failure,
                        arcqk_minimize, arcqk_minimize_gauss_newton,
                        inner_tolerance, select_step)
 from arcqk.problems import (SmoothProblem, make_diagquad, make_himmelblau,
@@ -91,6 +92,11 @@ class TestParams:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ArcParams(**kwargs)
+
+    def test_alpha0_up_to_the_cap(self):
+        assert ArcParams(alpha0=MAX_ALPHA).alpha0 == MAX_ALPHA
+        with pytest.raises(ValueError, match="alpha0"):
+            ArcParams(alpha0=np.nextafter(MAX_ALPHA, np.inf))
 
 
 def shifted_step(problem, x, grid, pick=0, tol=1e-12):
@@ -433,6 +439,40 @@ class TestArcMinimize:
         st, _ = arcqk_minimize(make_rosenbrock(), params)
         assert audit_alpha_dynamics(st, params) == []
         assert any(not r.success for r in st.trace)
+
+    def test_alpha_capped_on_unbounded_linear(self):
+        # f = -x_1 with a zero Hessian: every trial has rho = 1, so alpha
+        # grows by gamma2 per trial; uncapped it overflowed to inf, with a
+        # RuntimeWarning, after about 440 trials
+        p = SmoothProblem("neglinear", 2, [0.0, 0.0],
+                          lambda x: -float(x[0]),
+                          grad=lambda x: np.array([-1.0, 0.0]),
+                          hvp=lambda x, v: np.zeros(2))
+        params = ArcParams()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st, rec = arcqk_minimize(p, params)
+        assert st.status == "max_iter"
+        assert audit_trace_contract(st, rec) == []
+        assert audit_alpha_dynamics(st, params) == []
+        assert all(r.alpha <= MAX_ALPHA for r in st.trace)
+        assert st.trace[-1].alpha == MAX_ALPHA
+
+    def test_audit_rejects_uncapped_alpha(self):
+        params = ArcParams()
+
+        def trace(*alphas):
+            return SimpleNamespace(status="max_iter", trace=[
+                SimpleNamespace(k=k, alpha=a, success=True, rho=1.0)
+                for k, a in enumerate(alphas)])
+
+        assert audit_alpha_dynamics(trace(MAX_ALPHA / 2, MAX_ALPHA),
+                                    params) == []
+        assert audit_alpha_dynamics(trace(MAX_ALPHA, MAX_ALPHA), params) == []
+        assert len(audit_alpha_dynamics(trace(MAX_ALPHA, 5.0 * MAX_ALPHA),
+                                        params)) == 2
+        assert audit_alpha_dynamics(trace(1.0, np.inf), params)
+        assert audit_alpha_dynamics(trace(np.nan), params)
 
     def test_step_quality_invariants(self):
         params = ArcParams()

@@ -100,9 +100,20 @@ class TestMultishiftCg:
             with pytest.raises(ValueError, match="max_iter"):
                 multishift_cg(op, np.zeros(4), grid, max_iter=0, alpha=alpha)
 
+    @pytest.mark.filterwarnings("ignore:.*encountered in matmul")
     def test_nonfinite_operator_raises(self):
         with pytest.raises(ValueError, match="non-finite"):
             multishift_cg(lambda v: v * np.nan, np.ones(3), ShiftGrid([1.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            multishift_cg(lambda v: np.array([np.inf, *v[1:]]), np.ones(3),
+                          ShiftGrid([1.0]))
+        # ||q||^2 overflows, yet every entry of q is finite: no raise, and
+        # the Krylov space is the one vector b
+        grid = ShiftGrid([1.0, 1e10])
+        sol = multishift_cg(lambda v: 1e200 * v, np.ones(4), grid)
+        assert sol.statuses == (CONVERGED, CONVERGED)
+        for i, lam in enumerate(grid.lambdas):
+            assert_allclose(sol.direction(i), np.ones(4) / (1e200 + lam))
 
     def test_breakdown_treated_as_exhaustion(self):
         # identity: Krylov space is one-dimensional, solutions exact there

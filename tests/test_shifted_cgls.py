@@ -198,7 +198,20 @@ class TestMultishiftCgls:
             assert sol.directions.shape == (1, 3)
             assert np.all(sol.directions == 0.0)
 
+    @pytest.mark.filterwarnings("ignore:.*encountered in matmul")
     def test_nonfinite_raises(self):
         with pytest.raises(ValueError, match="non-finite"):
             multishift_cgls(lambda v: v * np.nan, lambda u: u, np.ones(3),
                             ShiftGrid([1.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            multishift_cgls(lambda v: np.array([np.inf, *v[1:]]),
+                            lambda u: u, np.ones(3), ShiftGrid([1.0]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                multishift_cgls(lambda v: v,
+                                lambda u: np.array([bad, *u[1:]]),
+                                np.ones(3), ShiftGrid([1.0]))
+        # ||A v_0||^2 overflows with every entry finite: no raise
+        state = CglsState(lambda v: 1e200 * v, lambda u: u, np.ones(4),
+                          ShiftGrid([1.0]), 1e-8, None)
+        assert np.isfinite(state.q).all() and state.q @ state.q == np.inf

@@ -130,9 +130,19 @@ class TestTruncatedCg:
         with pytest.raises(ValueError, match="max_iter"):
             truncated_cg(lambda v: v, np.ones(2), 1.0, 1e-8, max_iter=0)
 
+    @pytest.mark.filterwarnings("ignore:.*encountered in matmul")
     def test_nonfinite_operator(self):
         with pytest.raises(ValueError, match="non-finite"):
             truncated_cg(lambda v: v * np.inf, np.ones(2), 1.0, 1e-8)
+        # p = -g is 0 where Hp is bad, so kappa = p'Hp is NaN, not inf
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                truncated_cg(lambda v: np.array([v[0], bad]),
+                             np.array([1.0, 0.0]), 1.0, 1e-8)
+        # kappa = p'Hp = 2e350 overflows; Hp = -1e200 is finite: no raise
+        res = truncated_cg(lambda v: 1e50 * v, np.full(2, 1e150), 1.0, 0.0,
+                           max_iter=3)
+        assert res.exit == EXIT_CAPPED and np.all(res.d == 0.0)
 
 
 class TestStMinimize:

@@ -92,13 +92,44 @@ MUTANTS = (
            "conv = (np.abs(S[2]) < state.tol) & run",
            "a residual equal to its tolerance has converged"),
     Mutant("cg-breakdown-zero", CG,
-           "breakdown = beta_next <= _EPS * (1.0 + math.sqrt(q @ q))",
+           "breakdown = beta_next <= _EPS * (1.0 + math.sqrt(self.qq))",
            "breakdown = beta_next <= 0.0",
            "a Krylov space exhausted up to rounding ends the CG solve"),
     Mutant("cgls-breakdown-zero", CGLS,
            "breakdown = beta_next <= _EPS * (1.0 + delta)",
            "breakdown = beta_next <= 0.0",
            "a Krylov space exhausted up to rounding ends the CGLS solve"),
+    # -- the checked product and the in-place Lanczos passes
+    Mutant("product-no-fallback", CG,
+           "if not np.isfinite(s) and not np.isfinite(out).all():",
+           "if not np.isfinite(s):",
+           "an overflowed dot of finite entries falls back to the exact "
+           "test and does not raise"),
+    Mutant("product-no-raise", CG,
+           "    if not np.isfinite(s) and not np.isfinite(out).all():\n"
+           "        raise ValueError",
+           "    if False:\n"
+           "        raise ValueError",
+           "a product with an inf or NaN entry raises"),
+    Mutant("cg-scales-v", CG,
+           "w -= np.multiply(self.v_prev, self.beta, out=self.v_prev)",
+           "w -= np.multiply(v, self.beta, out=v)",
+           "the pass subtracts beta v_prev, scaling the dead v_prev in "
+           "place"),
+    Mutant("cgls-scales-u", CGLS,
+           "u_next -= np.multiply(self.u_prev, self.beta, out=self.u_prev)",
+           "u_next -= np.multiply(self.u, self.beta, out=self.u)",
+           "the CGLS pass subtracts beta u_prev, scaling the dead u_prev "
+           "in place"),
+    Mutant("cgls-writes-atu", CGLS,
+           "v_next = None if breakdown else atu / beta_next",
+           "v_next = None if breakdown else np.divide(atu, beta_next, "
+           "out=atu)",
+           "A'u belongs to the operator: v_next is a new array"),
+    Mutant("gram-no-mirror", CG,
+           "G[i, :i + 1] = G[:i + 1, i] = W[:i + 1] @ W[i]",
+           "G[i, :i + 1] = W[:i + 1] @ W[i]",
+           "a Gram matrix from row products mirrors its lower triangle"),
     # -- the flush fold and a flushed solve's step norms
     Mutant("fold-drops-p-term", CG,
            "        X[:, c] += np.multiply(Y[:, :1], P[:, c], out=t)\n",
@@ -143,6 +174,10 @@ MUTANTS = (
            "return max(floor, xi * grad_norm ** (1.0 + zeta))",
            "far from stationarity the inner tolerance is capped at "
            "0.9 ||g||"),
+    Mutant("alpha-uncapped", ARC,
+           "state.alpha = min(params.gamma2 * state.alpha, MAX_ALPHA)",
+           "state.alpha = params.gamma2 * state.alpha",
+           "an expanded alpha stops at MAX_ALPHA, so it cannot overflow"),
     Mutant("degenerate-zero", ARC,
            "if delta_q <= 64.0 * _EPS * (1.0 + abs(f_x)):",
            "if delta_q <= 0.0:",
@@ -158,8 +193,9 @@ MUTANTS = (
            "an interior CG iterate's residual is orthogonal to it: "
            "d'(g + Hd) = 0"),
     Mutant("st-unchecked-product", ST,
-           "hp = _product(apply_H, p)",
-           "hp = np.asarray(apply_H(p), dtype=float)",
+           "hp, kappa = _product(apply_H, p, p)",
+           "hp = np.asarray(apply_H(p), dtype=float)\n"
+           "        kappa = p @ hp",
            "ST forms its products through the one checked product"),
     Mutant("radius-uncapped", ST,
            "state.delta = min(params.gamma2 * state.delta, MAX_RADIUS)",
