@@ -425,7 +425,9 @@ def _arc_loop(problem, driver, params: ArcParams, callback=None):
     then costs one objective evaluation and no operator product:
     ``acceptance_ratio`` prices the model decrease from the selected
     shift's Galerkin identity.  The spent solution stays referenced until
-    the next solve replaces it.  Dropping it at the accepted step instead
+    the next solve replaces it; it holds only its block, because a finished
+    solve drops its Lanczos vectors and its operator, whose closure holds
+    the iterate it was formed at.  Dropping it at the accepted step instead
     was measured with ``tools/bench_ledger.py`` (35 s runs, 6 alternating
     pairs per workload, 2-core machine) on records that keep no step: ARC
     ran slower on scaled (higher in 5 of 6 pairs, median +1.2%) and on gn

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -25,7 +23,7 @@ CAPPED = "capped"
 RETIRED = "retired"
 
 # The kernel keeps int8 status codes; the names are what callers see
-# (``state.status`` and ``MultishiftSolution.statuses``).
+# (``MultishiftSolution.statuses``).
 _NAMES = (RUNNING, CONVERGED, INDEFINITE, CAPPED, RETIRED)
 _RUNNING, _CONVERGED, _INDEFINITE, _CAPPED, _RETIRED = range(len(_NAMES))
 
@@ -54,7 +52,7 @@ class ShiftGrid:
     MAX_SHIFT = 1e15
 
     def __init__(self, lambdas):
-        lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
+        lam = np.atleast_1d(np.array(lambdas, dtype=float))
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("lambdas must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(lam)):
@@ -64,6 +62,7 @@ class ShiftGrid:
                 f"shift values must lie in [{self.MIN_SHIFT:g}, {self.MAX_SHIFT:g}]")
         if lam.size > 1 and np.any(np.diff(lam) <= 0):
             raise ValueError("shift values must be strictly increasing")
+        lam.flags.writeable = False       # a private copy, shared by solves
         self.lambdas = lam
 
     @classmethod
@@ -84,10 +83,10 @@ class ShiftGrid:
     @cached_property
     def _templates(self):
         """Starting arrays of a shift block on this grid, which
-        ``_ShiftBlock._open`` copies: per-shift rows, the (Y, C) blocks and
-        the status codes; O((m+1)^2) floats."""
+        ``MultishiftSolution._open`` copies: per-shift rows, the (Y, C)
+        blocks and the status codes; O((m+1)^2) floats."""
         m1 = self.lambdas.size
-        rows = np.zeros((8, m1))
+        rows = np.zeros((7, m1))
         rows[[1, 3]] = 1.0                    # om and gamma
         rows[6] = np.inf                      # score
         yc = np.zeros((2, m1, m1 + 1))
@@ -114,34 +113,41 @@ def _product(apply, w, u=None):
     return out, float(s)
 
 
-class _ShiftBlock:
-    """The per-shift CG recurrences of one joint solve over a Lanczos source.
+class MultishiftSolution:
+    """One joint multishift solve over a Lanczos source, and its solution.
 
     A subclass is the Lanczos source: its ``__init__`` calls ``_open`` with
-    the right-hand side of the shifted systems and, unless the solve is
-    already done, forms the first Lanczos vector and product; its ``step``
-    makes one Lanczos pass, hands the pass's coefficients to
-    ``_shift_block_step`` and advances the source while that returns True.
-    ``solve`` steps to the end and returns the ``MultishiftSolution``; a
-    caller that watches the solve (its ``status``, ``sigma``, ``x`` or
-    ``W``) steps it itself.  Each joint iteration costs one product with
-    the operator (M for CG, A for CGLS), so a solve forms
-    ``total_iterations`` of them, and none is formed after the last
-    running shift freezes.  A zero right-hand side
+    the right-hand side of the shifted systems and its squared norm and,
+    unless the solve is already done, keeps the operator and forms the
+    first Lanczos vector and product; its ``step`` makes one Lanczos pass,
+    hands the pass's coefficients to ``_shift_block_step`` and advances the
+    source while that returns True.  Once it returns False, ``step`` drops
+    the Lanczos vectors and the operator, so a finished solve keeps only
+    its block.  ``solve`` steps to the end and returns the object itself,
+    which is the solution; a caller that watches the solve (its
+    ``statuses``, ``sigma``, ``direction(i)`` or ``W``) steps it itself.
+    Each joint iteration costs one product with the operator (M for CG, A
+    for CGLS), so a solve forms ``total_iterations`` of them, and none is
+    formed after the last running shift freezes.  A zero right-hand side
     is solved by zero: every shift is ``converged`` from the start, and
     the solve forms no product.
 
     Per-shift scalars are (m+1,) rows of one array: the stacked
     ``S = (gamma, omega, sigma)`` of the recurrence, the pass's new values
-    ``N = (g, om, sig)``, ``score`` and ``tol``.  The status of each shift
-    is an int8 code in ``code`` (the ``_NAMES`` index; ``status`` gives the
-    names), and ``run`` masks the running shifts.  A shift that converged,
-    was frozen at a nonpositive pivot, retired or hit the cap keeps its
-    row; ``_freeze`` clears it in ``run`` and sets its g and om to 0 and 1,
-    so that the coefficient updates leave it unchanged without a mask.  A solve on ``grid`` starts from copies of the grid's
-    ``_templates``.  ``iterations[i]`` is set when shift i freezes.
+    ``N = (g, om, sig)`` and ``score``; every shift has the one tolerance
+    ``tol``.  The status of each shift is an int8 code in ``codes`` (the
+    ``_NAMES`` index), the one stored status: ``statuses`` gives the names
+    and ``usable_mask`` the shifts that ``arc.select_step``,
+    ``arc.advance_shift_on_failure`` and retirement may pick, the
+    converged ones.  ``run`` masks the running shifts.  A shift that
+    converged, was frozen at a nonpositive pivot, retired or hit the cap
+    keeps its row; ``_freeze`` clears it in ``run`` and sets its g and om
+    to 0 and 1, so that the coefficient updates leave it unchanged without
+    a mask.  A solve on ``grid`` starts from copies of the grid's
+    ``_templates`` and shares its read-only ``lambdas``.  ``iterations[i]``
+    is set when shift i freezes.
 
-    The shift-major (m+1, n) iterate and direction blocks ``x`` and ``p``
+    The shift-major (m+1, n) iterate and direction blocks x and ``p``
     are never stored whole.  Every shifted iterate lies in the Krylov space
     of the shared Lanczos vectors (the shift invariance of multishift
     Krylov solvers), so the blocks are kept as flushed rows ``_X``, ``_P``
@@ -162,54 +168,52 @@ class _ShiftBlock:
     slices, and keeps only the ``_P`` rows of running shifts (see
     ``_flush``); so a flushed solve holds three (m+1, n) blocks, ``W``,
     ``_X`` and ``_P``, plus temporaries of (m+1) x ``_CHUNK`` floats.
-    Reading ``x`` or ``p`` forms the block as a new array and leaves the
-    solve as it was.  A finished solve hands the block to its
-    ``MultishiftSolution`` as it stands, so the (m+1, n) rows are written
-    never, unless a flush happened or the solution's ``directions`` is
-    read.
+    Reading ``direction(i)``, ``directions`` or ``p`` forms rows as a new
+    array and leaves the solve as it was; once done, d_i is row i of x.
+    ``step_norms`` comes from the block without forming it
+    (``_exact_norms``), so selection and the failure walk hold no more
+    than the solve did.
     """
 
-    def _open(self, rhs, grid: ShiftGrid, tol, max_iter, alpha, deadline):
-        """Check the arguments and start the block on ``rhs``; returns ||rhs||.
+    def _open(self, rhs, rr, grid: ShiftGrid, tol, max_iter, alpha,
+              deadline):
+        """Check the arguments and start the block on ``rhs``, whose
+        squared norm is ``rr``; returns ||rhs||.
 
-        ``max_iter`` defaults to 2 n.  ``alpha`` is the regularization
-        weight the caller will select with; ``None`` retires no shift (see
-        ``_shift_block_step``).  ``deadline`` is a ``time.perf_counter``
-        value after which ``solve`` raises ``TimeExceeded``; ``None`` sets
-        no limit.
+        ``tol`` is a finite, nonnegative scalar.  ``max_iter`` defaults to
+        2 n.  ``alpha`` is the regularization weight the caller will select
+        with; ``None`` retires no shift (see ``_shift_block_step``).
+        ``deadline`` is a ``time.perf_counter`` value after which ``solve``
+        raises ``TimeExceeded``; ``None`` sets no limit.
         """
         m1 = len(grid)
         self.lambdas = grid.lambdas
-        tol = np.asarray(tol, dtype=float)
-        if tol.shape not in ((), (m1,)):
-            raise ValueError(f"tol must be scalar or have {m1} entries")
-        lo, hi = (tol, tol) if tol.ndim == 0 else (tol.min(), tol.max())
-        if not 0.0 <= lo <= hi < np.inf:
-            raise ValueError("tolerances must be finite and nonnegative")
+        if np.ndim(tol) != 0 or not 0.0 <= tol < np.inf:
+            raise ValueError("tol must be a finite, nonnegative scalar")
+        self.tol = float(tol)
         self.max_iter = int(2 * rhs.size if max_iter is None else max_iter)
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         self._deadline = deadline
 
-        beta0 = math.sqrt(rhs @ rhs)
+        beta0 = math.sqrt(rr)
         self.W = np.empty((m1, rhs.size))     # window of basis vectors
         self.W[0] = rhs                       # p_0 = rhs for every shift
         self.kw = 1                           # vectors in the window
-        rows, yc, code = (a.copy() for a in grid._templates)
+        rows, yc, codes = (a.copy() for a in grid._templates)
         self.Y, self.C = yc[0], yc[1]         # C[:, 0] = 0: no _P yet
         self._X = None
         self._P = None
         self.N, self.S = rows[0:3], rows[3:6]
         self.g, self.om, self.sig = rows[0], rows[1], rows[2]
-        rows[5], rows[7] = beta0, tol
+        rows[5] = beta0
         self.sigma = rows[5]                  # signed; |sigma_j| = ||r_j||
         self.score = rows[6]                  # |bound| once converged
-        self.tol = rows[7]
         self.done = beta0 == 0.0              # zero solves every system
         if self.done:
-            code[:] = _CONVERGED
-        self.code = code                      # _RUNNING is 0
-        self.run = code == _RUNNING
+            codes[:] = _CONVERGED
+        self.codes = codes                    # _RUNNING is 0
+        self.run = codes == _RUNNING
         self.iterations = np.zeros(m1, dtype=int)   # set as a shift freezes
         self.j = -1
         # alpha * lambda_i, the selection's target norms; None retires nothing
@@ -221,16 +225,36 @@ class _ShiftBlock:
         return beta0
 
     @property
-    def status(self):
+    def statuses(self) -> tuple:
         """Per-shift status names, a tuple of the module's constants."""
-        return _names(self.code)
+        return _names(self.codes)
 
     @property
-    def x(self):
-        """The (m+1, n) iterate block, formed as a new array."""
+    def usable_mask(self) -> np.ndarray:
+        """Per-shift bool: the selection rule, usable iff converged."""
+        return self.codes == _CONVERGED
+
+    @property
+    def residual_norms(self) -> np.ndarray:
+        """Per-shift ||r||, |sigma| as the shift froze."""
+        return np.abs(self.sigma)
+
+    @property
+    def total_iterations(self) -> int:
+        """Joint iterations so far, which is the operator products formed."""
+        return self.j + 1
+
+    def direction(self, i) -> np.ndarray:
+        """Row i of the iterate block (rows ``i``, for a slice), formed as a
+        new array: the direction of shift i once the solve is done."""
         k = self.kw
-        return _rows(self.W[:k], self.Y[:, :k + 1], self._X, self._P,
-                     slice(None))
+        return _rows(self.W[:k], self.Y[:, :k + 1], self._X, self._P, i)
+
+    @property
+    def directions(self) -> np.ndarray:
+        """(n, m+1), one column per shift: the iterate block, formed anew
+        on every read."""
+        return self.direction(slice(None)).T
 
     @property
     def p(self):
@@ -243,8 +267,16 @@ class _ShiftBlock:
         return _rows(self.W[:k], self.C[:, :k + 1], None, self._P,
                      slice(None))
 
+    @cached_property
+    def step_norms(self) -> np.ndarray:
+        """Per-shift ||d||, computed on the first read after the solve is
+        done and kept; reading it earlier raises ``RuntimeError``."""
+        if not self.done:
+            raise RuntimeError("step norms of a solve still running")
+        return _exact_norms(self)
+
     def solve(self) -> "MultishiftSolution":
-        """Step to the end and return the solution.
+        """Step to the end and return this solve, now its solution.
 
         Raises ``TimeExceeded`` when a joint iteration ends past the
         deadline.  A caller that watches the solve calls ``step`` itself.
@@ -254,26 +286,19 @@ class _ShiftBlock:
             self.step()
             if deadline is not None and time.perf_counter() > deadline:
                 raise TimeExceeded(f"deadline passed in iteration {self.j}")
-        k = self.kw
-        return MultishiftSolution(
-            lambdas=self.lambdas.copy(),
-            residual_norms=np.abs(self.sigma),
-            codes=self.code,
-            iterations=self.iterations.copy(),
-            total_iterations=self.j + 1,
-            W=self.W[:k], Y=self.Y[:, :k + 1].copy(), X=self._X, P=self._P)
+        return self
 
 
-class MultishiftState(_ShiftBlock):
+class MultishiftState(MultishiftSolution):
     """Joint Lanczos-CG on a symmetric operator M, for right-hand side b."""
 
     def __init__(self, apply_op, b, grid: ShiftGrid, tol, max_iter,
                  alpha=None, deadline=None):
         b = np.asarray(b, dtype=float)
-        self._apply_op = apply_op
-        beta0 = self._open(b, grid, tol, max_iter, alpha, deadline)
+        beta0 = self._open(b, b @ b, grid, tol, max_iter, alpha, deadline)
         if self.done:
             return
+        self._apply_op = apply_op
         self.v = b / beta0
         self.v_prev = None                    # v_{j-1}; none at j=0
         self.beta = 0.0                       # multiplies v_{j-1}; unused at j=0
@@ -289,6 +314,8 @@ class MultishiftState(_ShiftBlock):
         place; ``q`` belongs to the operator and is never written.  The
         window keeps a copy of v_next: on a one-shift grid a flush
         overwrites its row before the next pass reads it as ``v_prev``.
+        The pass that freezes the last running shift drops ``v``,
+        ``v_prev``, ``q`` and the operator.
         """
         if self.done:
             raise RuntimeError("multishift solve already finished")
@@ -311,13 +338,15 @@ class MultishiftState(_ShiftBlock):
             self.v = v_next
             self.beta = beta_next
             self.q, self.qq = _product(self._apply_op, v_next)
+        else:
+            self.v = self.v_prev = self.q = self._apply_op = None
 
 
 def _rows(W, Y, X, P, rows):
     """Rows ``rows`` of X + Y[:, :1] * P + Y[:, 1:] @ W as a new array.
 
-    The row formula of ``_ShiftBlock``; ``X`` and ``P`` are None before a
-    flush.
+    The row formula of ``MultishiftSolution``; ``X`` and ``P`` are None
+    before a flush.
     """
     x = Y[rows, 1:] @ W
     if X is not None:
@@ -439,9 +468,9 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
     (W[0] is the right-hand side, later rows unit Lanczos vectors), and
     keeps the score of each shift from the pass it converges in.  When the
     lowest running shift passes the test on these norms, the rule is
-    applied with exact norms from the window's Gram matrix, as
-    ``step_norms`` computes them.  Nothing is retired once the window has
-    been flushed.
+    applied with exact norms from the window's Gram matrix
+    (``_exact_norms``).  Nothing is retired once the window has been
+    flushed.
     """
     run, S, g, om, sig = state.run, state.S, state.g, state.om, state.sig
     denom = delta + state.lambdas - S[1] / S[0]
@@ -495,7 +524,7 @@ def _freeze(state, rows, code):
     ``rows`` may be ``state.run`` itself, so ``run`` is cleared last.  The
     shifts took part in ``state.j + 1`` joint iterations.
     """
-    state.code[rows] = code
+    state.codes[rows] = code
     state.iterations[rows] = state.j + 1
     state.N[:2, rows] = ((0.0,), (1.0,))      # g, om: x += 0 p, p = 1 p + 0 v
     state.run[rows] = False
@@ -527,13 +556,27 @@ def _window_norms(W, y):
     return np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
 
 
-def _usable(codes):
-    """The selection rule on int8 status codes: usable iff converged.
+def _exact_norms(state):
+    """||x_i|| of every row of the state's iterate block, without forming it.
 
-    ``MultishiftSolution.usable_mask`` and ``_retire`` both apply it, so
-    retirement picks its b from the candidates of ``arc.select_step``.
+    Before a flush, ||x_i||^2 = y_i' G y_i with y_i = Y[i, 1:kw+1] and the
+    window's Gram matrix (``_window_norms``): O(kw^2 n) work.  After one,
+    the rows are formed with ``_rows``, ``_CHUNK`` columns at a time, and
+    each row's squares are summed over the chunks: W is read once and the
+    temporaries are two (m+1) x ``_CHUNK`` arrays, so the three-block bound
+    of the solve holds.  Retirement reads the first path mid-solve, and
+    ``step_norms`` either path once the solve is done.
     """
-    return codes == _CONVERGED
+    k = state.kw
+    W, Y, X = state.W[:k], state.Y[:, :k + 1], state._X
+    if X is None:
+        return _window_norms(W, Y[:, 1:])
+    sq = 0.0
+    for c in _chunks(X.shape[1]):
+        x = _rows(W[:, c], Y, X[:, c], state._P[:, c], slice(None))
+        sq += np.einsum("ij,ij->i", x, x)
+        del x                           # freed before the next chunk forms
+    return np.sqrt(sq)
 
 
 def _closest(usable, norms, alpha_lam):
@@ -575,89 +618,15 @@ def _retire(state):
     r = int(state.run.argmax())
     if not (state.run[r] and r < b and state.bound[r] > state.score[b]):
         return
-    k = state.kw
-    norms = _window_norms(state.W[:k], state.Y[:, 1:k + 1])
-    usable = np.flatnonzero(_usable(state.code))
-    _freeze(state, _retirees(norms, state.alpha_lam, usable, state.run),
-            _RETIRED)
-
-
-@dataclass
-class MultishiftSolution:
-    """Per-shift directions and diagnostics of one multishift solve.
-
-    The directions stay in the solver's shift block as the solve ended (see
-    ``_ShiftBlock``): d_i is row i of x, with the flushed rows ``X`` and
-    ``P`` present only when the window was flushed.  The (m+1, n) block is
-    never formed unless ``directions`` is read: ``step_norms`` comes from
-    the window's Gram matrix, or after a flush from column chunks of the
-    rows, and ``direction(i)`` forms row i alone.  So selection and the
-    failure walk hold no more than the solve did: ``W`` and, after a
-    flush, ``X`` and ``P``, three (m+1, n) blocks at most.
-
-    ``codes`` holds the int8 status code of every shift (the ``_NAMES``
-    index), the one stored status: ``statuses`` and ``usable_mask`` are
-    derived from it.  A shift is usable, a candidate of ``arc.select_step``
-    and ``arc.advance_shift_on_failure``, iff it converged.  The solve
-    formed ``total_iterations`` operator products.
-    """
-
-    lambdas: np.ndarray
-    residual_norms: np.ndarray      # |sigma| at freeze time
-    codes: np.ndarray
-    iterations: np.ndarray
-    total_iterations: int
-    W: np.ndarray                   # (kw, n) window of basis vectors
-    Y: np.ndarray                   # (m+1, kw+1) weights of [P; W]
-    X: Optional[np.ndarray] = None  # (m+1, n) flushed rows, if any
-    P: Optional[np.ndarray] = None
-
-    @cached_property
-    def statuses(self) -> tuple:
-        """Per-shift status names, a tuple of the module's constants."""
-        return _names(self.codes)
-
-    @cached_property
-    def usable_mask(self) -> np.ndarray:
-        """Per-shift bool: whether the shift is usable (``_usable``)."""
-        return _usable(self.codes)
-
-    def direction(self, i) -> np.ndarray:
-        """Direction of shift i, formed from the block as a new vector."""
-        return _rows(self.W, self.Y, self.X, self.P, i)
-
-    @cached_property
-    def directions(self) -> np.ndarray:
-        """(n, m+1), one column per shift: every row formed once and kept."""
-        return _rows(self.W, self.Y, self.X, self.P, slice(None)).T
-
-    @cached_property
-    def step_norms(self) -> np.ndarray:
-        """Per-shift ||d||, computed on first use and kept.
-
-        Without flushed rows, ||d_i||^2 = y_i' G y_i with y_i = Y[i, 1:] and
-        the Gram matrix G = W W' of the window: O(kw^2 n) work, and no
-        orthogonality of the basis vectors is assumed.  A flushed solve
-        forms its rows with ``_rows``, ``_CHUNK`` columns at a time, and
-        sums each row's squares over the chunks: W is read once,
-        ``directions`` is left unformed, and the temporaries are two
-        (m+1) x ``_CHUNK`` arrays, so the three-block bound of the solve
-        holds.
-        """
-        if self.X is None:
-            return _window_norms(self.W, self.Y[:, 1:])
-        sq = 0.0
-        for c in _chunks(self.X.shape[1]):
-            x = _rows(self.W[:, c], self.Y, self.X[:, c], self.P[:, c],
-                      slice(None))
-            sq += np.einsum("ij,ij->i", x, x)
-            del x                       # freed before the next chunk forms
-        return np.sqrt(sq)
+    usable = np.flatnonzero(state.usable_mask)
+    _freeze(state, _retirees(_exact_norms(state), state.alpha_lam, usable,
+                             state.run), _RETIRED)
 
 
 def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,
-                  alpha=None, deadline=None) -> MultishiftSolution:
-    """Solve (M + lambda_i I) x = b for every shift of the grid.
+                  alpha=None, deadline=None) -> MultishiftState:
+    """Solve (M + lambda_i I) x = b for every shift of the grid; returns
+    the finished solve.
 
     Parameters
     ----------
@@ -668,8 +637,8 @@ def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,
         Right-hand side.  A zero b yields all-zero converged solutions and
         forms no product.
     grid : ShiftGrid
-    tol : float or array
-        Per-shift absolute residual tolerance.
+    tol : float
+        Absolute residual tolerance of every shift, finite and nonnegative.
     max_iter : int, optional
         Joint iteration cap, default ``2 * len(b)``.
     alpha : float, optional

@@ -14,10 +14,10 @@ import math
 import numpy as np
 
 from .shifted_cg import (_CAPPED, _EPS, MultishiftSolution, ShiftGrid,
-                         _product, _shift_block_step, _ShiftBlock)
+                         _product, _shift_block_step)
 
 
-class CglsState(_ShiftBlock):
+class CglsState(MultishiftSolution):
     """Joint Lanczos-CGLS on A'A, for the right-hand side A'b.
 
     The Lanczos source runs through auxiliary row-space vectors u_j, with
@@ -29,14 +29,14 @@ class CglsState(_ShiftBlock):
     def __init__(self, apply_A, apply_At, b, grid: ShiftGrid, tol, max_iter,
                  alpha=None, deadline=None, atb=None):
         b = np.asarray(b, dtype=float)
-        self._apply_A = apply_A
-        self._apply_At = apply_At
         # a caller's A'b passes the same finite-value check as a product
-        atb, _ = _product(apply_At if atb is None else (lambda _: atb), b)
+        atb, rr = _product(apply_At if atb is None else (lambda _: atb), b)
         # beta0 = ||A'b||, the norm of the normal-equations rhs
-        beta0 = self._open(atb, grid, tol, max_iter, alpha, deadline)
+        beta0 = self._open(atb, rr, grid, tol, max_iter, alpha, deadline)
         if self.done:
             return
+        self._apply_A = apply_A
+        self._apply_At = apply_At
         self.u = b / beta0
         self.u_prev = None                  # u_{j-1}; none at j=0
         self.beta = beta0                   # multiplies u_{j-1}; unused at j=0
@@ -51,7 +51,9 @@ class CglsState(_ShiftBlock):
         forms w, with the dead ``u_prev`` scaled by beta in place.
         ``q`` = A v_j and ``atu`` = A'u belong to the operators and are
         never written, so v_next is a new array, and u_{j+1} is normalised
-        only after v_next is formed: A' may return its argument.
+        only after v_next is formed: A' may return its argument.  The pass
+        that freezes the last running shift drops ``u``, ``u_prev``, ``q``
+        and both operators.
         """
         if self.done:
             raise RuntimeError("multishift solve already finished")
@@ -77,12 +79,16 @@ class CglsState(_ShiftBlock):
             self.u = np.divide(u_next, beta_next, out=u_next)
             self.beta = beta_next
             self.q, self.qq = _product(self._apply_A, v_next)
+        else:
+            self.u = self.u_prev = self.q = None
+            self._apply_A = self._apply_At = None
 
 
 def multishift_cgls(apply_A, apply_At, b, grid: ShiftGrid, tol=1e-8,
                     max_iter=None, alpha=None, deadline=None,
-                    atb=None) -> MultishiftSolution:
-    """Solve (A'A + lambda_i I) x = A'b for every shift of the grid.
+                    atb=None) -> CglsState:
+    """Solve (A'A + lambda_i I) x = A'b for every shift of the grid;
+    returns the finished solve.
 
     ``apply_A`` maps length-n vectors to length-m vectors and ``apply_At``
     must be its adjoint (validated by the problem-level adjoint check, not

@@ -89,22 +89,21 @@ def make_solver(kernel, n, spectrum, seed, tol_frac):
 def hand_built(lambdas, norms, statuses=None, residual_norms=None):
     """A ``MultishiftSolution`` built by hand, as selection tests need.
 
-    Shift i has the status name ``statuses[i]`` and the direction
-    (norms[i], 0), held as a flushed row with an empty window and a zero
-    flushed direction block.
-    ``statuses`` defaults to every shift converged and ``residual_norms``
-    to zeros.
+    ``_open`` starts it on a zero right-hand side, so it is done with every
+    shift converged; then shift i gets the status name ``statuses[i]``,
+    the residual norm ``residual_norms[i]`` and the direction
+    (norms[i], 0), held as a flushed row with a zero flushed direction
+    block.  ``statuses`` defaults to every shift converged and
+    ``residual_norms`` to zeros.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
-    m1 = lambdas.size
-    if statuses is None:
-        statuses = ["converged"] * m1
-    X = np.zeros((m1, 2))
-    X[:, 0] = norms
-    return MultishiftSolution(
-        lambdas=lambdas,
-        residual_norms=(np.zeros(m1) if residual_norms is None
-                        else np.asarray(residual_norms, dtype=float)),
-        codes=np.array([_NAMES.index(s) for s in statuses], np.int8),
-        iterations=np.ones(m1, dtype=int), total_iterations=1,
-        W=np.empty((0, 2)), Y=np.zeros((m1, 1)), X=X, P=np.zeros_like(X))
+    grid = ShiftGrid(lambdas)
+    sol = MultishiftSolution()
+    sol._open(np.zeros(2), 0.0, grid, 0.0, None, None, None)
+    if statuses is not None:
+        sol.codes[:] = [_NAMES.index(s) for s in statuses]
+    if residual_norms is not None:
+        sol.sigma[:] = residual_norms
+    sol._X = np.zeros((len(grid), 2))
+    sol._X[:, 0] = norms
+    sol._P = np.zeros_like(sol._X)
+    return sol

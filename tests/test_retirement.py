@@ -105,7 +105,7 @@ def test_fixed_case_retires_and_stops(kernel):
     state, passes = solve.start(1.0), []
     while not state.done:
         state.step()
-        passes.append(state.status)
+        passes.append(state.statuses)
     sol = state.solve()
     sol_calls = len(solve.calls)
     plain = solve(None)
@@ -141,7 +141,8 @@ def new_state(kernel, alpha, calls, seed=0, n=60):
 
 @pytest.mark.parametrize("kernel", ["cg", "cgls"])
 def test_reading_x_and_p_leaves_the_solve_alone(kernel):
-    """Reading ``x`` and ``p`` after every pass changes nothing in the solve.
+    """Reading the iterate block (``directions``) and ``p`` after every
+    pass changes nothing in the solve.
 
     Retirement reads the window coefficients, and stops for good once the
     window has been flushed.  A read that folded the window into the
@@ -152,7 +153,7 @@ def test_reading_x_and_p_leaves_the_solve_alone(kernel):
     state = new_state(kernel, 1e-3, calls)
     while not state.done:
         state.step()
-        state.x, state.p
+        state.directions, state.p
     seen = state.solve()
     assert RETIRED in plain.statuses
     assert plain.total_iterations < 2 * plain.W.shape[1]

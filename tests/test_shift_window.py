@@ -10,7 +10,6 @@ and single rows are checked against the replayed rows and the formed
 block on property-drawn solves.
 """
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -29,12 +28,9 @@ from kernel_systems import counted, seeded_system
 
 
 def reference_replay(lambdas, tol, max_iter, rhs, passes, pivot_status):
-    """The explicit row update driven by recorded Lanczos passes.
-
-    ``tol`` is the solve's tolerance, a scalar or one per shift.
-    """
+    """The explicit row update driven by recorded Lanczos passes at the
+    solve's scalar tolerance ``tol``."""
     m1 = lambdas.size
-    tol = np.full(m1, tol)
     x = np.zeros((m1, rhs.size))
     p = np.tile(rhs, (m1, 1))
     sigma = np.full(m1, float(np.linalg.norm(rhs)))
@@ -56,7 +52,7 @@ def reference_replay(lambdas, tol, max_iter, rhs, passes, pivot_status):
         if not breakdown:
             p[act] += sig[:, None] * v_next
         iterations[act] = j + 1
-        status[act[np.abs(sig) <= tol[act]]] = CONVERGED
+        status[act[np.abs(sig) <= tol]] = CONVERGED
         if breakdown:
             status[status == RUNNING] = CONVERGED
             break
@@ -182,7 +178,7 @@ def test_coverage_cases_reach_their_regimes():
     sols = {k: solve_case(*case)[0] for k, case in COVERAGE.items()}
     m1 = len(ShiftGrid.default())
     for k in ("cg-flush", "cgls-flush", "cg-indefinite-flush"):
-        assert sols[k].total_iterations > m1 and sols[k].X is not None, k
+        assert sols[k].total_iterations > m1 and sols[k]._X is not None, k
     assert INDEFINITE in sols["cg-indefinite-flush"].statuses
     assert sols["cgls-invariant"].total_iterations <= 3
     assert sols["cg-zero"].total_iterations == 0
@@ -193,14 +189,12 @@ def _lazy_block_matches_formed_rows(kernel, n, spectrum, rhs_kind, seed):
         passes = _record_passes(mp)
         sol, rhs, pivot_status, tol = solve_case(kernel, n, spectrum,
                                                  rhs_kind, seed)
-        lazy = dataclasses.replace(sol)     # a fresh copy, nothing cached
     m1 = sol.lambdas.size
 
     # Rows formed one at a time, before any block exists, against the
     # explicit row update replayed from the recorded passes.
-    rows = [lazy.direction(i) for i in range(m1)]
-    norms = lazy.step_norms
-    assert "directions" not in vars(lazy) or lazy.X is not None
+    rows = [sol.direction(i) for i in range(m1)]
+    norms = sol.step_norms
     if not np.any(rhs):                     # b = 0, or A'b = 0 for CGLS
         assert not passes and sol.statuses == (CONVERGED,) * m1
         reference = np.zeros((m1, n))
@@ -213,7 +207,7 @@ def _lazy_block_matches_formed_rows(kernel, n, spectrum, rhs_kind, seed):
         assert (np.linalg.norm(rows[i] - reference[i])
                 <= 1e-12 * ref_norms[i]), i
 
-    # The formed block of a fresh solution against the lazy answers.
+    # The formed block against the lazy answers.
     formed = sol.directions
     formed_norms = np.linalg.norm(formed, axis=0)
     assert np.all(np.abs(norms - formed_norms) <= 1e-12 * formed_norms)
@@ -254,7 +248,7 @@ def test_selection_forms_no_block(monkeypatch, kernel):
         sol = multishift_cgls(lambda v: diag * v, lambda u: diag * u, b,
                               grid, tol=1e-8)
     m1 = sol.lambdas.size
-    assert sol.total_iterations < m1 and sol.X is None and sol.P is None
+    assert sol.total_iterations < m1 and sol._X is None and sol._P is None
 
     tracemalloc.start()
     try:
@@ -264,8 +258,34 @@ def test_selection_forms_no_block(monkeypatch, kernel):
     finally:
         tracemalloc.stop()
     assert peak < m1 * n * 8 // 4
-    assert "directions" not in vars(sol)
     assert np.array_equal(d, d_again)
+
+
+@pytest.mark.parametrize("kernel", ["cg", "cgls"])
+@pytest.mark.parametrize("rhs_kind", ["invariant", "random", "zero"])
+def test_finished_solve_holds_only_its_block(kernel, rhs_kind):
+    """A finished solve keeps no operator and no array of n or more entries
+    but ``W``, ``_X`` and ``_P``: the pass that freezes the last running
+    shift drops the Lanczos vectors and the operator.  On a four-shift grid
+    a clustered spectrum ends the solve within the window, a spread one
+    with a random right-hand side flushes it and a zero right-hand side
+    forms no product."""
+    n = 60
+    spectrum = "spread" if rhs_kind == "random" else "clustered"
+    op, b, rhs = seeded_system(kernel, n, spectrum, 0, rhs_kind)
+    grid = ShiftGrid([1e-2, 1.0, 1e2, 1e4])
+    tol = 1e-10 * np.linalg.norm(rhs)
+    if kernel == "cg":
+        sol = multishift_cg(lambda v: op @ v, b, grid, tol=tol)
+    else:
+        sol = multishift_cgls(lambda v: op @ v, lambda w: op.T @ w, b, grid,
+                              tol=tol)
+    assert (sol._X is None) == (rhs_kind != "random")
+    assert (sol.total_iterations == 0) == (rhs_kind == "zero")
+    for name, value in vars(sol).items():
+        assert not callable(value), name
+        if isinstance(value, np.ndarray) and value.size >= n:
+            assert name in ("W", "_X", "_P"), name
 
 
 @pytest.mark.parametrize("kernel", ["cg", "cgls"])
@@ -299,7 +319,7 @@ def test_flushed_solve_holds_three_blocks(monkeypatch, kernel):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(flushes) >= 2 and sol.X is not None
+    assert len(flushes) >= 2 and sol._X is not None
     assert peak < 3.5 * m1 * n * 8, peak / (m1 * n * 8)
     assert np.array_equal(d, d_again)
 
@@ -338,7 +358,7 @@ def test_flushed_step_norms_span_column_chunks(monkeypatch, kernel):
         sol = multishift_cgls(lambda v: A @ v, lambda w: A.T @ w, b, grid,
                               tol=1e-10 * np.linalg.norm(rhs))
 
-    assert len(flushes) >= 2 and sol.X is not None
+    assert len(flushes) >= 2 and sol._X is not None
     rows = [sol.direction(i) for i in range(grid.lambdas.size)]
     np.testing.assert_allclose(sol.step_norms, np.linalg.norm(rows, axis=1),
                                rtol=1e-12)

@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 
 import arcqk.shifted_cg as cg_mod
 import arcqk.shifted_cgls as cgls_mod
-from arcqk.shifted_cg import (CAPPED, CONVERGED, INDEFINITE, RUNNING,
-                              MultishiftState, ShiftGrid, TimeExceeded,
-                              multishift_cg)
+from arcqk.shifted_cg import (_CONVERGED, CAPPED, CONVERGED, INDEFINITE,
+                              RUNNING, MultishiftState, ShiftGrid,
+                              TimeExceeded, _freeze, multishift_cg)
 from arcqk.shifted_cgls import CglsState, multishift_cgls
 
 from kernel_systems import seeded_system
@@ -47,6 +47,17 @@ class TestShiftGrid:
             ShiftGrid([1.0, 1.0])
         with pytest.raises(ValueError, match="finite"):
             ShiftGrid([1.0, np.inf])
+
+    def test_lambdas_are_a_private_read_only_copy(self):
+        lam = np.array([1.0, 2.0])
+        grid = ShiftGrid(lam)
+        with pytest.raises(ValueError, match="read-only"):
+            grid.lambdas[0] = 0.5
+        lam[0] = 0.5
+        assert grid[0] == 1.0
+        # a solve hands out the grid's array, not a copy
+        assert multishift_cg(lambda v: v, np.ones(2), grid).lambdas is \
+            grid.lambdas
 
 
 class TestMultishiftCg:
@@ -131,17 +142,6 @@ class TestMultishiftCg:
         assert sol.statuses == (CAPPED,)
         assert sol.iterations[0] == 3
 
-    def test_per_shift_tol_array(self):
-        rng = np.random.default_rng(2)
-        M = random_spd(8, rng)
-        b = rng.standard_normal(8)
-        grid = ShiftGrid([0.5, 5.0])
-        sol = multishift_cg(lambda v: M @ v, b, grid, tol=[1e-12, 1e-2])
-        assert sol.statuses == (CONVERGED, CONVERGED)
-        assert sol.iterations[1] <= sol.iterations[0]
-        with pytest.raises(ValueError, match="entries"):
-            multishift_cg(lambda v: M @ v, b, grid, tol=[1e-8] * 3)
-
 
 class TestCountingContracts:
     def test_single_product_per_iteration_across_grid_sizes(self):
@@ -180,9 +180,9 @@ class TestRecurrenceInvariants:
         while not state.done:
             state.step()
             for i, lam in enumerate(grid.lambdas):
-                if state.status[i] not in ("running", CONVERGED):
+                if state.statuses[i] not in ("running", CONVERGED):
                     continue
-                r = b - (M + lam * np.eye(n)) @ state.x[i]
+                r = b - (M + lam * np.eye(n)) @ state.direction(i)
                 assert abs(abs(state.sigma[i]) - np.linalg.norm(r)) <= \
                     1e-8 * np.linalg.norm(b)
 
@@ -215,44 +215,46 @@ class TestRecurrenceInvariants:
         while not state.done:
             state.step()
             for i in range(2):
-                if state.status[i] == CONVERGED and i not in frozen:
-                    frozen[i] = (state.x[i].copy(), state.sigma[i],
+                if state.statuses[i] == CONVERGED and i not in frozen:
+                    frozen[i] = (state.direction(i), state.sigma[i],
                                  state.iterations[i])
                 elif i in frozen:
                     x, sig, it = frozen[i]
-                    assert_allclose(state.x[i], x)
+                    assert_allclose(state.direction(i), x)
                     assert state.sigma[i] == sig
                     assert state.iterations[i] == it
         assert 1 in frozen
 
     def test_frozen_middle_shift_between_running_ones(self):
-        # the loose middle tolerance freezes shift 1 while shifts 0 and 2
-        # still run, so their rows are updated through a row index
+        # shift 1 is frozen by hand right after the first flush, while
+        # shifts 0 and 2 still run: its row is then its flushed row alone,
+        # which the passes around the gap must keep bitwise
         rng = np.random.default_rng(16)
         n = 20
         M = random_spd(n, rng)
         b = 10.0 * rng.standard_normal(n)
         grid = ShiftGrid([0.1, 1.0, 10.0])
-        state = MultishiftState(lambda v: M @ v, b, grid,
-                                [1e-12, 1.0, 1e-12], 2 * n)
+        state = MultishiftState(lambda v: M @ v, b, grid, 1e-12, 2 * n)
         frozen = None
         split_steps = 0
         while not state.done:
             state.step()
-            if frozen is None and state.status[1] == CONVERGED:
-                frozen = (state.x[1].copy(), state.sigma[1], state.iterations[1])
+            if frozen is None and state.kw == 1:
+                _freeze(state, [1], _CONVERGED)
+                frozen = (state.direction(1), state.sigma[1],
+                          state.iterations[1])
             elif frozen is not None:
                 x, sig, it = frozen
-                assert np.array_equal(state.x[1], x)
+                assert np.array_equal(state.direction(1), x)
                 assert state.sigma[1] == sig
                 assert state.iterations[1] == it
-            split_steps += tuple(state.status) == ("running", CONVERGED,
-                                                   "running")
+            split_steps += tuple(state.statuses) == ("running", CONVERGED,
+                                                     "running")
         assert split_steps > 0
         for i in (0, 2):
-            assert state.status[i] == CONVERGED
+            assert state.statuses[i] == CONVERGED
             exact = np.linalg.solve(M + grid[i] * np.eye(n), b)
-            assert_allclose(state.x[i], exact, rtol=1e-9)
+            assert_allclose(state.direction(i), exact, rtol=1e-9)
 
     def test_step_norms_monotone_in_shift(self):
         rng = np.random.default_rng(13)
@@ -266,6 +268,20 @@ class TestRecurrenceInvariants:
             conv = [i for i, s in enumerate(sol.statuses) if s == CONVERGED]
             for a, bb in zip(conv, conv[1:]):
                 assert norms[bb] <= norms[a] + 1e-6
+
+    def test_step_norms_wait_for_the_end(self):
+        # read mid-solve, they would be kept stale: the read raises
+        rng = np.random.default_rng(15)
+        M = random_spd(20, rng)
+        state = MultishiftState(lambda v: M @ v, rng.standard_normal(20),
+                                ShiftGrid([0.1, 10.0]), 1e-11, None)
+        state.step()
+        with pytest.raises(RuntimeError, match="still running"):
+            state.step_norms
+        sol = state.solve()
+        rows = [sol.direction(i) for i in range(2)]
+        assert_allclose(sol.step_norms, np.linalg.norm(rows, axis=1),
+                        rtol=1e-12)
 
     def test_converged_residuals_match_sigma(self):
         rng = np.random.default_rng(14)
@@ -294,12 +310,12 @@ def certified_freezes(M, b, grid, tol):
     state = MultishiftState(lambda v: M @ v, b, grid, tol, None)
     freezes = 0
     while not state.done:
-        ran = np.flatnonzero(np.array(state.status) == RUNNING)
+        ran = np.flatnonzero(np.array(state.statuses) == RUNNING)
         p = state.p[ran]
         curv = (np.einsum("ij,ij->i", p @ M, p)
                 + grid.lambdas[ran] * np.einsum("ij,ij->i", p, p))
         state.step()
-        indefinite = np.array(state.status)[ran] == INDEFINITE
+        indefinite = np.array(state.statuses)[ran] == INDEFINITE
         assert np.all(curv[indefinite] < 0.0), (state.j, ran[indefinite])
         assert np.all(curv[~indefinite] > 0.0), (state.j, ran[~indefinite])
         freezes += np.count_nonzero(indefinite)
@@ -354,6 +370,21 @@ def test_deadline_ends_the_solve_after_a_pass(kernel):
     assert not state.done
     sol = start(time.perf_counter() + 1e3).solve()
     assert sol.total_iterations == start(None).solve().total_iterations > 1
+
+
+@pytest.mark.parametrize("kernel", ["cg", "cgls"])
+@pytest.mark.parametrize("tol", [[1e-8, 1e-8], np.array([1e-8]), -1.0,
+                                 np.nan, np.inf])
+def test_tol_must_be_a_finite_nonnegative_scalar(kernel, tol):
+    """One tolerance serves every shift: an array, even of one entry,
+    raises, and so does a negative, NaN or infinite value."""
+    grid = ShiftGrid([0.5, 5.0])
+    with pytest.raises(ValueError, match="tol"):
+        if kernel == "cg":
+            multishift_cg(lambda v: v, np.ones(3), grid, tol=tol)
+        else:
+            multishift_cgls(lambda v: v, lambda u: u, np.ones(3), grid,
+                            tol=tol)
 
 
 def test_residual_equal_to_the_tolerance_converges():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from arcqk.shifted_cg import CAPPED, CONVERGED, INDEFINITE, ShiftGrid
+from arcqk.shifted_cg import (_CONVERGED, CAPPED, CONVERGED, INDEFINITE,
+                              ShiftGrid, _freeze)
 from arcqk.shifted_cgls import CglsState, multishift_cgls
 
 
@@ -147,39 +148,42 @@ class TestMultishiftCgls:
         while not state.done:
             state.step()
             for i, lam in enumerate(grid.lambdas):
-                if state.status[i] == CAPPED:
+                if state.statuses[i] == CAPPED:
                     continue
-                r = atb - (gram + lam * np.eye(6)) @ state.x[i]
+                r = atb - (gram + lam * np.eye(6)) @ state.direction(i)
                 scale = max(1.0, np.linalg.norm(atb))
                 assert abs(abs(state.sigma[i]) - np.linalg.norm(r)) <= 1e-6 * scale
 
     def test_frozen_middle_shift_between_running_ones(self):
-        # as for multishift_cg: the shared shift-block update must keep the
-        # frozen middle row fixed while the outer rows run
+        # shift 1 is frozen by hand right after the first flush, while
+        # shifts 0 and 2 still run: its row is then its flushed row alone,
+        # which the passes around the gap must keep bitwise
         rng = np.random.default_rng(30)
         A = rng.standard_normal((30, 15))
         b = 10.0 * rng.standard_normal(30)
         grid = ShiftGrid([0.1, 1.0, 10.0])
         state = CglsState(lambda v: A @ v, lambda u: A.T @ u, b, grid,
-                          [1e-12, 1.0, 1e-12], 30)
+                          1e-12, 30)
         frozen = None
         split_steps = 0
         while not state.done:
             state.step()
-            if frozen is None and state.status[1] == CONVERGED:
-                frozen = (state.x[1].copy(), state.sigma[1], state.iterations[1])
+            if frozen is None and state.kw == 1:
+                _freeze(state, [1], _CONVERGED)
+                frozen = (state.direction(1), state.sigma[1],
+                          state.iterations[1])
             elif frozen is not None:
                 x, sig, it = frozen
-                assert np.array_equal(state.x[1], x)
+                assert np.array_equal(state.direction(1), x)
                 assert state.sigma[1] == sig
                 assert state.iterations[1] == it
-            split_steps += tuple(state.status) == ("running", CONVERGED,
-                                                   "running")
+            split_steps += tuple(state.statuses) == ("running", CONVERGED,
+                                                     "running")
         assert split_steps > 0
         exact = dense_solutions(A, b, grid.lambdas)
         for i in (0, 2):
-            assert state.status[i] == CONVERGED
-            assert_allclose(state.x[i], exact[i], rtol=1e-8)
+            assert state.statuses[i] == CONVERGED
+            assert_allclose(state.direction(i), exact[i], rtol=1e-8)
 
     def test_zero_normal_rhs(self):
         # b orthogonal to range(A): A'b = 0, zero is the solution

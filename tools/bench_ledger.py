@@ -32,11 +32,16 @@ timed in this process just before the run.  It shows how loaded the
 machine was: timings from one session compare directly, but entries from
 different sessions compare only after scaling each by its
 ``calibration_s``.
+
+``tools/large_n.py`` and ``tools/compare_speed.py`` append their entries
+through ``append_entry`` and run their measuring processes through
+``run_child``.
 """
 
 import argparse
 import datetime
 import json
+import os
 import subprocess
 import sys
 import time
@@ -100,6 +105,37 @@ def calibrate():
     return 5 * sorted(blocks)[2]
 
 
+def append_entry(ledger, entry):
+    """Append ``entry`` to the JSON list in the file ``ledger``, which is
+    made when missing, and rewrite the file."""
+    entries = json.loads(ledger.read_text()) if ledger.exists() else []
+    entries.append(entry)
+    ledger.write_text(json.dumps(entries, indent=1) + "\n")
+
+
+def run_child(path, args, what):
+    """Run ``python args`` in a fresh interpreter in the checkout ``path``,
+    with its ``src/`` on the import path and one BLAS thread.
+
+    Returns the last line of the child's standard output, parsed as JSON,
+    without its ``module`` entry, the ``arcqk.__file__`` it imported, which
+    must lie in ``path``.  A failed child raises ``RuntimeError`` naming
+    ``what``, with the tail of its standard error.
+    """
+    env = dict(os.environ, PYTHONPATH=str(path / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run([sys.executable, *args], cwd=path, env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{what} failed in {path}:\n"
+                           f"{proc.stderr[-2000:]}")
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    if Path(out.pop("module")).resolve().parents[1] != path / "src":
+        raise RuntimeError(f"{path}: imported arcqk from another checkout")
+    return out
+
+
 def describe(path):
     proc = subprocess.run(["git", "-C", str(path), "describe", "--always",
                            "--dirty", "--abbrev=12"],
@@ -124,8 +160,6 @@ def run_once(path, workload, seed, seconds, trace):
 
 def main(argv=None):
     args = parse_args(argv)
-    ledger = (json.loads(args.ledger.read_text())
-              if args.ledger.exists() else [])
     commits = {label: describe(path) for label, path in args.sides}
     for workload in args.workload:
         for k, seed in enumerate(args.seeds):
@@ -144,8 +178,7 @@ def main(argv=None):
                                 for name, m in out["metrics"].items()},
                     "products": products,
                 }
-                ledger.append(entry)
-                args.ledger.write_text(json.dumps(ledger, indent=1) + "\n")
+                append_entry(args.ledger, entry)
                 print(f"{workload} seed {seed} {label}: calibration_s="
                       f"{calibration:.4g}, " + ", ".join(
                           f"{n}={v:.6g}" for n, v in entry["metrics"].items()),

@@ -52,8 +52,6 @@ So a desk reading within about 3% of 1 is noise.  A process takes about 6 s on e
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -123,23 +121,6 @@ def child(name, sweeps):
         "st_products": products["st"]}))
 
 
-def run_once(path, name, sweeps):
-    env = dict(os.environ, PYTHONPATH=str(path / "src"))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    proc = subprocess.run(
-        [sys.executable, __file__, "--child", "--repo", f"child={path}",
-         "--set", name, "--sweeps", str(sweeps)],
-        cwd=path, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{name} failed in {path}:\n"
-                           f"{proc.stderr[-2000:]}")
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
-    if Path(out.pop("module")).resolve().parents[1] != path / "src":
-        raise RuntimeError(f"{path}: imported arcqk from another checkout")
-    return out
-
-
 def quartiles(values):
     """``(q1, median, q3)`` of ``values`` by linear interpolation."""
     v = sorted(values)
@@ -157,8 +138,6 @@ def main(argv=None):
     if args.child:
         child(args.set, args.sweeps)
         return 0
-    ledger = (json.loads(args.ledger.read_text())
-              if args.ledger.exists() else [])
     commits = {label: bench_ledger.describe(path)
                for label, path in args.sides}
     (base, _), (new, _) = args.sides
@@ -170,14 +149,16 @@ def main(argv=None):
         order = args.sides if pair % 2 == 0 else args.sides[::-1]
         runs = {}
         for label, path in order:
-            m = run_once(path, args.set, args.sweeps)
+            m = bench_ledger.run_child(
+                path, [__file__, "--child", "--repo", f"child={path}",
+                       "--set", args.set, "--sweeps", str(args.sweeps)],
+                args.set)
             cal = m.pop("calibration_s")
-            ledger.append({
+            bench_ledger.append_entry(args.ledger, {
                 "commit": commits[label], "label": label,
                 "workload": "compare_speed", "source": SOURCE,
                 "set": args.set, "pair": pair, "sweeps": args.sweeps,
                 "calibration_s": cal, "metrics": m})
-            args.ledger.write_text(json.dumps(ledger, indent=1) + "\n")
             runs[label] = m, cal
             print(f"pair {pair} {label}: calibration_s={cal:.4g}, "
                   f"arcqk_s={m['arcqk_s']:.4g}, st_s={m['st_s']:.4g}, "

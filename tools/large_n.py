@@ -25,9 +25,7 @@ takes about 10 s on a 2-core machine; ST peaks at about 0.14 GB.
 
 import argparse
 import json
-import os
 import resource
-import subprocess
 import sys
 from pathlib import Path
 
@@ -71,38 +69,21 @@ def child(solver):
             resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
 
 
-def run_once(path, solver):
-    env = dict(os.environ, PYTHONPATH=str(path / "src"))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    proc = subprocess.run([sys.executable, __file__, "--child", solver],
-                          cwd=path, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{solver} failed in {path}:\n"
-                           f"{proc.stderr[-2000:]}")
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
-    if Path(out.pop("module")).resolve().parents[1] != path / "src":
-        raise RuntimeError(f"{path}: imported arcqk from another checkout")
-    return out
-
-
 def main(argv=None):
     args = parse_args(argv)
     if args.child is not None:
         child(args.child)
         return 0
-    ledger = (json.loads(args.ledger.read_text())
-              if args.ledger.exists() else [])
     for label, path in args.sides:
         commit = bench_ledger.describe(path)
         for solver in SOLVERS:
             calibration = bench_ledger.calibrate()
-            metrics = run_once(path, solver)
-            ledger.append({
+            metrics = bench_ledger.run_child(
+                path, [__file__, "--child", solver], solver)
+            bench_ledger.append_entry(args.ledger, {
                 "commit": commit, "label": label, "workload": "large_n",
                 "source": SOURCE, "solver": solver,
                 "calibration_s": calibration, "metrics": metrics})
-            args.ledger.write_text(json.dumps(ledger, indent=1) + "\n")
             print(f"{label} {solver}: HVPs {metrics['products']}, f-evals "
                   f"{metrics['f_evals']}, {metrics['status']}, "
                   f"{metrics['seconds']:.1f} s, peak RSS "

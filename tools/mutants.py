@@ -57,13 +57,13 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # -- the selection rule
     Mutant("usable-not-indefinite", CG,
-           "return codes == _CONVERGED",
-           "return codes != _INDEFINITE",
+           "return self.codes == _CONVERGED",
+           "return self.codes != _INDEFINITE",
            "usable means converged: capped and retired shifts are not "
            "candidates"),
     Mutant("usable-capped", CG,
-           "return codes == _CONVERGED",
-           "return (codes == _CONVERGED) | (codes == _CAPPED)",
+           "return self.codes == _CONVERGED",
+           "return (self.codes == _CONVERGED) | (self.codes == _CAPPED)",
            "a capped shift is never usable, whatever its residual"),
     Mutant("ties-to-larger", CG,
            "    k = int(scores.argmin())\n",
@@ -153,6 +153,19 @@ MUTANTS = (
            'sq += np.einsum("ij,ij->i", x, x)',
            'sq = np.einsum("ij,ij->i", x, x)',
            "a flushed step norm sums its squares over every chunk"),
+    Mutant("step-norms-early", CG,
+           "        if not self.done:\n            raise RuntimeError",
+           "        if False:\n            raise RuntimeError",
+           "step norms read before the solve ends would be kept stale"),
+    # -- what a finished solve keeps
+    Mutant("cg-keeps-lanczos", CG,
+           "self.v = self.v_prev = self.q = self._apply_op = None",
+           "self._apply_op = None",
+           "a finished CG solve drops its Lanczos vectors"),
+    Mutant("cgls-keeps-lanczos", CGLS,
+           "            self.u = self.u_prev = self.q = None\n",
+           "",
+           "a finished CGLS solve drops its Lanczos vectors"),
     # -- retirement
     Mutant("retire-no-prefix", CG,
            "return below if ok.all() else below[:int(ok.argmin())]",
