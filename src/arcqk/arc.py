@@ -277,10 +277,10 @@ class _SmoothDriver:
     def grad(self, x):
         return self.problem.eval_grad(x)
 
-    def solve(self, x, g, tol, alpha, deadline):
+    def solve(self, x, g, tol, alpha, deadline, spent):
         return multishift_cg(lambda w: self.problem.eval_hvp(x, w), -g,
                              self.params.grid, tol=tol, alpha=alpha,
-                             deadline=deadline)
+                             deadline=deadline, spent=spent)
 
     def trial(self, x):
         return self.problem.eval_f(x)
@@ -304,13 +304,14 @@ class _GaussNewtonDriver:
         self._residual = self._trial_residual
         return self.problem.eval_jtprod(x, self._residual)
 
-    def solve(self, x, g, tol, alpha, deadline):
+    def solve(self, x, g, tol, alpha, deadline, spent):
         # A'b = J'(-r) is -g, which the loop already holds
         p = self.problem
         return multishift_cgls(lambda v: p.eval_jprod(x, v),
                                lambda u: p.eval_jtprod(x, u),
                                -self._residual, self.params.grid, tol=tol,
-                               alpha=alpha, deadline=deadline, atb=-g)
+                               alpha=alpha, deadline=deadline, atb=-g,
+                               spent=spent)
 
     def trial(self, x):
         r = self._trial_residual = self.problem.eval_residual(x)
@@ -424,17 +425,16 @@ def _arc_loop(problem, driver, params: ArcParams, callback=None):
     still running past it ends the run with ``time_exceeded``.  A trial
     then costs one objective evaluation and no operator product:
     ``acceptance_ratio`` prices the model decrease from the selected
-    shift's Galerkin identity.  The spent solution stays referenced until
-    the next solve replaces it; it holds only its block, because a finished
-    solve drops its Lanczos vectors and its operator, whose closure holds
-    the iterate it was formed at.  Dropping it at the accepted step instead
-    was measured with ``tools/bench_ledger.py`` (35 s runs, 6 alternating
-    pairs per workload, 2-core machine) on records that keep no step: ARC
-    ran slower on scaled (higher in 5 of 6 pairs, median +1.2%) and on gn
-    (4 of 6, +3.3%), and peak RSS did not move on scaled (67.6 -> 67.8 MB)
-    and fell on gn (55.1 -> 53.5 MB).  The 124 -> 108 MB fall measured
-    earlier came from the trace's steps, which are gone; keeping the
-    solution is faster on both.
+    shift's Galerkin identity.  The solution stays referenced until the
+    next solve, which is handed it (``driver.solve``'s ``spent``) and
+    takes over its window and flushed blocks, emptying it: within a run n
+    and m+1 never change, so the run allocates its (m+1, n) blocks once,
+    not once per solve, and their pages are not faulted in afresh by
+    every solve.  Until then the spent solution holds only its block,
+    because a finished solve drops its Lanczos vectors and its operator,
+    whose closure holds the iterate it was formed at.  Everything that
+    reads a solution (selection, the failure walk, the trace record, a
+    tracer's hook) does so before the next solve takes it.
     """
     state = ArcState(x=problem.x0.copy(), alpha=params.alpha0)
     sols = j = None
@@ -443,7 +443,7 @@ def _arc_loop(problem, driver, params: ArcParams, callback=None):
         nonlocal sols, j
         if j is None:
             tol = inner_tolerance(gnorm, params.zeta, params.xi)
-            sols = driver.solve(x, g, tol, state.alpha, deadline)
+            sols = driver.solve(x, g, tol, state.alpha, deadline, sols)
             state.n_solves += 1
             _, j, d = select_step(sols, state.alpha)
         else:

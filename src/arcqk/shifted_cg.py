@@ -162,7 +162,7 @@ class MultishiftSolution:
     into the window, O(n) + O((m+1) K) work.  When the window is full it
     is flushed: ``_X`` and ``_P`` each take one (m+1) x K x n matrix
     product (O((m+1) n) flops per iteration spread over the window).  The
-    first flush allocates both, so ``_X is not None`` means that a flush
+    first flush sets both, so ``_X is not None`` means that a flush
     happened and that ``_P`` exists.  Every flush folds the products into
     ``_X`` and ``_P`` in place through one loop over ``_CHUNK``-column
     slices, and keeps only the ``_P`` rows of running shifts (see
@@ -173,10 +173,22 @@ class MultishiftSolution:
     ``step_norms`` comes from the block without forming it
     (``_exact_norms``), so selection and the failure walk hold no more
     than the solve did.
+
+    The blocks belong to a run, not to a solve.  A solve handed the
+    ``spent`` solve before it, of the same n and m+1, takes over its ``W``
+    and its ``_blocks``: the triple ``(_X, _P, formed)`` once that solve
+    flushed, else the one it had inherited itself.  The spent solve is
+    emptied (``W``, ``_X``, ``_P`` and ``_blocks`` become None, its cached
+    step norms are dropped), and reading its directions or step norms
+    then raises ``RuntimeError``.  ``formed`` is the span of shifts
+    running at the blocks' last owner's first flush; the running shifts
+    only shrink, so every later flush writes ``_P`` rows inside it, and
+    every ``_P`` row outside it holds zeros.  A solve with no spent one,
+    or one of another shape, allocates its blocks anew.
     """
 
     def _open(self, rhs, rr, grid: ShiftGrid, tol, max_iter, alpha,
-              deadline):
+              deadline, spent=None):
         """Check the arguments and start the block on ``rhs``, whose
         squared norm is ``rr``; returns ||rhs||.
 
@@ -184,7 +196,9 @@ class MultishiftSolution:
         2 n.  ``alpha`` is the regularization weight the caller will select
         with; ``None`` retires no shift (see ``_shift_block_step``).
         ``deadline`` is a ``time.perf_counter`` value after which ``solve``
-        raises ``TimeExceeded``; ``None`` sets no limit.
+        raises ``TimeExceeded``; ``None`` sets no limit.  ``spent`` is a
+        finished solve whose blocks this one takes over when their shape
+        fits, emptying it (see the class docstring); ``None`` takes none.
         """
         m1 = len(grid)
         self.lambdas = grid.lambdas
@@ -197,7 +211,12 @@ class MultishiftSolution:
         self._deadline = deadline
 
         beta0 = math.sqrt(rr)
-        self.W = np.empty((m1, rhs.size))     # window of basis vectors
+        if spent is not None and np.shape(spent.W) == (m1, rhs.size):
+            self.W, self._blocks = spent.W, spent._blocks
+            spent.W = spent._X = spent._P = spent._blocks = None
+            vars(spent).pop("step_norms", None)
+        else:
+            self.W, self._blocks = np.empty((m1, rhs.size)), None
         self.W[0] = rhs                       # p_0 = rhs for every shift
         self.kw = 1                           # vectors in the window
         rows, yc, codes = (a.copy() for a in grid._templates)
@@ -244,11 +263,18 @@ class MultishiftSolution:
         """Joint iterations so far, which is the operator products formed."""
         return self.j + 1
 
+    def _window(self):
+        """``W[:kw]``; raises ``RuntimeError`` once a later solve has taken
+        the blocks."""
+        if self.W is None:
+            raise RuntimeError("a later solve took this solve's blocks")
+        return self.W[:self.kw]
+
     def direction(self, i) -> np.ndarray:
         """Row i of the iterate block (rows ``i``, for a slice), formed as a
         new array: the direction of shift i once the solve is done."""
-        k = self.kw
-        return _rows(self.W[:k], self.Y[:, :k + 1], self._X, self._P, i)
+        return _rows(self._window(), self.Y[:, :self.kw + 1], self._X,
+                     self._P, i)
 
     @property
     def directions(self) -> np.ndarray:
@@ -263,8 +289,7 @@ class MultishiftSolution:
         After a flush the rows of shifts frozen before it are undefined:
         ``_flush`` forms only the ``_P`` rows of running shifts.
         """
-        k = self.kw
-        return _rows(self.W[:k], self.C[:, :k + 1], None, self._P,
+        return _rows(self._window(), self.C[:, :self.kw + 1], None, self._P,
                      slice(None))
 
     @cached_property
@@ -293,9 +318,10 @@ class MultishiftState(MultishiftSolution):
     """Joint Lanczos-CG on a symmetric operator M, for right-hand side b."""
 
     def __init__(self, apply_op, b, grid: ShiftGrid, tol, max_iter,
-                 alpha=None, deadline=None):
+                 alpha=None, deadline=None, spent=None):
         b = np.asarray(b, dtype=float)
-        beta0 = self._open(b, b @ b, grid, tol, max_iter, alpha, deadline)
+        beta0 = self._open(b, b @ b, grid, tol, max_iter, alpha, deadline,
+                           spent)
         if self.done:
             return
         self._apply_op = apply_op
@@ -365,11 +391,18 @@ def _flush(state):
     """Fold the window into ``_X`` and the running rows of ``_P``, then
     empty it.
 
-    The first flush allocates ``_X`` and ``_P`` from ``np.zeros``, whose
-    pages are mapped only when written, so ``_P`` rows never formed cost
-    no memory and hold zeros, not garbage that ``0 * _P[i]`` could turn
-    into NaN.  Every flush then runs one loop over ``_CHUNK`` column
-    slices c through one (m+1, ``_CHUNK``) buffer::
+    The first flush of a solve that inherited no blocks allocates ``_X``
+    and ``_P`` from ``np.zeros``, whose pages are mapped only when
+    written, so ``_P`` rows never formed cost no memory and hold zeros,
+    not garbage that ``0 * _P[i]`` could turn into NaN.  A solve that
+    inherited ``_blocks`` from a spent solve takes their ``_X`` and
+    ``_P`` instead and zeroes all of ``_X`` but only the ``_P`` rows of
+    their formed span, the only rows that are not zeros already, so rows
+    never formed stay unmapped; either way the fold starts from zero
+    blocks, as a fresh solve's, and ``_blocks`` then names them with this
+    flush's running span as their formed span.  Every flush then runs
+    one loop over ``_CHUNK`` column slices c through one (m+1,
+    ``_CHUNK``) buffer::
 
         _X[:, c] += Y[:, 1:] @ W[:, c]
         _X[:, c] += Y[:, :1] * _P[:, c]
@@ -385,12 +418,18 @@ def _flush(state):
     product over fewer rows can round differently.
     """
     k, W, Y, C = state.kw, state.W[:state.kw], state.Y, state.C
-    if state._X is None:
-        state._X = np.zeros((len(Y), W.shape[1]))
-        state._P = np.zeros(state._X.shape)
-    X, P = state._X, state._P
     live = state.run.nonzero()[0]
     rows = slice(live[0], live[-1] + 1)
+    if state._X is None:
+        if state._blocks is None:
+            state._X = np.zeros((len(Y), W.shape[1]))
+            state._P = np.zeros(state._X.shape)
+        else:
+            state._X, state._P, formed = state._blocks
+            state._X.fill(0.0)
+            state._P[formed] = 0.0
+        state._blocks = state._X, state._P, rows
+    X, P = state._X, state._P
     buf = np.empty((len(Y), min(_CHUNK, X.shape[1])))
     for c in _chunks(X.shape[1]):
         t = buf[:, :c.stop - c.start]
@@ -567,8 +606,7 @@ def _exact_norms(state):
     of the solve holds.  Retirement reads the first path mid-solve, and
     ``step_norms`` either path once the solve is done.
     """
-    k = state.kw
-    W, Y, X = state.W[:k], state.Y[:, :k + 1], state._X
+    W, Y, X = state._window(), state.Y[:, :state.kw + 1], state._X
     if X is None:
         return _window_norms(W, Y[:, 1:])
     sq = 0.0
@@ -624,7 +662,7 @@ def _retire(state):
 
 
 def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,
-                  alpha=None, deadline=None) -> MultishiftState:
+                  alpha=None, deadline=None, spent=None) -> MultishiftState:
     """Solve (M + lambda_i I) x = b for every shift of the grid; returns
     the finished solve.
 
@@ -649,6 +687,10 @@ def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,
     deadline : float, optional
         A ``time.perf_counter()`` value: the solve raises ``TimeExceeded``
         after the first joint iteration that ends past it.
+    spent : MultishiftSolution, optional
+        The caller's finished previous solve, whose blocks this solve
+        takes over when n and m+1 match; it is emptied, and reading it
+        afterwards raises ``RuntimeError``.
     """
     return MultishiftState(apply_M, b, grid, tol, max_iter, alpha=alpha,
-                           deadline=deadline).solve()
+                           deadline=deadline, spent=spent).solve()

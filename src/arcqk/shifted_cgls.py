@@ -27,12 +27,13 @@ class CglsState(MultishiftSolution):
     """
 
     def __init__(self, apply_A, apply_At, b, grid: ShiftGrid, tol, max_iter,
-                 alpha=None, deadline=None, atb=None):
+                 alpha=None, deadline=None, atb=None, spent=None):
         b = np.asarray(b, dtype=float)
         # a caller's A'b passes the same finite-value check as a product
         atb, rr = _product(apply_At if atb is None else (lambda _: atb), b)
         # beta0 = ||A'b||, the norm of the normal-equations rhs
-        beta0 = self._open(atb, rr, grid, tol, max_iter, alpha, deadline)
+        beta0 = self._open(atb, rr, grid, tol, max_iter, alpha, deadline,
+                           spent)
         if self.done:
             return
         self._apply_A = apply_A
@@ -86,7 +87,7 @@ class CglsState(MultishiftSolution):
 
 def multishift_cgls(apply_A, apply_At, b, grid: ShiftGrid, tol=1e-8,
                     max_iter=None, alpha=None, deadline=None,
-                    atb=None) -> CglsState:
+                    atb=None, spent=None) -> CglsState:
     """Solve (A'A + lambda_i I) x = A'b for every shift of the grid;
     returns the finished solve.
 
@@ -95,10 +96,11 @@ def multishift_cgls(apply_A, apply_At, b, grid: ShiftGrid, tol=1e-8,
     here).  Each joint iteration costs one product with A and one with A',
     so ``total_iterations`` counts the products with A.  Convergence is gated
     on the shifted-system residual ||A'b - (A'A + lambda_i I) x||, whose
-    norm is recurred as |sigma|.  ``alpha`` retires shifts and ``deadline``
-    ends the solve as in ``multishift_cg``.  ``atb`` is A'b when the
+    norm is recurred as |sigma|.  ``alpha`` retires shifts, ``deadline``
+    ends the solve and ``spent`` hands over its blocks as in
+    ``multishift_cg``.  ``atb`` is A'b when the
     caller already holds it (the Gauss-Newton gradient, negated), which
     saves the solve's first product with A'; ``None`` forms it.
     """
     return CglsState(apply_A, apply_At, b, grid, tol, max_iter, alpha=alpha,
-                     deadline=deadline, atb=atb).solve()
+                     deadline=deadline, atb=atb, spent=spent).solve()

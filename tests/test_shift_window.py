@@ -261,31 +261,56 @@ def test_selection_forms_no_block(monkeypatch, kernel):
     assert np.array_equal(d, d_again)
 
 
+def _large_arrays(sol, n):
+    """Names of the attributes that hold an array of n or more entries,
+    alone or in a tuple; no attribute may hold a callable."""
+    names = []
+    for name, value in vars(sol).items():
+        assert not callable(value), name
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray) and a.size >= n:
+                names.append(name)
+    return names
+
+
 @pytest.mark.parametrize("kernel", ["cg", "cgls"])
 @pytest.mark.parametrize("rhs_kind", ["invariant", "random", "zero"])
 def test_finished_solve_holds_only_its_block(kernel, rhs_kind):
     """A finished solve keeps no operator and no array of n or more entries
-    but ``W``, ``_X`` and ``_P``: the pass that freezes the last running
-    shift drops the Lanczos vectors and the operator.  On a four-shift grid
-    a clustered spectrum ends the solve within the window, a spread one
-    with a random right-hand side flushes it and a zero right-hand side
-    forms no product."""
+    but its blocks: ``W``, ``_X`` and ``_P``, which ``_blocks`` names again
+    with their formed span, or the pair ``_blocks`` inherited.  The pass
+    that freezes the last running shift drops the Lanczos vectors and the
+    operator.  On a four-shift grid a clustered spectrum ends the solve
+    within the window, a spread one with a random right-hand side flushes
+    it and a zero right-hand side forms no product.  Each solve is then
+    handed to a flushing solve of the same n and grid, and that one to a
+    solve of the first system: a spent solve holds no such array at all,
+    and a solve that took blocks holds only them."""
     n = 60
     spectrum = "spread" if rhs_kind == "random" else "clustered"
-    op, b, rhs = seeded_system(kernel, n, spectrum, 0, rhs_kind)
+    system = seeded_system(kernel, n, spectrum, 0, rhs_kind)
     grid = ShiftGrid([1e-2, 1.0, 1e2, 1e4])
-    tol = 1e-10 * np.linalg.norm(rhs)
-    if kernel == "cg":
-        sol = multishift_cg(lambda v: op @ v, b, grid, tol=tol)
-    else:
-        sol = multishift_cgls(lambda v: op @ v, lambda w: op.T @ w, b, grid,
-                              tol=tol)
+
+    def solve(system, spent=None):
+        op, b, rhs = system
+        tol = 1e-10 * np.linalg.norm(rhs)
+        if kernel == "cg":
+            return multishift_cg(lambda v: op @ v, b, grid, tol=tol,
+                                 spent=spent)
+        return multishift_cgls(lambda v: op @ v, lambda w: op.T @ w, b, grid,
+                               tol=tol, spent=spent)
+
+    sol = solve(system)
     assert (sol._X is None) == (rhs_kind != "random")
     assert (sol.total_iterations == 0) == (rhs_kind == "zero")
-    for name, value in vars(sol).items():
-        assert not callable(value), name
-        if isinstance(value, np.ndarray) and value.size >= n:
-            assert name in ("W", "_X", "_P"), name
+    assert set(_large_arrays(sol, n)) <= {"W", "_X", "_P", "_blocks"}
+    flushed = solve(seeded_system(kernel, n, "spread", 1), spent=sol)
+    assert flushed._X is not None
+    last = solve(system, spent=flushed)
+    assert last._blocks is not None
+    assert (last._X is None) == (rhs_kind != "random")
+    assert set(_large_arrays(last, n)) <= {"W", "_X", "_P", "_blocks"}
+    assert _large_arrays(sol, n) == _large_arrays(flushed, n) == []
 
 
 @pytest.mark.parametrize("kernel", ["cg", "cgls"])

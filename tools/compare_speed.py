@@ -16,7 +16,11 @@ keeps each solver's best sweep.  The sets are
   start points (12 problems, n <= 100);
 - ``scaled``: ``make_diagquad(10**4)``, ``make_extrosenbrock(10**4)`` and
   ``make_extrosenbrock(10**5)``, the constructors of perfbench's scaled
-  workload, at their standard start points.
+  workload, at their standard start points;
+- ``gn``: one ``make_gn_fit(GN_SEED)`` instance (n = 1e4) from the
+  checkout's ``perfbench/workloads.py``, ARC through
+  ``arcqk_minimize_gauss_newton`` and ST on its ``as_smooth()`` view,
+  with products counted as J plus J' products, as perfbench counts them.
 
 Each process also times ``bench_ledger.calibrate`` (this script's copy,
 so both sides time the same loop) before every sweep and keeps its best
@@ -26,11 +30,14 @@ while the process runs.  The two checkouts
 run in turn, the first ``--repo`` first in even pairs and second in odd
 ones.  A pair's ratio is the second side's normalised time over the
 first side's, calibrated (each time over its process's calibration) and
-raw; the report gives, per solver and kind, the median ratio over the
-pairs, its quartiles and how many pairs read below 1, and exits 1 unless
-both sides made the same operator products.  Every process appends one
-entry to the ledger of ``tools/bench_ledger.py`` (``--ledger``, by default
-``BENCH_<UTC date>.json`` at the root of the repository)::
+raw; for ARC also ``per-ST``, each process's ARC time over its own ST
+time, the reference for a change that leaves ``steihaug.py`` and its
+callees alone.  The report gives, per solver and kind, the median ratio
+over the pairs, its quartiles and how many pairs read below 1, and exits
+1 unless both sides made the same operator products.  Every process
+appends one entry to the ledger of ``tools/bench_ledger.py``
+(``--ledger``, by default ``BENCH_<UTC date>.json`` at the root of the
+repository)::
 
     {"commit", "label", "workload": "compare_speed", "source", "set",
      "pair", "sweeps", "calibration_s",
@@ -43,11 +50,16 @@ Noise floor: two clones of one commit against each other, 10 pairs on a
 (quartiles) of
 
 - desk, 15 sweeps: ARC 1.025 (1.007-1.036), ST 1.013 (1.005-1.027);
-- scaled, 10 sweeps: ARC 1.000 (0.987-1.018), ST 1.000 (0.993-1.015).
+- scaled, 10 sweeps: ARC 1.000 (0.987-1.018), ST 1.000 (0.993-1.015);
+- gn, 30 sweeps: ARC 1.021 (1.015-1.031), ST 1.015 (0.989-1.026).
 
 The raw ratios read ARC 1.020 (0.981-1.048) and ST 1.015 (0.986-1.024)
-on desk, ARC 0.997 (0.989-1.009) and ST 0.996 (0.987-1.015) on scaled.
-So a desk reading within about 3% of 1 is noise.  A process takes about 6 s on either set at these sweep counts.
+on desk, ARC 0.997 (0.989-1.009) and ST 0.996 (0.987-1.015) on scaled,
+ARC 1.043 (0.970-1.062) and ST 1.021 (0.970-1.068) on gn.  ARC's per-ST
+ratio read 1.012 (0.985-1.025) on gn and, in a second desk floor (whose
+calibrated ARC ratio read 0.995, 0.985-1.023), 0.990 (0.980-1.027).  So
+a desk or gn reading within about 3% of 1 is noise.  A process takes
+about 6 s on each set at these sweep counts.
 """
 
 import argparse
@@ -59,8 +71,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_ledger  # noqa: E402
 
-SETS = ("desk", "scaled")
+SETS = ("desk", "scaled", "gn")
 SOLVERS = ("arcqk", "st")
+GN_SEED = 1
 SOURCE = "tools/compare_speed.py, not a perfbench workload"
 
 
@@ -89,6 +102,11 @@ def problems(name):
                                 make_extrosenbrock, suite_problems)
     if name == "desk":
         return [p for p in suite_problems() if isinstance(p, SmoothProblem)]
+    if name == "gn":
+        import arcqk         # the checkout whose src/ is on the path
+        sys.path.insert(0, str(Path(arcqk.__file__).parents[2] / "perfbench"))
+        import workloads
+        return [workloads.make_gn_fit(GN_SEED)]
     return [make_diagquad(10 ** 4), make_extrosenbrock(10 ** 4),
             make_extrosenbrock(10 ** 5)]
 
@@ -96,10 +114,16 @@ def problems(name):
 def child(name, sweeps):
     """Best sweeps of both solvers in this process, printed as JSON."""
     import arcqk
-    from arcqk.arc import arcqk_minimize
+    from arcqk.arc import arcqk_minimize, arcqk_minimize_gauss_newton
     from arcqk.steihaug import st_minimize
 
-    minimize = {"arcqk": arcqk_minimize, "st": st_minimize}
+    if name == "gn":
+        minimize = {"arcqk": arcqk_minimize_gauss_newton,
+                    "st": lambda p: st_minimize(p.as_smooth())}
+        counted = ("neval_jprod", "neval_jtprod")
+    else:
+        minimize = {"arcqk": arcqk_minimize, "st": st_minimize}
+        counted = ("neval_hvp",)
     probs = problems(name)
     calibration = float("inf")
     best = dict.fromkeys(SOLVERS, float("inf"))
@@ -113,7 +137,8 @@ def child(name, sweeps):
             for p in probs:
                 minimize[solver](p)
             best[solver] = min(best[solver], time.perf_counter() - t0)
-            products[solver] = sum(p.counters.neval_hvp for p in probs)
+            products[solver] = sum(getattr(p.counters, c) for p in probs
+                                   for c in counted)
     print(json.dumps({
         "module": arcqk.__file__, "calibration_s": calibration,
         "arcqk_s": best["arcqk"], "st_s": best["st"],
@@ -141,9 +166,11 @@ def main(argv=None):
     commits = {label: bench_ledger.describe(path)
                for label, path in args.sides}
     (base, _), (new, _) = args.sides
-    # per solver and kind ("calibrated", "raw"): one ratio per pair
+    # per solver and kind ("calibrated", "raw", ARC's "per-ST"): one ratio
+    # per pair
     ratios = {(solver, kind): [] for solver in SOLVERS
               for kind in ("calibrated", "raw")}
+    ratios["arcqk", "per-ST"] = []
     same_products = True
     for pair in range(args.pairs):
         order = args.sides if pair % 2 == 0 else args.sides[::-1]
@@ -171,6 +198,8 @@ def main(argv=None):
             ratios[solver, "calibrated"].append(raw * cb / cn)
             same_products &= (mn[f"{solver}_products"]
                               == mb[f"{solver}_products"])
+        ratios["arcqk", "per-ST"].append(
+            mn["arcqk_s"] / mn["st_s"] / (mb["arcqk_s"] / mb["st_s"]))
     for (solver, kind), values in ratios.items():
         q1, med, q3 = quartiles(values)
         below = sum(r < 1.0 for r in values)

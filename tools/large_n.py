@@ -9,13 +9,14 @@ Each solver (``arcqk_minimize`` and ``st_minimize`` at default parameters)
 runs once per ``--repo`` directory, in a fresh interpreter with that
 checkout's ``src/`` on the import path and one BLAS thread, because
 ``ru_maxrss`` covers the whole process.  Each run prints one line (HVPs,
-f-evals, status, solve seconds and peak RSS in MB) and appends one entry
-to the ledger of ``tools/bench_ledger.py`` (``--ledger``, by default
+f-evals, status, solve seconds, peak RSS in MB and the process's minor
+page faults, ``ru_minflt``) and appends one entry to the ledger of
+``tools/bench_ledger.py`` (``--ledger``, by default
 ``BENCH_<UTC date>.json`` at the root of the repository)::
 
     {"commit", "label", "workload": "large_n", "source", "solver",
      "calibration_s", "metrics": {"products", "f_evals", "status",
-     "seconds", "peak_rss_mb"}}
+     "seconds", "peak_rss_mb", "minflt"}}
 
 ``workload`` is ``large_n`` and ``source`` names this script: these
 entries are not a perfbench workload.  One ARC run peaks at about
@@ -61,12 +62,13 @@ def child(solver):
     problem = make_diagquad(N)
     minimize = arcqk_minimize if solver == "arcqk" else st_minimize
     state, record = minimize(problem)
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     print(json.dumps({
         "module": arcqk.__file__, "products": record.neval_hvp,
         "f_evals": record.neval_f, "status": state.status,
         "seconds": record.elapsed_seconds,
-        "peak_rss_mb": resource.getrusage(
-            resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
+        "peak_rss_mb": usage.ru_maxrss / 1024.0,
+        "minflt": usage.ru_minflt}))
 
 
 def main(argv=None):
@@ -87,7 +89,8 @@ def main(argv=None):
             print(f"{label} {solver}: HVPs {metrics['products']}, f-evals "
                   f"{metrics['f_evals']}, {metrics['status']}, "
                   f"{metrics['seconds']:.1f} s, peak RSS "
-                  f"{metrics['peak_rss_mb']:.1f} MB", flush=True)
+                  f"{metrics['peak_rss_mb']:.1f} MB, minor faults "
+                  f"{metrics['minflt']}", flush=True)
     return 0
 
 

@@ -166,6 +166,20 @@ MUTANTS = (
            "            self.u = self.u_prev = self.q = None\n",
            "",
            "a finished CGLS solve drops its Lanczos vectors"),
+    # -- the blocks a run's solves hand on
+    Mutant("reused-x-not-zeroed", CG,
+           "            state._X.fill(0.0)\n",
+           "",
+           "an inheriting solve's first flush starts from a zero _X"),
+    Mutant("reused-p-rows-not-zeroed", CG,
+           "            state._P[formed] = 0.0\n",
+           "",
+           "an inheriting solve's first flush zeroes the _P rows the "
+           "blocks' last owner formed"),
+    Mutant("spent-not-emptied", CG,
+           "            spent.W = spent._X = spent._P = spent._blocks = None\n",
+           "",
+           "a spent solve whose blocks were taken cannot be read"),
     # -- retirement
     Mutant("retire-no-prefix", CG,
            "return below if ok.all() else below[:int(ok.argmin())]",
