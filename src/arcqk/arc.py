@@ -265,11 +265,17 @@ class ArcState(_RunState):
 
 
 class _SmoothDriver:
+    """A smooth problem's oracles for the outer loops.
+
+    A driver holds only its problem: ``solve(x, g, grid, tol, alpha,
+    deadline, spent)`` gets the shift grid from ARC's parameters with every
+    solve, so ST, whose parameters have no grid, shares the driver.
+    """
+
     counter_fields = ("neval_f", "neval_grad", "neval_hvp")
 
-    def __init__(self, problem: SmoothProblem, params: SolverParams):
+    def __init__(self, problem: SmoothProblem):
         self.problem = problem
-        self.params = params
 
     def fg(self, x):
         return self.problem.eval_f(x), self.problem.eval_grad(x)
@@ -277,21 +283,23 @@ class _SmoothDriver:
     def grad(self, x):
         return self.problem.eval_grad(x)
 
-    def solve(self, x, g, tol, alpha, deadline, spent):
-        return multishift_cg(lambda w: self.problem.eval_hvp(x, w), -g,
-                             self.params.grid, tol=tol, alpha=alpha,
-                             deadline=deadline, spent=spent)
+    def solve(self, x, g, grid, tol, alpha, deadline, spent):
+        return multishift_cg(lambda w: self.problem.eval_hvp(x, w), -g, grid,
+                             tol=tol, alpha=alpha, deadline=deadline,
+                             spent=spent)
 
     def trial(self, x):
         return self.problem.eval_f(x)
 
 
 class _GaussNewtonDriver:
+    """A least-squares problem's oracles for ARC, solving with CGLS on J;
+    ``solve`` takes the grid as ``_SmoothDriver.solve`` does."""
+
     counter_fields = ("neval_residual", "neval_jtprod", "neval_jprod")
 
-    def __init__(self, problem: LeastSquaresProblem, params: ArcParams):
+    def __init__(self, problem: LeastSquaresProblem):
         self.problem = problem
-        self.params = params
         self._residual = self._trial_residual = None
 
     def fg(self, x):
@@ -304,14 +312,13 @@ class _GaussNewtonDriver:
         self._residual = self._trial_residual
         return self.problem.eval_jtprod(x, self._residual)
 
-    def solve(self, x, g, tol, alpha, deadline, spent):
+    def solve(self, x, g, grid, tol, alpha, deadline, spent):
         # A'b = J'(-r) is -g, which the loop already holds
         p = self.problem
         return multishift_cgls(lambda v: p.eval_jprod(x, v),
                                lambda u: p.eval_jtprod(x, u),
-                               -self._residual, self.params.grid, tol=tol,
-                               alpha=alpha, deadline=deadline, atb=-g,
-                               spent=spent)
+                               -self._residual, grid, tol=tol, alpha=alpha,
+                               deadline=deadline, atb=-g, spent=spent)
 
     def trial(self, x):
         r = self._trial_residual = self.problem.eval_residual(x)
@@ -443,7 +450,8 @@ def _arc_loop(problem, driver, params: ArcParams, callback=None):
         nonlocal sols, j
         if j is None:
             tol = inner_tolerance(gnorm, params.zeta, params.xi)
-            sols = driver.solve(x, g, tol, state.alpha, deadline, sols)
+            sols = driver.solve(x, g, params.grid, tol, state.alpha,
+                                deadline, sols)
             state.n_solves += 1
             _, j, d = select_step(sols, state.alpha)
         else:
@@ -476,7 +484,7 @@ def arcqk_minimize(problem: SmoothProblem, params: ArcParams = None,
     rejected steps reuse the directions already computed for larger shifts.
     """
     params = ArcParams() if params is None else params
-    return _arc_loop(problem, _SmoothDriver(problem, params), params, callback)
+    return _arc_loop(problem, _SmoothDriver(problem), params, callback)
 
 
 def arcqk_minimize_gauss_newton(problem: LeastSquaresProblem,
@@ -487,5 +495,4 @@ def arcqk_minimize_gauss_newton(problem: LeastSquaresProblem,
     multishift CGLS kernel; no indefiniteness handling is needed.
     """
     params = ArcParams() if params is None else params
-    return _arc_loop(problem, _GaussNewtonDriver(problem, params), params,
-                     callback)
+    return _arc_loop(problem, _GaussNewtonDriver(problem), params, callback)

@@ -166,12 +166,16 @@ class DerivativeReport:
 
     @property
     def passed(self) -> bool:
-        return max(self.grad_error, self.hvp_error) <= CHECK_FAIL_THRESHOLD
+        """Both errors at most the threshold; a NaN error fails."""
+        return (self.grad_error <= CHECK_FAIL_THRESHOLD
+                and self.hvp_error <= CHECK_FAIL_THRESHOLD)
 
 
 def _require_finite(value, what, where):
+    """``value``, raising when one of its entries is not finite."""
     if not np.all(np.isfinite(value)):
         raise ValueError(f"{what} returned a non-finite value at {where}")
+    return value
 
 
 def check_derivatives(problem, x=None, seed=8675309) -> DerivativeReport:
@@ -181,16 +185,16 @@ def check_derivatives(problem, x=None, seed=8675309) -> DerivativeReport:
     against central differences of the objective (0.5*||F||^2).  For smooth
     problems the Hessian operator is checked against symmetry, linearity and
     finite differences of the gradient; for least-squares problems the J/J'
-    pair is checked against the adjoint identity.
+    pair is checked against the adjoint identity.  Every oracle value read
+    must be finite (``ValueError`` otherwise), and the report passes only
+    when both errors are at most ``CHECK_FAIL_THRESHOLD``.
     """
     rng = np.random.default_rng(seed)
     x = np.asarray(problem.x0 if x is None else x, dtype=float)
-
+    where = f"x={x}"
     if isinstance(problem, LeastSquaresProblem):
-        r = problem.eval_residual(x)
-        _require_finite(r, "residual", f"x={x}")
-        g = problem.eval_jtprod(x, r)
-        _require_finite(g, "jtprod", f"x={x}")
+        r = _require_finite(problem.eval_residual(x), "residual", where)
+        g = _require_finite(problem.eval_jtprod(x, r), "jtprod", where)
 
         def f(z):
             rz = problem._residual(z)
@@ -198,28 +202,27 @@ def check_derivatives(problem, x=None, seed=8675309) -> DerivativeReport:
 
         u = rng.standard_normal(problem.m_res)
         v = rng.standard_normal(problem.n)
-        jv = problem.eval_jprod(x, v)
-        jtu = problem.eval_jtprod(x, u)
+        jv = _require_finite(problem.eval_jprod(x, v), "jprod", where)
+        jtu = _require_finite(problem.eval_jtprod(x, u), "jtprod", where)
         op_err = abs(float(u @ jv) - float(jtu @ v)) / (1.0 + abs(float(u @ jv)))
     else:
         f = problem._f
-        _require_finite(problem.eval_f(x), "objective", f"x={x}")
-        g = problem.eval_grad(x)
-        _require_finite(g, "gradient", f"x={x}")
+        _require_finite(problem.eval_f(x), "objective", where)
+        g = _require_finite(problem.eval_grad(x), "gradient", where)
 
         u = rng.standard_normal(problem.n)
         v = rng.standard_normal(problem.n)
-        hu = problem.eval_hvp(x, u)
-        hv = problem.eval_hvp(x, v)
-        _require_finite(hv, "hvp", f"x={x}")
+        hu = _require_finite(problem.eval_hvp(x, u), "hvp", where)
+        hv = _require_finite(problem.eval_hvp(x, v), "hvp", where)
         sym = abs(float(u @ hv) - float(v @ hu)) / (1.0 + abs(float(u @ hv)))
         a, b = 0.7, -1.3
-        lin = (np.linalg.norm(problem.eval_hvp(x, a * u + b * v) - a * hu - b * hv)
+        hw = _require_finite(problem.eval_hvp(x, a * u + b * v), "hvp", where)
+        lin = (np.linalg.norm(hw - a * hu - b * hv)
                / (1.0 + np.linalg.norm(hu) + np.linalg.norm(hv)))
         h = fd_step(x) / max(1.0, np.linalg.norm(v))
         hv_fd = (problem._grad(x + h * v) - problem._grad(x - h * v)) / (2.0 * h)
         fd = np.linalg.norm(hv - hv_fd) / max(1.0, np.linalg.norm(hv_fd))
-        op_err = max(sym, lin, fd)
+        op_err = np.max((sym, lin, fd))         # a NaN anywhere is kept
 
     g_fd = fd_gradient(f, x)
     grad_err = np.linalg.norm(g - g_fd) / max(1.0, np.linalg.norm(g_fd))

@@ -73,9 +73,6 @@ class ShiftGrid:
     def __len__(self):
         return self.lambdas.size
 
-    def __getitem__(self, i):
-        return float(self.lambdas[i])
-
     def __repr__(self):
         lam = self.lambdas
         return f"ShiftGrid({lam[0]:g}..{lam[-1]:g}, m+1={lam.size})"
@@ -86,9 +83,8 @@ class ShiftGrid:
         ``MultishiftSolution._open`` copies: per-shift rows, the (Y, C)
         blocks and the status codes; O((m+1)^2) floats."""
         m1 = self.lambdas.size
-        rows = np.zeros((7, m1))
+        rows = np.zeros((6, m1))
         rows[[1, 3]] = 1.0                    # om and gamma
-        rows[6] = np.inf                      # score
         yc = np.zeros((2, m1, m1 + 1))
         yc[1, :, 1] = 1.0                     # C: p_0 = W[0] for every shift
         return rows, yc, np.zeros(m1, dtype=np.int8)
@@ -133,9 +129,10 @@ class MultishiftSolution:
     the solve forms no product.
 
     Per-shift scalars are (m+1,) rows of one array: the stacked
-    ``S = (gamma, omega, sigma)`` of the recurrence, the pass's new values
-    ``N = (g, om, sig)`` and ``score``; every shift has the one tolerance
-    ``tol``.  The status of each shift is an int8 code in ``codes`` (the
+    ``S = (gamma, omega, sigma)`` of the recurrence and the pass's new
+    values ``N = (g, om, sig)``; every shift has the one tolerance ``tol``,
+    and |sigma_i| is the residual norm of shift i, kept from its last
+    pass once it froze.  The status of each shift is an int8 code in ``codes`` (the
     ``_NAMES`` index), the one stored status: ``statuses`` gives the names
     and ``usable_mask`` the shifts that ``arc.select_step``,
     ``arc.advance_shift_on_failure`` and retirement may pick, the
@@ -147,8 +144,8 @@ class MultishiftSolution:
     ``_templates`` and shares its read-only ``lambdas``.  ``iterations[i]``
     is set when shift i freezes.
 
-    The shift-major (m+1, n) iterate and direction blocks x and ``p``
-    are never stored whole.  Every shifted iterate lies in the Krylov space
+    The shift-major (m+1, n) iterate and direction blocks x and p are
+    never stored whole.  Every shifted iterate lies in the Krylov space
     of the shared Lanczos vectors (the shift invariance of multishift
     Krylov solvers), so the blocks are kept as flushed rows ``_X``, ``_P``
     plus coefficients over a window ``W`` of at most K = m+1 basis
@@ -168,8 +165,9 @@ class MultishiftSolution:
     slices, and keeps only the ``_P`` rows of running shifts (see
     ``_flush``); so a flushed solve holds three (m+1, n) blocks, ``W``,
     ``_X`` and ``_P``, plus temporaries of (m+1) x ``_CHUNK`` floats.
-    Reading ``direction(i)``, ``directions`` or ``p`` forms rows as a new
+    Reading ``direction(i)`` or ``directions`` forms rows of x as a new
     array and leaves the solve as it was; once done, d_i is row i of x.
+    No reader of a solution needs p, so no view of it is kept.
     ``step_norms`` comes from the block without forming it
     (``_exact_norms``), so selection and the failure walk hold no more
     than the solve did.
@@ -227,7 +225,6 @@ class MultishiftSolution:
         self.g, self.om, self.sig = rows[0], rows[1], rows[2]
         rows[5] = beta0
         self.sigma = rows[5]                  # signed; |sigma_j| = ||r_j||
-        self.score = rows[6]                  # |bound| once converged
         self.done = beta0 == 0.0              # zero solves every system
         if self.done:
             codes[:] = _CONVERGED
@@ -254,11 +251,6 @@ class MultishiftSolution:
         return self.codes == _CONVERGED
 
     @property
-    def residual_norms(self) -> np.ndarray:
-        """Per-shift ||r||, |sigma| as the shift froze."""
-        return np.abs(self.sigma)
-
-    @property
     def total_iterations(self) -> int:
         """Joint iterations so far, which is the operator products formed."""
         return self.j + 1
@@ -281,16 +273,6 @@ class MultishiftSolution:
         """(n, m+1), one column per shift: the iterate block, formed anew
         on every read."""
         return self.direction(slice(None)).T
-
-    @property
-    def p(self):
-        """The (m+1, n) direction block, formed as a new array.
-
-        After a flush the rows of shifts frozen before it are undefined:
-        ``_flush`` forms only the ``_P`` rows of running shifts.
-        """
-        return _rows(self._window(), self.C[:, :self.kw + 1], None, self._P,
-                     slice(None))
 
     @cached_property
     def step_norms(self) -> np.ndarray:
@@ -354,12 +336,11 @@ class MultishiftState(MultishiftSolution):
         if j > 0:
             w -= np.multiply(self.v_prev, self.beta, out=self.v_prev)
         beta_next = math.sqrt(w @ w)
-        breakdown = beta_next <= _EPS * (1.0 + math.sqrt(self.qq))
-        v_next = None if breakdown else np.divide(w, beta_next, out=w)
+        v_next = (None if beta_next <= _EPS * (1.0 + math.sqrt(self.qq))
+                  else np.divide(w, beta_next, out=w))
 
         # Nonpositive pivot certifies p'(M + lam I)p <= 0 for that shift.
-        if _shift_block_step(self, j, delta, beta_next, v_next, breakdown,
-                             _INDEFINITE):
+        if _shift_block_step(self, j, delta, beta_next, v_next, _INDEFINITE):
             self.v_prev = v
             self.v = v_next
             self.beta = beta_next
@@ -443,8 +424,7 @@ def _flush(state):
     state.kw = 0
 
 
-def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
-                      pivot_status):
+def _shift_block_step(state, j, delta, beta_next, v_next, pivot_status):
     """Advance every running shift by one CG update from Lanczos pass j.
 
     ``delta`` and ``beta_next`` are the Lanczos coefficients of the pass and
@@ -461,14 +441,14 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
     and form the next product; once every shift has frozen no further
     product is needed.
 
-    A pass makes a fixed number of numpy calls (29 when no shift freezes),
-    however many shifts run: the pivots of every row are computed, g, om
-    and sig are written in place into ``N`` under the kept mask ``run`` and
-    copied into ``S`` by one masked copy, and ``run``, the codes,
-    ``iterations`` and the g/om rows change only in ``_freeze``, when some
-    shift freezes.  Every floating-point
-    expression is the one of the masked per-row update, so the iterates
-    and counts do not depend on this layout.
+    A pass makes a fixed number of numpy calls, however many shifts run:
+    23 when no shift freezes, and at most 11 more in ``_retire``.  The
+    pivots of every row are computed, g, om and sig are written in place
+    into ``N`` under the kept mask ``run`` and copied into ``S`` by one
+    masked copy, and ``run``, the codes, ``iterations`` and the g/om rows
+    change only in ``_freeze``, when some shift freezes.  Every
+    floating-point expression is the one of the masked per-row update, so
+    the iterates and counts do not depend on this layout.
 
     Given the caller's alpha, shifts that ARC's selection at that alpha can
     no longer pick are retired: frozen with status ``retired``, which is
@@ -502,14 +482,16 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
       shift, and the failure walk, which only moves up from j, never meets
       one.
 
-    The test costs O(1) numpy calls per pass.  Every pass reads all norms
-    from the window coefficients, taking the window's rows as orthogonal
-    (W[0] is the right-hand side, later rows unit Lanczos vectors), and
-    keeps the score of each shift from the pass it converges in.  When the
-    lowest running shift passes the test on these norms, the rule is
-    applied with exact norms from the window's Gram matrix
-    (``_exact_norms``).  Nothing is retired once the window has been
-    flushed.
+    The test costs O(1) numpy calls per pass (``_retire``).  It first
+    estimates every norm from the window coefficients, taking the window's
+    rows as orthogonal (W[0] is the right-hand side, later rows unit
+    Lanczos vectors): ||x_i||^2 = sum_k Y[i, k]^2 wsq[k].  Before the first
+    flush ``wsq`` never changes and a frozen row of Y only gains exact
+    zeros, so a usable shift's estimated score is, bitwise, the one it had
+    in the pass it converged in, and no score is kept.  When the lowest
+    running shift passes the test on these norms, the rule is applied with
+    exact norms from the window's Gram matrix (``_exact_norms``).  Nothing
+    is retired once the window has been flushed.
     """
     run, S, g, om, sig = state.run, state.S, state.g, state.om, state.sig
     denom = delta + state.lambdas - S[1] / S[0]
@@ -527,14 +509,8 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
         converged = np.count_nonzero(conv)
 
         state.Y += g[:, None] * state.C       # x += g p
-        if state.alpha_lam is not None and state._X is None:
-            # whole rows of Y: the columns past the window are zero
-            state.bound = (np.sqrt(np.dot(state.Y * state.Y, state.wsq))
-                           - state.alpha_lam)
-            if converged:
-                np.copyto(state.score, np.abs(state.bound), where=conv)
         state.C *= om[:, None]                # p = om p + sig v_next
-        if not breakdown:
+        if v_next is not None:
             k = state.kw
             if k == len(state.W):
                 _flush(state)
@@ -545,14 +521,13 @@ def _shift_block_step(state, j, delta, beta_next, v_next, breakdown,
         if converged:
             _freeze(state, conv, _CONVERGED)
 
-    if breakdown or j + 1 >= state.max_iter:
+    if v_next is None or j + 1 >= state.max_iter:
         # On breakdown the Krylov space is exhausted: the remaining systems
         # are solved exactly within it, so they are finalized as converged.
-        _freeze(state, run, _CONVERGED if breakdown else _CAPPED)
+        _freeze(state, run, _CONVERGED if v_next is None else _CAPPED)
         state.done = True
         return False
-    if state.alpha_lam is not None and state._X is None:
-        _retire(state)
+    _retire(state)
     state.done = not np.count_nonzero(run)
     return not state.done
 
@@ -646,19 +621,25 @@ def _retirees(norms, alpha_lam, usable, run):
 
 
 def _retire(state):
-    """Retire the running shifts that selection cannot pick.
+    """Retire the running shifts that selection cannot pick, given alpha,
+    until the window is first flushed; see ``_shift_block_step``.
 
-    The pass's coefficient norms decide whether the rule is applied with
-    exact norms (see ``_shift_block_step``).  Only converged shifts have a
-    finite score, so the rule is applied only once some shift converged.
+    The rule needs a usable shift and a running one.  When the lowest
+    running shift r passes its test on norms estimated from the window
+    coefficients, the rule is applied with exact norms.
     """
-    b = int(state.score.argmin())
-    r = int(state.run.argmax())
-    if not (state.run[r] and r < b and state.bound[r] > state.score[b]):
+    if state.alpha_lam is None or state._X is not None:
         return
-    usable = np.flatnonzero(state.usable_mask)
-    _freeze(state, _retirees(_exact_norms(state), state.alpha_lam, usable,
-                             state.run), _RETIRED)
+    usable = state.usable_mask.nonzero()[0]
+    r = int(state.run.argmax())
+    if not (usable.size and state.run[r]):
+        return
+    # whole rows of Y: the columns past the window are zero
+    estimate = np.sqrt(np.dot(state.Y * state.Y, state.wsq))
+    b, score = _closest(usable, estimate, state.alpha_lam)
+    if r < b and estimate[r] - state.alpha_lam[r] > score:
+        _freeze(state, _retirees(_exact_norms(state), state.alpha_lam,
+                                 usable, state.run), _RETIRED)
 
 
 def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,

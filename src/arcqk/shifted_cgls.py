@@ -68,14 +68,13 @@ class CglsState(MultishiftSolution):
             u_next -= np.multiply(self.u_prev, self.beta, out=self.u_prev)
         atu, bb = _product(self._apply_At, u_next)
         beta_next = math.sqrt(bb)
-        breakdown = beta_next <= _EPS * (1.0 + delta)
-        v_next = None if breakdown else atu / beta_next
+        v_next = (None if beta_next <= _EPS * (1.0 + delta)
+                  else atu / beta_next)
 
         # The Gram operator is positive semidefinite; a nonpositive pivot can
         # only be a rounding artifact, so freeze that shift instead of
         # reporting indefiniteness.
-        if _shift_block_step(self, j, delta, beta_next, v_next, breakdown,
-                             _CAPPED):
+        if _shift_block_step(self, j, delta, beta_next, v_next, _CAPPED):
             self.u_prev = self.u
             self.u = np.divide(u_next, beta_next, out=u_next)
             self.beta = beta_next

@@ -135,7 +135,7 @@ def st_minimize(problem: SmoothProblem, params: TrParams = None,
     """
     params = TrParams() if params is None else params
     state = TrState(x=problem.x0.copy(), delta=params.delta0)
-    driver = _SmoothDriver(problem, params)
+    driver = _SmoothDriver(problem)
 
     def propose(x, f, g, gnorm, deadline):
         res = truncated_cg(lambda w: problem.eval_hvp(x, w), g, state.delta,

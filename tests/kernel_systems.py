@@ -1,10 +1,12 @@
-"""Seeded CG and CGLS systems and hand-built solutions shared by the
-kernel and selection tests."""
+"""Seeded CG and CGLS systems, hand-built solutions and views of a
+running solve shared by the kernel and selection tests."""
 
 import numpy as np
 
+import arcqk.shifted_cg as cg_mod
+import arcqk.shifted_cgls as cgls_mod
 from arcqk.shifted_cg import (_NAMES, MultishiftSolution, MultishiftState,
-                              ShiftGrid)
+                              ShiftGrid, _rows)
 from arcqk.shifted_cgls import CglsState
 
 
@@ -107,3 +109,31 @@ def hand_built(lambdas, norms, statuses=None, residual_norms=None):
     sol._X[:, 0] = norms
     sol._P = np.zeros_like(sol._X)
     return sol
+
+
+def record_passes(mp):
+    """Record every Lanczos pass the kernels make while the monkeypatch
+    ``mp`` is active; returns the list of ``(j, delta, beta_next, v_next)``
+    it fills, ``v_next`` copied (``None`` on breakdown)."""
+    passes = []
+    real_step = cg_mod._shift_block_step
+
+    def recording_step(state, j, delta, beta_next, v_next, pivot_status):
+        passes.append((j, delta, beta_next,
+                       None if v_next is None else v_next.copy()))
+        return real_step(state, j, delta, beta_next, v_next, pivot_status)
+
+    mp.setattr(cg_mod, "_shift_block_step", recording_step)
+    mp.setattr(cgls_mod, "_shift_block_step", recording_step)
+    return passes
+
+
+def direction_rows(state):
+    """The (m+1, n) direction block p of a solve, formed as a new array
+    from its window coefficients ``C`` and flushed rows ``_P``.
+
+    After a flush the rows of shifts frozen before it are undefined:
+    ``_flush`` forms only the ``_P`` rows of running shifts.
+    """
+    return _rows(state._window(), state.C[:, :state.kw + 1], None, state._P,
+                 slice(None))

@@ -134,7 +134,7 @@ def test_spent_solve_is_emptied(kernel):
     assert sol.W is W and sol._X is X and sol._P is P
     assert spent.W is spent._X is spent._P is spent._blocks is None
     for read in (lambda: spent.direction(0), lambda: spent.step_norms,
-                 lambda: spent.directions, lambda: spent.p):
+                 lambda: spent.directions):
         with pytest.raises(RuntimeError):
             read()
     # an emptied solve hands nothing on

@@ -26,7 +26,7 @@ def outcome(sol):
     """Everything a solve returns, as arrays to compare bitwise."""
     m1 = len(sol.lambdas)
     return (np.array(sol.statuses), sol.iterations,
-            np.array(sol.total_iterations), sol.residual_norms,
+            np.array(sol.total_iterations), np.abs(sol.sigma),
             np.stack([sol.direction(i) for i in range(m1)]), sol.step_norms)
 
 

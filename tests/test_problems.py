@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from arcqk.problems import (LeastSquaresProblem, SmoothProblem,
-                            check_derivatives, fd_gradient, make_beale,
-                            make_extrosenbrock, make_rosenbrock, make_sphere,
-                            suite_problems, SUITE_NAMES)
+from arcqk.problems import (DerivativeReport, LeastSquaresProblem,
+                            SmoothProblem, check_derivatives, fd_gradient,
+                            make_beale, make_extrosenbrock, make_rosenbrock,
+                            make_sphere, suite_problems, SUITE_NAMES)
 
 REQUIRED = {"sphere", "diagquad", "rosenbrock", "extrosenbrock",
             "powellsingular", "wood", "beale", "himmelblau", "penalty",
@@ -134,6 +134,32 @@ class TestDerivativeChecks:
                           hvp=lambda x, v: v)
         with pytest.raises(ValueError, match="objective.*non-finite"):
             check_derivatives(p)
+
+    def test_nonfinite_first_hvp_raises(self):
+        # A NaN first HVP makes the operator error NaN, which must not pass.
+        calls = []
+
+        def hvp(x, v):
+            calls.append(1)
+            return np.full_like(v, np.nan) if len(calls) == 1 else 2.0 * v
+
+        p = SmoothProblem("nanhvp", 2, [1.0, 1.0], f=lambda x: float(x @ x),
+                          grad=lambda x: 2.0 * x, hvp=hvp)
+        with pytest.raises(ValueError, match="hvp.*non-finite"):
+            check_derivatives(p)
+
+    def test_nonfinite_jprod_raises(self):
+        a = np.array([[1.0, 2.0], [0.0, 1.0], [3.0, -1.0]])
+        p = LeastSquaresProblem("nanjprod", 2, 3, [1.0, 1.0],
+                                residual=lambda x: a @ x - 1.0,
+                                jprod=lambda x, v: np.full(3, np.nan),
+                                jtprod=lambda x, u: a.T @ u)
+        with pytest.raises(ValueError, match="jprod.*non-finite"):
+            check_derivatives(p)
+
+    @pytest.mark.parametrize("errors", [(0.0, np.nan), (np.nan, 0.0)])
+    def test_nan_error_fails(self, errors):
+        assert not DerivativeReport("nan", *errors).passed
 
     @pytest.mark.parametrize("problem", smooth_suite(), ids=lambda p: p.name)
     def test_suite_gradients_match_fd(self, problem):

@@ -14,13 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arcqk.shifted_cg as cg_mod
 from arcqk.arc import (AllShiftsIndefinite, GridExhausted,
                        advance_shift_on_failure, select_step)
-from arcqk.shifted_cg import (RETIRED, RUNNING, MultishiftState, ShiftGrid,
-                              _retirees)
+from arcqk.shifted_cg import (_CONVERGED, _INDEFINITE, _RETIRED, _RUNNING,
+                              CONVERGED, INDEFINITE, RETIRED, RUNNING,
+                              MultishiftSolution, MultishiftState, ShiftGrid,
+                              _exact_norms, _freeze, _retire, _retirees)
 from arcqk.shifted_cgls import CglsState
 
-from kernel_systems import counted, make_solver
+from kernel_systems import counted, direction_rows, make_solver
 
 
 def failure_walk(sol, j, alpha, gamma1=0.1):
@@ -117,6 +120,66 @@ def test_fixed_case_retires_and_stops(kernel):
     assert sol.total_iterations == sol_calls == len(passes)
 
 
+SYSTEMS = [("cg", "spread"), ("cg", "clustered"), ("cg", "indefinite"),
+           ("cgls", "spread"), ("cgls", "indefinite")]
+
+
+@pytest.mark.parametrize("alpha", [1.0, None])
+@pytest.mark.parametrize("kernel,spectrum", SYSTEMS)
+def test_frozen_rows_and_norm_weights_hold_until_the_first_flush(
+        kernel, spectrum, alpha):
+    """What ``_retire``'s estimate rests on: before a solve's first flush a
+    frozen shift's row of ``Y`` stays bitwise the row it froze with (the
+    pass adds g p with g = 0, exact zeros) and the column weights ``wsq``
+    never change.  So the estimated norm of a converged shift, taken at any
+    later pass, is the one taken at the pass it converged in."""
+    checked = 0
+    for seed in range(3):
+        for n in (5, 20, 48):
+            state = make_solver(kernel, n, spectrum, seed, 1e-6).start(alpha)
+            wsq, rows = state.wsq.tobytes(), {}
+            while not state.done:
+                state.step()
+                if state._X is not None:        # the flush rewrote Y
+                    break
+                assert state.wsq.tobytes() == wsq
+                for i in np.flatnonzero(~state.run):
+                    checked += i in rows
+                    row = rows.setdefault(i, state.Y[i].tobytes())
+                    assert state.Y[i].tobytes() == row, (seed, n, i, state.j)
+    assert checked > 0
+
+
+def retire_with_exact_norms(state):
+    """``_retire`` without the estimate: the rule on exact norms at every
+    pass."""
+    if state.alpha_lam is None or state._X is not None:
+        return
+    usable = np.flatnonzero(state.usable_mask)
+    if usable.size:
+        _freeze(state, _retirees(_exact_norms(state), state.alpha_lam,
+                                 usable, state.run), _RETIRED)
+
+
+@pytest.mark.parametrize("kernel,spectrum", SYSTEMS)
+def test_estimate_delays_no_retirement(monkeypatch, kernel, spectrum):
+    """The estimated norms only decide when the exact rule is applied: on
+    seeded solves that retire, every shift retires at the pass at which
+    the exact rule, applied at every pass, retires it."""
+    retired = 0
+    for seed in range(4):
+        for alpha in (1e-2, 1.0, 1e2):
+            solve = make_solver(kernel, 30, spectrum, seed, 1e-8)
+            sol = solve(alpha)
+            with monkeypatch.context() as mp:
+                mp.setattr(cg_mod, "_retire", retire_with_exact_norms)
+                exact = solve(alpha)
+            assert sol.statuses == exact.statuses, (seed, alpha)
+            assert np.array_equal(sol.iterations, exact.iterations)
+            retired += RETIRED in sol.statuses
+    assert retired > 0
+
+
 def new_state(kernel, alpha, calls, seed=0, n=60):
     """A seeded CG or CGLS state on the default grid, stepped by hand.
 
@@ -141,8 +204,8 @@ def new_state(kernel, alpha, calls, seed=0, n=60):
 
 @pytest.mark.parametrize("kernel", ["cg", "cgls"])
 def test_reading_x_and_p_leaves_the_solve_alone(kernel):
-    """Reading the iterate block (``directions``) and ``p`` after every
-    pass changes nothing in the solve.
+    """Reading the iterate block (``directions``) and the direction block
+    (``direction_rows``) after every pass changes nothing in the solve.
 
     Retirement reads the window coefficients, and stops for good once the
     window has been flushed.  A read that folded the window into the
@@ -153,7 +216,7 @@ def test_reading_x_and_p_leaves_the_solve_alone(kernel):
     state = new_state(kernel, 1e-3, calls)
     while not state.done:
         state.step()
-        state.directions, state.p
+        state.directions, direction_rows(state)
     seen = state.solve()
     assert RETIRED in plain.statuses
     assert plain.total_iterations < 2 * plain.W.shape[1]
@@ -178,6 +241,22 @@ def test_rule_retires_a_prefix_below_the_best_frozen_shift():
     assert list(_retirees(norms, lambdas, usable, run)) == [0, 1, 2]
     norms[1] = 2.5
     assert list(_retirees(norms, lambdas, usable, run)) == [0]
+
+
+def test_estimate_scores_only_the_usable_shifts():
+    """The estimate picks b among the usable shifts, as the exact rule
+    does: an indefinite shift whose ||x|| is alpha lambda exactly does not
+    keep the running shift above it from retiring."""
+    sol = MultishiftSolution()
+    sol._open(np.array([1.0, 0.0]), 1.0, ShiftGrid([1.0, 2.0, 3.0]), 0.0,
+              None, 1.0, None)
+    sol.codes[:] = _INDEFINITE, _RUNNING, _CONVERGED
+    sol.run[:] = False, True, False
+    # ||x_i|| = Y[i, 1], W[0] being a unit vector: scores 0 (indefinite)
+    # and 0.5 (b = 2), bound 8 for the running shift
+    sol.Y[:, 1] = 1.0, 10.0, 3.5
+    _retire(sol)
+    assert sol.statuses == (INDEFINITE, RETIRED, CONVERGED)
 
 
 def test_rule_breaks_score_ties_toward_the_smaller_shift():

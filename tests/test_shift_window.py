@@ -18,13 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arcqk.shifted_cg as cg_mod
-import arcqk.shifted_cgls as cgls_mod
 from arcqk.shifted_cg import (CAPPED, CONVERGED, INDEFINITE, RUNNING,
                               ShiftGrid, multishift_cg)
 from arcqk.arc import advance_shift_on_failure, select_step
 from arcqk.shifted_cgls import multishift_cgls
 
-from kernel_systems import counted, seeded_system
+from kernel_systems import counted, record_passes, seeded_system
 
 
 def reference_replay(lambdas, tol, max_iter, rhs, passes, pivot_status):
@@ -38,7 +37,7 @@ def reference_replay(lambdas, tol, max_iter, rhs, passes, pivot_status):
     status = np.full(m1, RUNNING, dtype="<U16")
     iterations = np.zeros(m1, dtype=int)
     products = 1                                # formed before the first pass
-    for j, delta, beta_next, v_next, breakdown in passes:
+    for j, delta, beta_next, v_next in passes:
         run = status == RUNNING
         denom[run] = delta + lambdas[run] - omega[run] / gamma[run]
         status[run & (denom <= 0.0)] = pivot_status
@@ -49,11 +48,11 @@ def reference_replay(lambdas, tol, max_iter, rhs, passes, pivot_status):
         gamma[act], omega[act], sigma[act] = g, om, sig
         x[act] += p[act] * g[:, None]
         p[act] *= om[:, None]
-        if not breakdown:
+        if v_next is not None:
             p[act] += sig[:, None] * v_next
         iterations[act] = j + 1
         status[act[np.abs(sig) <= tol]] = CONVERGED
-        if breakdown:
+        if v_next is None:                      # breakdown
             status[status == RUNNING] = CONVERGED
             break
         if j + 1 >= max_iter:
@@ -89,22 +88,13 @@ def cgls_case(rng, n, calls):
 
 @pytest.mark.parametrize("case", [cg_case, cgls_case], ids=["cg", "cgls"])
 def test_window_matches_row_update(monkeypatch, case):
-    passes, flushes = [], []
-    real_step, real_flush = cg_mod._shift_block_step, cg_mod._flush
-
-    def recording_step(state, j, delta, beta_next, v_next, breakdown,
-                       pivot_status):
-        passes.append((j, delta, beta_next,
-                       None if v_next is None else v_next.copy(), breakdown))
-        return real_step(state, j, delta, beta_next, v_next, breakdown,
-                         pivot_status)
+    flushes, real_flush = [], cg_mod._flush
 
     def counting_flush(state):
         flushes.append(state.j)
         real_flush(state)
 
-    monkeypatch.setattr(cg_mod, "_shift_block_step", recording_step)
-    monkeypatch.setattr(cgls_mod, "_shift_block_step", recording_step)
+    passes = record_passes(monkeypatch)
     monkeypatch.setattr(cg_mod, "_flush", counting_flush)
     calls = []
     sol, rhs, shifted, dense_rhs, pivot_status, tol = case(
@@ -127,23 +117,6 @@ def test_window_matches_row_update(monkeypatch, case):
 
 
 # -- the lazy solution: norms and rows taken from the block ----------------
-
-def _record_passes(mp):
-    """Record every Lanczos pass the kernels make while ``mp`` is active."""
-    passes = []
-    real_step = cg_mod._shift_block_step
-
-    def recording_step(state, j, delta, beta_next, v_next, breakdown,
-                       pivot_status):
-        passes.append((j, delta, beta_next,
-                       None if v_next is None else v_next.copy(), breakdown))
-        return real_step(state, j, delta, beta_next, v_next, breakdown,
-                         pivot_status)
-
-    mp.setattr(cg_mod, "_shift_block_step", recording_step)
-    mp.setattr(cgls_mod, "_shift_block_step", recording_step)
-    return passes
-
 
 def solve_case(kernel, n, spectrum, rhs_kind, seed):
     """A CG or CGLS solve of ``seeded_system`` on the default grid.
@@ -186,7 +159,7 @@ def test_coverage_cases_reach_their_regimes():
 
 def _lazy_block_matches_formed_rows(kernel, n, spectrum, rhs_kind, seed):
     with pytest.MonkeyPatch.context() as mp:
-        passes = _record_passes(mp)
+        passes = record_passes(mp)
         sol, rhs, pivot_status, tol = solve_case(kernel, n, spectrum,
                                                  rhs_kind, seed)
     m1 = sol.lambdas.size
@@ -389,5 +362,5 @@ def test_flushed_step_norms_span_column_chunks(monkeypatch, kernel):
                                rtol=1e-12)
     assert np.count_nonzero(sol.usable_mask) >= 2
     for i in np.flatnonzero(sol.usable_mask):
-        exact = np.linalg.solve(M + grid[i] * np.eye(n), rhs)
+        exact = np.linalg.solve(M + grid.lambdas[i] * np.eye(n), rhs)
         assert np.linalg.norm(rows[i] - exact) <= 1e-6 * np.linalg.norm(exact)

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import arcqk.shifted_cg as cg_mod
-import arcqk.shifted_cgls as cgls_mod
 from arcqk.shifted_cg import (_CONVERGED, CAPPED, CONVERGED, INDEFINITE,
                               RUNNING, MultishiftState, ShiftGrid,
                               TimeExceeded, _freeze, multishift_cg)
 from arcqk.shifted_cgls import CglsState, multishift_cgls
 
-from kernel_systems import seeded_system
+from kernel_systems import direction_rows, record_passes, seeded_system
 
 
 def counting_op(M):
@@ -33,8 +31,8 @@ class TestShiftGrid:
     def test_default_grid(self):
         grid = ShiftGrid.default()
         assert len(grid) == 31
-        assert grid[0] == pytest.approx(1e-15)
-        assert grid[30] == pytest.approx(1e15)
+        assert grid.lambdas[0] == pytest.approx(1e-15)
+        assert grid.lambdas[30] == pytest.approx(1e15)
         ratios = grid.lambdas[1:] / grid.lambdas[:-1]
         assert_allclose(ratios, 10.0, rtol=1e-12)
 
@@ -54,7 +52,7 @@ class TestShiftGrid:
         with pytest.raises(ValueError, match="read-only"):
             grid.lambdas[0] = 0.5
         lam[0] = 0.5
-        assert grid[0] == 1.0
+        assert grid.lambdas[0] == 1.0
         # a solve hands out the grid's array, not a copy
         assert multishift_cg(lambda v: v, np.ones(2), grid).lambdas is \
             grid.lambdas
@@ -253,7 +251,7 @@ class TestRecurrenceInvariants:
         assert split_steps > 0
         for i in (0, 2):
             assert state.statuses[i] == CONVERGED
-            exact = np.linalg.solve(M + grid[i] * np.eye(n), b)
+            exact = np.linalg.solve(M + grid.lambdas[i] * np.eye(n), b)
             assert_allclose(state.direction(i), exact, rtol=1e-9)
 
     def test_step_norms_monotone_in_shift(self):
@@ -293,9 +291,9 @@ class TestRecurrenceInvariants:
         for i, lam in enumerate(grid.lambdas):
             assert sol.statuses[i] == CONVERGED
             r = b - (M + lam * np.eye(n)) @ sol.direction(i)
-            assert abs(np.linalg.norm(r) - sol.residual_norms[i]) <= \
+            assert abs(np.linalg.norm(r) - abs(sol.sigma[i])) <= \
                 max(1e-8, 1e-8 * np.linalg.norm(b))
-            assert sol.residual_norms[i] <= 1e-10
+            assert abs(sol.sigma[i]) <= 1e-10
 
 
 def certified_freezes(M, b, grid, tol):
@@ -303,15 +301,16 @@ def certified_freezes(M, b, grid, tol):
     that the kernel's pivot sign is the curvature certificate; returns the
     number of shifts frozen ``indefinite``.
 
-    p is a running shift's row of ``state.p`` before ``step()``.  A shift
-    the pass freezes ``indefinite`` must have p'(M + lambda I)p < 0, and
-    every other shift that ran the pass p'(M + lambda I)p > 0.
+    p is a running shift's row of ``direction_rows(state)`` before
+    ``step()``.  A shift the pass freezes ``indefinite`` must have
+    p'(M + lambda I)p < 0, and every other shift that ran the pass
+    p'(M + lambda I)p > 0.
     """
     state = MultishiftState(lambda v: M @ v, b, grid, tol, None)
     freezes = 0
     while not state.done:
         ran = np.flatnonzero(np.array(state.statuses) == RUNNING)
-        p = state.p[ran]
+        p = direction_rows(state)[ran]
         curv = (np.einsum("ij,ij->i", p @ M, p)
                 + grid.lambdas[ran] * np.einsum("ij,ij->i", p, p))
         state.step()
@@ -406,7 +405,7 @@ def test_residual_equal_to_the_tolerance_converges():
     assert min(sigmas[:4]) > sigmas[4]
     sol = multishift_cg(lambda v: M @ v, b, grid, tol=sigmas[4])
     assert sol.statuses[1] == CONVERGED and sol.iterations[1] == 5
-    assert sol.residual_norms[1] == sigmas[4]
+    assert abs(sol.sigma[1]) == sigmas[4]
 
 
 @pytest.mark.parametrize("kernel", ["cg", "cgls"])
@@ -419,15 +418,7 @@ def test_breakdown_below_rounding_threshold(monkeypatch, kernel):
     lets nothing but breakdown end the solve.  Read as a real Lanczos
     vector, that remainder would keep both shifts running to the 2n cap.
     """
-    betas = []
-    real_step = cg_mod._shift_block_step
-
-    def recording_step(state, j, delta, beta_next, *rest):
-        betas.append(beta_next)
-        return real_step(state, j, delta, beta_next, *rest)
-
-    monkeypatch.setattr(cg_mod, "_shift_block_step", recording_step)
-    monkeypatch.setattr(cgls_mod, "_shift_block_step", recording_step)
+    passes = record_passes(monkeypatch)
     rng = np.random.default_rng(144)
     n = 8
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -445,7 +436,8 @@ def test_breakdown_below_rounding_threshold(monkeypatch, kernel):
         op, calls = counting_op(A)
         sol = multishift_cgls(op, lambda w: A.T @ w, b, grid, tol=0.0)
         M, b = A.T @ A, A.T @ b
-    assert len(betas) == 2 and 0.0 < betas[-1] < 1e-16
+    assert len(passes) == 2 and 0.0 < passes[-1][2] < 1e-16
+    assert passes[-1][3] is None
     assert sol.statuses == (CONVERGED, CONVERGED)
     assert list(sol.iterations) == [2, 2]
     assert sol.total_iterations == calls["n"] == 2

@@ -20,8 +20,9 @@ page faults, ``ru_minflt``) and appends one entry to the ledger of
 
 ``workload`` is ``large_n`` and ``source`` names this script: these
 entries are not a perfbench workload.  One ARC run peaks at about
-0.75 GB (1.3 GB while flushes still formed (m+1, n) temporaries) and
-takes about 10 s on a 2-core machine; ST peaks at about 0.14 GB.
+720 MB (1.3 GB while flushes still formed (m+1, n) temporaries) and
+takes 4–8 s on a 2-core machine shared with other load; ST peaks at
+about 123 MB.
 """
 
 import argparse

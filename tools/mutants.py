@@ -9,9 +9,11 @@ replaces it and why the mutant matters.  For every mutant the checkout's
 new temporary directory and the file is mutated there, so the working tree
 is never written.  Tier-1 then runs in the copy with ``-x``
 (``python -m pytest -q -x -p no:cacheprovider``, the copy's ``src/`` on the
-import path).  A mutant is killed when a test fails or the run exceeds
-``_TIMEOUT`` seconds, and survives when every test passes.  The unmutated
-copy runs first and must pass.
+import path), leaving out ``ANCHOR_TEST``: that test checks every entry's
+``old`` text in the unmutated checkout and runs in tier-1 itself.  A
+mutant is killed when a test fails or the run exceeds ``_TIMEOUT``
+seconds, and survives when every test passes.  The unmutated copy runs
+first and must pass.
 
 The report gives each mutant as killed (with the first failing test),
 survived, or equivalent: a survivor whose entry gives ``equivalent``, the
@@ -33,6 +35,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+# The tier-1 test that every entry's old text occurs once in the checkout:
+# a mutated copy lacks its mutant's old text on purpose, and has no tools/.
+ANCHOR_TEST = "tests/test_mutant_anchors.py"
 _TIMEOUT = 600.0  # a mutant that makes a solve loop forever counts as killed
 
 CG = "src/arcqk/shifted_cg.py"
@@ -92,12 +97,12 @@ MUTANTS = (
            "conv = (np.abs(S[2]) < state.tol) & run",
            "a residual equal to its tolerance has converged"),
     Mutant("cg-breakdown-zero", CG,
-           "breakdown = beta_next <= _EPS * (1.0 + math.sqrt(self.qq))",
-           "breakdown = beta_next <= 0.0",
+           "None if beta_next <= _EPS * (1.0 + math.sqrt(self.qq))",
+           "None if beta_next <= 0.0",
            "a Krylov space exhausted up to rounding ends the CG solve"),
     Mutant("cgls-breakdown-zero", CGLS,
-           "breakdown = beta_next <= _EPS * (1.0 + delta)",
-           "breakdown = beta_next <= 0.0",
+           "None if beta_next <= _EPS * (1.0 + delta)",
+           "None if beta_next <= 0.0",
            "a Krylov space exhausted up to rounding ends the CGLS solve"),
     # -- the checked product and the in-place Lanczos passes
     Mutant("product-no-fallback", CG,
@@ -122,9 +127,8 @@ MUTANTS = (
            "the CGLS pass subtracts beta u_prev, scaling the dead u_prev "
            "in place"),
     Mutant("cgls-writes-atu", CGLS,
-           "v_next = None if breakdown else atu / beta_next",
-           "v_next = None if breakdown else np.divide(atu, beta_next, "
-           "out=atu)",
+           "else atu / beta_next)",
+           "else np.divide(atu, beta_next, out=atu))",
            "A'u belongs to the operator: v_next is a new array"),
     Mutant("gram-no-mirror", CG,
            "G[i, :i + 1] = G[:i + 1, i] = W[:i + 1] @ W[i]",
@@ -189,6 +193,17 @@ MUTANTS = (
            "ok = norms[below] - alpha_lam[below] > score",
            "ok = norms[below] - alpha_lam[below] >= score",
            "a shift whose bound ties b's score may still be picked"),
+    Mutant("estimate-all-shifts", CG,
+           "b, score = _closest(usable, estimate, state.alpha_lam)",
+           "b, score = _closest(np.arange(estimate.size), estimate, "
+           "state.alpha_lam)",
+           "the estimate scores the usable shifts only, as the exact rule "
+           "does"),
+    Mutant("estimate-unweighted", CG,
+           "estimate = np.sqrt(np.dot(state.Y * state.Y, state.wsq))",
+           "estimate = np.sqrt((state.Y * state.Y).sum(axis=1))",
+           "the estimate weighs the right-hand side's column by its squared "
+           "norm"),
     # -- the model decrease and the acceptance ratio
     Mutant("galerkin-sign", ARC,
            "return -0.5 * (gd + dr)",
@@ -316,7 +331,8 @@ def run_tier1(copy):
     """``(passed, first failing test or None)`` of tier-1 in ``copy``."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-           "no:cacheprovider", "--continue-on-collection-errors"]
+           "no:cacheprovider", "--continue-on-collection-errors",
+           f"--ignore={ANCHOR_TEST}"]
     try:
         out = subprocess.run(cmd, cwd=copy, env=env, capture_output=True,
                              text=True, timeout=_TIMEOUT)
