@@ -119,7 +119,9 @@ def _metric_value(record: BenchRecord, metric: str) -> float:
 def performance_profile(records_by_solver, metric="time"):
     """Dolan-More performance profiles over a solver-keyed record table.
 
-    Per problem, each solver's metric is divided by the best metric among
+    A problem is keyed by ``(name, nvar)``, so one name at two sizes is
+    two problems; a solver that repeats a key raises ``ValueError``.  Per
+    problem, each solver's metric is divided by the best metric among
     solvers that succeeded on it; failed runs get an infinite ratio.  The
     returned curves share breakpoints (the sorted finite ratios) so they can
     be tabulated side by side.
@@ -127,26 +129,27 @@ def performance_profile(records_by_solver, metric="time"):
     solvers = list(records_by_solver)
     if not solvers:
         raise ValueError("no solver records given")
-    by_problem = {}
-    name_sets = []
-    for s in solvers:
-        rows = {r.name: r for r in records_by_solver[s]}
-        name_sets.append(set(rows))
-        by_problem[s] = rows
-    if any(ns != name_sets[0] for ns in name_sets[1:]):
+    by_problem = {s: {} for s in solvers}
+    for s, rows in by_problem.items():
+        for r in records_by_solver[s]:
+            if (r.name, r.nvar) in rows:
+                raise ValueError(f"solver {s!r} repeats problem {r.name!r} "
+                                 f"at n = {r.nvar}")
+            rows[r.name, r.nvar] = r
+    keys = sorted(by_problem[solvers[0]])
+    if any(rows.keys() != set(keys) for rows in by_problem.values()):
         raise ValueError("solvers must cover identical problem sets")
-    names = sorted(name_sets[0])
 
     ratios = {s: [] for s in solvers}
-    for name in names:
+    for key in keys:
         vals = {}
         for s in solvers:
-            rec = by_problem[s][name]
+            rec = by_problem[s][key]
             if rec.status == RECORD_SUCCESS:
                 vals[s] = _metric_value(rec, metric)
         if vals and max(vals.values()) == 0.0:
-            warnings.warn(f"dropping problem {name!r}: metric {metric!r} is "
-                          "zero for every solver")
+            warnings.warn(f"dropping problem {key[0]!r} at n = {key[1]}: "
+                          f"metric {metric!r} is zero for every solver")
             continue
         best = min(vals.values()) if vals else np.inf
         for s in solvers:

@@ -88,7 +88,7 @@ def _cmd_check(args):
     print(f"gradient max relative error: {report.grad_error:.3e}")
     print(f"operator max relative error: {report.hvp_error:.3e}")
     print(f"verdict: {'pass' if report.passed else 'FAIL'}")
-    return 0
+    return 0 if report.passed else 1
 
 
 def build_parser():

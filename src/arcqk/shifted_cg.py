@@ -109,6 +109,28 @@ def _product(apply, w, u=None):
     return out, float(s)
 
 
+def _limits(n, rr, tol, max_iter):
+    """``(tol, max_iter)`` of a Krylov solve on a length-n right-hand side
+    of squared norm ``rr``, checked by the package's one argument rule.
+
+    CG and CGLS (through ``MultishiftSolution._open``) and ST's truncated
+    CG check their arguments here and nowhere else.  ``rr`` is the dot
+    each solve takes anyway: a finite ``rr`` certifies every entry, as in
+    ``_product``, and an overflowed one leaves no recurrence to start.
+    ``tol`` is a finite, nonnegative scalar; ``max_iter`` defaults to 2 n
+    and is at least 1.
+    """
+    if not np.isfinite(rr):
+        raise ValueError("right-hand side is non-finite or its squared norm "
+                         "overflows")
+    if np.ndim(tol) != 0 or not 0.0 <= tol < np.inf:
+        raise ValueError("tol must be a finite, nonnegative scalar")
+    max_iter = int(2 * n if max_iter is None else max_iter)
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    return float(tol), max_iter
+
+
 class MultishiftSolution:
     """One joint multishift solve over a Lanczos source, and its solution.
 
@@ -186,28 +208,19 @@ class MultishiftSolution:
     """
 
     def _open(self, rhs, rr, grid: ShiftGrid, tol, max_iter, alpha,
-              deadline, spent=None):
-        """Check the arguments and start the block on ``rhs``, whose
-        squared norm is ``rr``; returns ||rhs||.
+              spent=None):
+        """Check the arguments (``_limits``) and start the block on
+        ``rhs``, whose squared norm is ``rr``; returns ||rhs||.
 
-        ``tol`` is a finite, nonnegative scalar.  ``max_iter`` defaults to
-        2 n.  ``alpha`` is the regularization weight the caller will select
+        ``alpha`` is the regularization weight the caller will select
         with; ``None`` retires no shift (see ``_shift_block_step``).
-        ``deadline`` is a ``time.perf_counter`` value after which ``solve``
-        raises ``TimeExceeded``; ``None`` sets no limit.  ``spent`` is a
-        finished solve whose blocks this one takes over when their shape
-        fits, emptying it (see the class docstring); ``None`` takes none.
+        ``spent`` is a finished solve whose blocks this one takes over when
+        their shape fits, emptying it (see the class docstring); ``None``
+        takes none.
         """
         m1 = len(grid)
         self.lambdas = grid.lambdas
-        if np.ndim(tol) != 0 or not 0.0 <= tol < np.inf:
-            raise ValueError("tol must be a finite, nonnegative scalar")
-        self.tol = float(tol)
-        self.max_iter = int(2 * rhs.size if max_iter is None else max_iter)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        self._deadline = deadline
-
+        self.tol, self.max_iter = _limits(rhs.size, rr, tol, max_iter)
         beta0 = math.sqrt(rr)
         if spent is not None and np.shape(spent.W) == (m1, rhs.size):
             self.W, self._blocks = spent.W, spent._blocks
@@ -282,13 +295,13 @@ class MultishiftSolution:
             raise RuntimeError("step norms of a solve still running")
         return _exact_norms(self)
 
-    def solve(self) -> "MultishiftSolution":
+    def solve(self, deadline=None) -> "MultishiftSolution":
         """Step to the end and return this solve, now its solution.
 
-        Raises ``TimeExceeded`` when a joint iteration ends past the
-        deadline.  A caller that watches the solve calls ``step`` itself.
+        ``deadline`` is a ``time.perf_counter()`` value: a joint iteration
+        that ends past it raises ``TimeExceeded``; ``None`` sets no limit.
+        A caller that watches the solve calls ``step`` itself.
         """
-        deadline = self._deadline
         while not self.done:
             self.step()
             if deadline is not None and time.perf_counter() > deadline:
@@ -300,10 +313,9 @@ class MultishiftState(MultishiftSolution):
     """Joint Lanczos-CG on a symmetric operator M, for right-hand side b."""
 
     def __init__(self, apply_op, b, grid: ShiftGrid, tol, max_iter,
-                 alpha=None, deadline=None, spent=None):
+                 alpha=None, spent=None):
         b = np.asarray(b, dtype=float)
-        beta0 = self._open(b, b @ b, grid, tol, max_iter, alpha, deadline,
-                           spent)
+        beta0 = self._open(b, b @ b, grid, tol, max_iter, alpha, spent)
         if self.done:
             return
         self._apply_op = apply_op
@@ -653,25 +665,25 @@ def multishift_cg(apply_M, b, grid: ShiftGrid, tol=1e-8, max_iter=None,
         Symmetric operator, ``apply_M(v) -> M @ v``.  Symmetry is the
         caller's contract and is not checked here.
     b : array
-        Right-hand side.  A zero b yields all-zero converged solutions and
-        forms no product.
+        Right-hand side, with a finite squared norm.  A zero b yields
+        all-zero converged solutions and forms no product.
     grid : ShiftGrid
     tol : float
         Absolute residual tolerance of every shift, finite and nonnegative.
     max_iter : int, optional
-        Joint iteration cap, default ``2 * len(b)``.
+        Joint iteration cap, at least 1, default ``2 * len(b)``.
     alpha : float, optional
         The cubic-regularization weight the caller selects with.  Shifts
         that ``arc.select_step`` at this alpha can no longer pick are then
         retired, and the solve ends once no selectable shift runs (see
         ``_shift_block_step``).  ``None`` retires nothing.
     deadline : float, optional
-        A ``time.perf_counter()`` value: the solve raises ``TimeExceeded``
-        after the first joint iteration that ends past it.
+        Passed to ``solve``: a ``time.perf_counter()`` value after which the
+        solve raises ``TimeExceeded``.
     spent : MultishiftSolution, optional
         The caller's finished previous solve, whose blocks this solve
         takes over when n and m+1 match; it is emptied, and reading it
         afterwards raises ``RuntimeError``.
     """
     return MultishiftState(apply_M, b, grid, tol, max_iter, alpha=alpha,
-                           deadline=deadline, spent=spent).solve()
+                           spent=spent).solve(deadline)

@@ -27,13 +27,11 @@ class CglsState(MultishiftSolution):
     """
 
     def __init__(self, apply_A, apply_At, b, grid: ShiftGrid, tol, max_iter,
-                 alpha=None, deadline=None, atb=None, spent=None):
+                 alpha=None, atb=None, spent=None):
         b = np.asarray(b, dtype=float)
-        # a caller's A'b passes the same finite-value check as a product
-        atb, rr = _product(apply_At if atb is None else (lambda _: atb), b)
-        # beta0 = ||A'b||, the norm of the normal-equations rhs
-        beta0 = self._open(atb, rr, grid, tol, max_iter, alpha, deadline,
-                           spent)
+        atb = np.asarray(apply_At(b) if atb is None else atb, dtype=float)
+        # beta0 = ||A'b||: ``_limits`` certifies the normal-equations rhs
+        beta0 = self._open(atb, atb @ atb, grid, tol, max_iter, alpha, spent)
         if self.done:
             return
         self._apply_A = apply_A
@@ -99,7 +97,9 @@ def multishift_cgls(apply_A, apply_At, b, grid: ShiftGrid, tol=1e-8,
     ends the solve and ``spent`` hands over its blocks as in
     ``multishift_cg``.  ``atb`` is A'b when the
     caller already holds it (the Gauss-Newton gradient, negated), which
-    saves the solve's first product with A'; ``None`` forms it.
+    saves the solve's first product with A'; ``None`` forms it.  A'b is
+    the right-hand side that ``multishift_cg``'s rule checks: a non-finite
+    or overflowing ||A'b||^2 raises ``ValueError``.
     """
     return CglsState(apply_A, apply_At, b, grid, tol, max_iter, alpha=alpha,
-                     deadline=deadline, atb=atb, spent=spent).solve()
+                     atb=atb, spent=spent).solve(deadline)

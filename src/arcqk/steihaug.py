@@ -11,7 +11,7 @@ from .arc import (SolverParams, _outer_loop, _positive_finite, _ratio,
                   _RunState, _SmoothDriver, _TrialRecord, inner_tolerance,
                   model_decrease)
 from .problems import SmoothProblem
-from .shifted_cg import TimeExceeded, _product
+from .shifted_cg import TimeExceeded, _limits, _product
 
 EXIT_INTERIOR = "interior"
 EXIT_BOUNDARY = "boundary"
@@ -65,9 +65,12 @@ def truncated_cg(apply_H, g, delta, tol, max_iter=None,
     Iterations stop at the required accuracy (``interior``), after
     ``max_iter`` iterations (``capped``, default 2 n), or, on reaching the
     region boundary or a direction p of nonpositive curvature, at the step
-    d = d_prev + tau p on the boundary.  Every product with H goes through
-    ``shifted_cg._product``, which raises on a non-finite value and
-    returns kappa = p'Hp, the dot its finiteness test reuses.
+    d = d_prev + tau p on the boundary.  ``g``, ``tol`` and ``max_iter``
+    follow the multishift kernels' rule (``shifted_cg._limits``), and
+    g = 0 is solved by d = 0 (``interior``, 0 iterations, no product), as
+    the kernels solve a zero right-hand side.  Every product with H goes
+    through ``shifted_cg._product``, which raises on a non-finite value
+    and returns kappa = p'Hp, the dot its finiteness test reuses.
     ``deadline`` is a ``time.perf_counter()`` value: the first iteration
     that ends past it and does not stop the CG raises ``TimeExceeded``, as
     a multishift solve does; ``None`` sets no limit.
@@ -81,15 +84,12 @@ def truncated_cg(apply_H, g, delta, tol, max_iter=None,
     g = np.asarray(g, dtype=float)
     if not 0.0 < delta < np.inf:
         raise ValueError("delta must be positive and finite")
-    if not 0.0 <= tol < np.inf:
-        raise ValueError("tol must be finite and nonnegative")
-    max_iter = int(2 * g.size if max_iter is None else max_iter)
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    rr = float(g @ g)
+    tol, max_iter = _limits(g.size, rr, tol, max_iter)
     d = np.zeros_like(g)
-    r = g.copy()                      # gradient of the model at d
-    p = -g
-    rr = float(r @ r)
+    if rr == 0.0:
+        return TruncatedCgResult(d, EXIT_INTERIOR, 0, 0.0)
+    r, p = g, -g                      # r: the model's gradient at d, rebound
     for j in range(max_iter):
         hp, kappa = _product(apply_H, p, p)
         if kappa > 0.0:

@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 from arcqk.bench import (performance_profile, read_records_csv,
                          read_records_json, run_matrix, write_profile,
                          write_records_csv, write_records_json)
-from arcqk.problems import SmoothProblem, suite_problems
+from arcqk.problems import (SmoothProblem, make_diagquad, make_sphere,
+                            suite_problems)
 from arcqk.records import BENCH_FIELDS, BenchRecord, record_from_dict
 from arcqk.shifted_cg import ShiftGrid
 
@@ -176,6 +177,17 @@ class TestPerformanceProfile:
     def test_mismatched_problem_sets(self):
         table = {"A": [rec("p1")], "B": [rec("p2")]}
         with pytest.raises(ValueError, match="identical problem sets"):
+            performance_profile(table)
+
+    def test_problems_keyed_by_name_and_size(self):
+        """One name at two sizes is two problems, and a solver that repeats
+        a (name, nvar) key raises instead of keeping its last record."""
+        problems = [make_sphere(100), make_sphere(1000), make_diagquad(100),
+                    make_diagquad(1000)]
+        curves = performance_profile(run_matrix(problems, ["arcqk", "st"]))
+        assert [c.n_problems for c in curves] == [4, 4]
+        table = {"A": [rec("p1", 1.0), rec("p1", 5.0)], "B": [rec("p1", 2.0)]}
+        with pytest.raises(ValueError, match="'A' repeats problem 'p1'"):
             performance_profile(table)
 
 

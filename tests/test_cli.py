@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import arcqk
+import arcqk.cli as cli
 from arcqk.cli import main
+from arcqk.problems import SmoothProblem
 
 
 def run_cli(*args):
@@ -163,6 +165,14 @@ class TestCheck:
     def test_check_least_squares(self, capsys):
         assert run_cli("check", "--problem", "rosenbrockls") == 0
         assert "verdict: pass" in capsys.readouterr().out
+
+    def test_failed_check_exits_1(self, monkeypatch, capsys):
+        # f = x'x with the gradient x, half the true one
+        broken = SmoothProblem("broken", 2, [1.0, 1.0], f=lambda x: x @ x,
+                               grad=lambda x: x, hvp=lambda x, v: 2.0 * v)
+        monkeypatch.setattr(cli, "suite_problems", lambda **kw: [broken])
+        assert run_cli("check", "--problem", "broken") == 1
+        assert "verdict: FAIL" in capsys.readouterr().out
 
 
 def test_module_entry_point():

@@ -8,6 +8,7 @@ from arcqk.shifted_cg import (_CONVERGED, CAPPED, CONVERGED, INDEFINITE,
                               RUNNING, MultishiftState, ShiftGrid,
                               TimeExceeded, _freeze, multishift_cg)
 from arcqk.shifted_cgls import CglsState, multishift_cgls
+from arcqk.steihaug import truncated_cg
 
 from kernel_systems import direction_rows, record_passes, seeded_system
 
@@ -355,35 +356,38 @@ def test_deadline_ends_the_solve_after_a_pass(kernel):
     b = rng.standard_normal(12)
     grid = ShiftGrid.default()
 
-    def start(deadline):
+    def start():
         if kernel == "cg":
             return MultishiftState(lambda v: A.T @ (A @ v), A.T @ b, grid,
-                                   1e-8, None, deadline=deadline)
+                                   1e-8, None)
         return CglsState(lambda v: A @ v, lambda u: A.T @ u, b, grid, 1e-8,
-                         None, deadline=deadline)
+                         None)
 
-    state = start(time.perf_counter())
+    state = start()
     with pytest.raises(TimeExceeded, match="iteration 0") as info:
-        state.solve()
+        state.solve(time.perf_counter())
     assert info.value.status == "time_exceeded" and state.j == 0
     assert not state.done
-    sol = start(time.perf_counter() + 1e3).solve()
-    assert sol.total_iterations == start(None).solve().total_iterations > 1
+    sol = start().solve(time.perf_counter() + 1e3)
+    assert sol.total_iterations == start().solve().total_iterations > 1
 
 
-@pytest.mark.parametrize("kernel", ["cg", "cgls"])
+@pytest.mark.parametrize("kernel", ["cg", "cgls", "tcg"])
 @pytest.mark.parametrize("tol", [[1e-8, 1e-8], np.array([1e-8]), -1.0,
                                  np.nan, np.inf])
 def test_tol_must_be_a_finite_nonnegative_scalar(kernel, tol):
     """One tolerance serves every shift: an array, even of one entry,
-    raises, and so does a negative, NaN or infinite value."""
+    raises, and so does a negative, NaN or infinite value.  ST's truncated
+    CG (``tcg``) follows the same rule."""
     grid = ShiftGrid([0.5, 5.0])
     with pytest.raises(ValueError, match="tol"):
         if kernel == "cg":
             multishift_cg(lambda v: v, np.ones(3), grid, tol=tol)
-        else:
+        elif kernel == "cgls":
             multishift_cgls(lambda v: v, lambda u: u, np.ones(3), grid,
                             tol=tol)
+        else:
+            truncated_cg(lambda v: v, np.ones(3), 1.0, tol)
 
 
 def test_residual_equal_to_the_tolerance_converges():

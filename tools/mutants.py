@@ -104,6 +104,15 @@ MUTANTS = (
            "None if beta_next <= _EPS * (1.0 + delta)",
            "None if beta_next <= 0.0",
            "a Krylov space exhausted up to rounding ends the CGLS solve"),
+    # -- the one argument rule of the three Krylov solves
+    Mutant("max-iter-unchecked", CG,
+           "    if max_iter < 1:\n        raise ValueError",
+           "    if False:\n        raise ValueError",
+           "every Krylov solve rejects max_iter < 1"),
+    Mutant("rhs-unchecked", CG,
+           "    if not np.isfinite(rr):\n        raise ValueError",
+           "    if False:\n        raise ValueError",
+           "a right-hand side whose squared norm is not finite raises"),
     # -- the checked product and the in-place Lanczos passes
     Mutant("product-no-fallback", CG,
            "if not np.isfinite(s) and not np.isfinite(out).all():",
@@ -243,10 +252,10 @@ MUTANTS = (
            "state.delta = min(params.gamma2 * state.delta, MAX_RADIUS)",
            "state.delta = params.gamma2 * state.delta",
            "an expanded radius stops at MAX_RADIUS, so it cannot overflow"),
-    Mutant("st-max-iter-unchecked", ST,
-           "    if max_iter < 1:\n        raise ValueError",
-           "    if False:\n        raise ValueError",
-           "truncated CG rejects max_iter < 1 as the kernels do"),
+    Mutant("tcg-zero-g-iterates", ST,
+           "    if rr == 0.0:\n        return TruncatedCgResult",
+           "    if False:\n        return TruncatedCgResult",
+           "truncated CG solves g = 0 by d = 0 and forms no product"),
     # -- the time budget
     Mutant("deadline-kernel", CG,
            "if deadline is not None and time.perf_counter() > deadline:\n"
@@ -264,6 +273,15 @@ MUTANTS = (
            "if False:\n"
            "            state.status = STATUS_TIME",
            "no trial starts past the deadline"),
+    # -- the outer loop's certified gradient
+    Mutant("start-norm-unchecked", ARC,
+           "if not (np.isfinite(f) and np.isfinite(gnorm)):",
+           "if not np.isfinite(f):",
+           "a start gradient whose norm is not finite is an input error"),
+    Mutant("accepted-norm-unchecked", ARC,
+           "            if not np.isfinite(gnorm):\n                raise",
+           "            if False:\n                raise",
+           "a gradient whose norm is not finite at an accepted point raises"),
     # -- the Gauss-Newton residual hand-off
     Mutant("gn-stale-residual", ARC,
            "        self._residual = self._trial_residual\n",
@@ -288,6 +306,14 @@ MUTANTS = (
            "    if not n_problems:\n        raise ValueError",
            "    if False:\n        raise ValueError",
            "a profile with no problem left raises instead of writing NaN"),
+    Mutant("profile-repeats-unchecked", BENCH,
+           "            if (r.name, r.nvar) in rows:\n                raise",
+           "            if False:\n                raise",
+           "a solver that repeats a (name, nvar) key raises, not overwrites"),
+    Mutant("check-fail-exits-0", CLI,
+           "return 0 if report.passed else 1",
+           "return 0",
+           "a failed derivative check exits 1"),
     Mutant("cli-param-system-exit", CLI,
            'raise ValueError(f"bad --param {pair!r}: expected key=value")',
            'raise SystemExit(f"bad --param {pair!r}: expected key=value")',
