@@ -475,13 +475,17 @@ def _arc_loop(problem, driver, params: ArcParams, callback=None):
                        TraceRecord, callback)
 
 
-def arcqk_minimize(problem: SmoothProblem, params: ArcParams = None,
-                   callback=None):
-    """Minimize a smooth problem; returns ``(ArcState, BenchRecord)``.
+def arcqk_minimize(problem: SmoothProblem | LeastSquaresProblem,
+                   params: ArcParams = None, callback=None):
+    """Minimize a problem of either kind; returns ``(ArcState, BenchRecord)``.
 
     One multishift solve per outer group of iterations; retries after
     rejected steps reuse the directions already computed for larger shifts.
+    A ``LeastSquaresProblem`` runs on the Gauss-Newton path
+    (``arcqk_minimize_gauss_newton``), a smooth one on the Hessian.
     """
+    if isinstance(problem, LeastSquaresProblem):
+        return arcqk_minimize_gauss_newton(problem, params, callback)
     params = ArcParams() if params is None else params
     return _arc_loop(problem, _SmoothDriver(problem), params, callback)
 

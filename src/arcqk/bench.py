@@ -11,8 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .arc import ArcParams, arcqk_minimize, arcqk_minimize_gauss_newton
-from .problems import LeastSquaresProblem
+from .arc import ArcParams, arcqk_minimize
 from .records import (BENCH_FIELDS, RECORD_EXCEPTION, RECORD_SUCCESS,
                       BenchRecord, record_from_dict)
 from .steihaug import TrParams, st_minimize
@@ -21,22 +20,9 @@ PROFILE_METRICS = ("time", "neval_f", "neval_grad", "neval_hvp",
                    "neval_f_plus_3g")
 
 
-def _run_arcqk(problem, params: ArcParams) -> BenchRecord:
-    """The cubic-regularization solver; least squares run Gauss-Newton."""
-    if isinstance(problem, LeastSquaresProblem):
-        return arcqk_minimize_gauss_newton(problem, params)[1]
-    return arcqk_minimize(problem, params)[1]
-
-
-def _run_st(problem, params: TrParams) -> BenchRecord:
-    """The trust-region baseline; least squares run in their smooth form."""
-    if isinstance(problem, LeastSquaresProblem):
-        problem = problem.as_smooth()
-    return st_minimize(problem, params)[1]
-
-
-# solver id -> (params class, run(problem, params) -> BenchRecord)
-SOLVERS = {"arcqk": (ArcParams, _run_arcqk), "st": (TrParams, _run_st)}
+# solver id -> (params class, minimize(problem, params) -> (state, record));
+# each solver takes a smooth or a least-squares problem
+SOLVERS = {"arcqk": (ArcParams, arcqk_minimize), "st": (TrParams, st_minimize)}
 
 
 def solver_params(name, time_budget=None, overrides=None):
@@ -73,11 +59,11 @@ def run_matrix(problems, solvers, budget_per_run=None, overrides=None):
                    SOLVERS[name][1]) for name in solvers}
     out = {name: [] for name in runs}
     for problem in sorted(problems, key=lambda p: p.name):
-        for name, (params, run) in runs.items():
+        for name, (params, minimize) in runs.items():
             problem.reset_counters()
             t0 = time.perf_counter()
             try:
-                record = run(problem, params)
+                _, record = minimize(problem, params)
             except Exception as exc:
                 record = BenchRecord(
                     name=problem.name, nvar=problem.n,
@@ -110,10 +96,7 @@ def _metric_value(record: BenchRecord, metric: str) -> float:
         return record.elapsed_seconds
     if metric == "neval_f_plus_3g":
         return record.neval_f + 3.0 * record.neval_grad
-    if metric in ("neval_f", "neval_grad", "neval_hvp"):
-        return float(getattr(record, metric))
-    raise ValueError(f"unknown metric {metric!r}; "
-                     f"available: {', '.join(PROFILE_METRICS)}")
+    return float(getattr(record, metric))
 
 
 def performance_profile(records_by_solver, metric="time"):
@@ -126,6 +109,9 @@ def performance_profile(records_by_solver, metric="time"):
     returned curves share breakpoints (the sorted finite ratios) so they can
     be tabulated side by side.
     """
+    if metric not in PROFILE_METRICS:
+        raise ValueError(f"unknown metric {metric!r}; "
+                         f"available: {', '.join(PROFILE_METRICS)}")
     solvers = list(records_by_solver)
     if not solvers:
         raise ValueError("no solver records given")
@@ -265,6 +251,10 @@ def _svg(curves, title):
     Failed runs are rendered by truncation: a curve simply levels off below
     one instead of acquiring an artificial breakpoint.
     """
+    # imported here: xml.sax.saxutils imports urllib.request, which costs
+    # every ``import arcqk`` about 6 MB of peak RSS and 35 ms
+    from xml.sax.saxutils import escape
+
     width, height = 640, 420
     ml, mr, mt, mb = 60, 160, 30, 45
     pw, ph = width - ml - mr, height - mt - mb
@@ -283,7 +273,7 @@ def _svg(curves, title):
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{ml}" y="{mt - 10}" font-family="sans-serif" '
-        f'font-size="13">{title}</text>']
+        f'font-size="13">{escape(title)}</text>']
     # axes and ticks
     parts.append(f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" '
                  f'y2="{mt + ph}" stroke="black"/>')
@@ -309,10 +299,9 @@ def _svg(curves, title):
 
     for idx, curve in enumerate(curves):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
-        pts = [(0.0, curve.rho_at(1.0))]
-        for tau in curve.taus:
+        pts = [(0.0, curve.rhos[0])]    # taus[0] is 1
+        for tau, rho in zip(curve.taus, curve.rhos):
             lt = float(np.log2(tau))
-            rho = curve.rho_at(float(tau))
             pts.append((lt, pts[-1][1]))
             pts.append((lt, rho))
         pts.append((xmax, pts[-1][1]))
@@ -325,7 +314,7 @@ def _svg(curves, title):
                      f'stroke-width="1.8"/>')
         parts.append(f'<text x="{ml + pw + 40}" y="{ly}" '
                      f'font-family="sans-serif" font-size="12">'
-                     f'{curve.solver}</text>')
+                     f'{escape(curve.solver)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

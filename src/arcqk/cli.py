@@ -42,7 +42,7 @@ def _cmd_solve(args):
     problem = _get_problem(args.problem, args.seed)
     params = solver_params(args.solver, args.time_budget,
                            _parse_params(args.param))
-    record = SOLVERS[args.solver][1](problem, params)
+    _, record = SOLVERS[args.solver][1](problem, params)
     for field in BENCH_FIELDS:
         print(f"{field}: {getattr(record, field)}")
     return 0

@@ -10,7 +10,7 @@ import numpy as np
 from .arc import (SolverParams, _outer_loop, _positive_finite, _ratio,
                   _RunState, _SmoothDriver, _TrialRecord, inner_tolerance,
                   model_decrease)
-from .problems import SmoothProblem
+from .problems import LeastSquaresProblem, SmoothProblem
 from .shifted_cg import TimeExceeded, _limits, _product
 
 EXIT_INTERIOR = "interior"
@@ -124,15 +124,18 @@ class TrState(_RunState):
     delta: float
 
 
-def st_minimize(problem: SmoothProblem, params: TrParams = None,
-                callback=None):
+def st_minimize(problem: SmoothProblem | LeastSquaresProblem,
+                params: TrParams = None, callback=None):
     """Classical trust-region loop; returns ``(TrState, BenchRecord)``.
 
     Runs the cubic-regularization solver's outer loop with a truncated-CG
     step and a radius update in place of the multishift step and the alpha
     update, so the stopping test, inner accuracy rule and acceptance
-    thresholds are the same code.
+    thresholds are the same code.  A ``LeastSquaresProblem`` runs on its
+    ``as_smooth()`` view, whose counters the record reports.
     """
+    if isinstance(problem, LeastSquaresProblem):
+        problem = problem.as_smooth()
     params = TrParams() if params is None else params
     state = TrState(x=problem.x0.copy(), delta=params.delta0)
     driver = _SmoothDriver(problem)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from arcqk.arc import ArcParams, arcqk_minimize, arcqk_minimize_gauss_newton
+from arcqk.arc import ArcParams, arcqk_minimize
 from arcqk.bench import performance_profile
 from arcqk.problems import LeastSquaresProblem, SmoothProblem, suite_problems
 from arcqk.records import BenchRecord
@@ -39,11 +39,7 @@ def arc_runs():
     runs = {}
     for p in suite_problems():
         steps = StepLog()
-        if isinstance(p, SmoothProblem):
-            state, record = arcqk_minimize(p, ARC_PARAMS, callback=steps)
-        else:
-            state, record = arcqk_minimize_gauss_newton(p, ARC_PARAMS,
-                                                        callback=steps)
+        state, record = arcqk_minimize(p, ARC_PARAMS, callback=steps)
         runs[p.name] = (p, state, record, steps)
     return runs
 

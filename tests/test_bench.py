@@ -1,12 +1,13 @@
 import json
 import re
 from dataclasses import asdict
+from xml.dom import minidom
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from arcqk.bench import (performance_profile, read_records_csv,
+from arcqk.bench import (ProfileCurve, performance_profile, read_records_csv,
                          read_records_json, run_matrix, write_profile,
                          write_records_csv, write_records_json)
 from arcqk.problems import (SmoothProblem, make_diagquad, make_sphere,
@@ -164,6 +165,12 @@ class TestPerformanceProfile:
         with pytest.raises(ValueError, match="unknown metric"):
             performance_profile(table, metric="nope")
 
+    def test_unknown_metric_raises_when_no_run_succeeded(self):
+        table = {"A": [rec("p1", status="other")],
+                 "B": [rec("p1", status="other")]}
+        with pytest.raises(ValueError, match="unknown metric 'bogus'"):
+            performance_profile(table, metric="bogus")
+
     def test_empty_table_raises(self):
         with pytest.raises(ValueError, match="no problem left"):
             performance_profile({"A": [], "B": []})
@@ -277,6 +284,32 @@ class TestEmit:
         assert text.startswith("<svg")
         assert "log2" in text
         assert "performance profile</text>" in text
+
+    def test_profile_svg_escapes_names_and_title(self, tmp_path):
+        # solver names come from the records file that profile --in reads
+        table = hand_example()
+        table = {"a<b&c": table["A"], "B": table["B"]}
+        path = tmp_path / "p.svg"
+        write_profile(performance_profile(table), path, title='x < "y" & z')
+        texts = [t.firstChild.data for t in
+                 minidom.parse(str(path)).getElementsByTagName("text")]
+        assert 'x < "y" & z' in texts and "a<b&c" in texts
+
+    def test_profile_svg_steps_are_the_curves_rhos(self, tmp_path):
+        # the svg draws the rhos that the csv and json write, not values
+        # recounted from the ratios, which here disagree with them
+        curve = ProfileCurve("A", ratios=np.array([np.inf, np.inf]),
+                             taus=np.array([1.0, 2.0]),
+                             rhos=np.array([0.5, 1.0]), n_problems=2,
+                             fraction_solved=0.0)
+        path = tmp_path / "p.svg"
+        write_profile([curve], path)
+        points = re.search(r'<polyline points="([^"]+)"',
+                           path.read_text()).group(1).split()
+        height = 345.0                     # the plot's height in pixels
+        rhos = [1.0 - (float(p.split(",")[1]) - 30.0) / height
+                for p in points]
+        assert rhos == [0.5, 0.5, 0.5, 0.5, 1.0, 1.0]
 
     def test_profile_csv_and_json(self, tmp_path):
         curves = performance_profile(hand_example())

@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from arcqk.arc import model_decrease
-from arcqk.problems import (SmoothProblem, make_extrosenbrock,
-                            make_rosenbrock, make_sphere, suite_problems)
+from arcqk.problems import (SmoothProblem, make_diagquad, make_extrosenbrock,
+                            make_rosenbrock, make_sphere, make_trigonometric,
+                            suite_problems)
 from arcqk.steihaug import (EXIT_BOUNDARY, EXIT_CAPPED, EXIT_INTERIOR,
                             EXIT_NEGATIVE_CURVATURE, MAX_RADIUS, TrParams,
                             st_minimize, truncated_cg)
@@ -180,6 +181,16 @@ class TestStMinimize:
         k = next(rec.k for rec in st.trace if rec.success)
         st.trace[k].delta_q *= 1.0 + 1e-2
         assert audit_model_decrease(p, st, steps) != []
+
+    @pytest.mark.parametrize("problem", [
+        *suite_problems(), make_diagquad(1000), make_trigonometric(100)],
+        ids=lambda p: f"{p.name}-{p.n}")
+    def test_trace_accounts_for_every_hvp(self, problem):
+        # every truncated-CG iteration forms one product and no product is
+        # formed outside it, least squares passed to st_minimize directly
+        st, rec = st_minimize(problem, TrParams(max_outer_iter=2000))
+        assert st.k >= 1
+        assert sum(r.inner_iterations for r in st.trace) == rec.neval_hvp
 
     def test_radius_update_rules(self):
         params = TrParams()

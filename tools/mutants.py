@@ -287,6 +287,23 @@ MUTANTS = (
            "        self._residual = self._trial_residual\n",
            "",
            "an accepted Gauss-Newton step takes the trial point's residual"),
+    # -- each solver takes either problem kind
+    Mutant("arc-no-least-squares", ARC,
+           "    if isinstance(problem, LeastSquaresProblem):\n"
+           "        return arcqk_minimize_gauss_newton(",
+           "    if False:\n"
+           "        return arcqk_minimize_gauss_newton(",
+           "arcqk_minimize runs a least-squares problem on the Gauss-Newton "
+           "path"),
+    Mutant("st-no-smooth-view", ST,
+           "        problem = problem.as_smooth()\n",
+           "        problem = problem\n",
+           "st_minimize runs a least-squares problem on its as_smooth() "
+           "view"),
+    Mutant("st-trace-short-iterations", ST,
+           "inner_iterations=res.iterations)",
+           "inner_iterations=res.iterations - 1)",
+           "ST's trace records every truncated-CG iteration, one HVP each"),
     # -- the benchmark harness
     Mutant("codec-no-conversion", RECORDS,
            "{f.name: f.type(row[f.name]) for f in given}",
@@ -310,6 +327,14 @@ MUTANTS = (
            "            if (r.name, r.nvar) in rows:\n                raise",
            "            if False:\n                raise",
            "a solver that repeats a (name, nvar) key raises, not overwrites"),
+    Mutant("svg-unescaped", BENCH,
+           "from xml.sax.saxutils import escape\n",
+           "escape = str\n",
+           "the SVG escapes solver names and the title"),
+    Mutant("metric-unchecked", BENCH,
+           "    if metric not in PROFILE_METRICS:\n        raise ValueError",
+           "    if False:\n        raise ValueError",
+           "an unknown metric raises, also when no run succeeded"),
     Mutant("check-fail-exits-0", CLI,
            "return 0 if report.passed else 1",
            "return 0",
