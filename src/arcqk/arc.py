@@ -71,8 +71,9 @@ class SolverParams:
             raise ValueError("need 0 < gamma1 < 1 < gamma2 < inf")
         if not 0.0 < self.zeta <= 1.0:
             raise ValueError("need 0 < zeta <= 1")
-        if not (self.eps_abs >= 0 and self.eps_rel >= 0):
-            raise ValueError("stopping tolerances must be nonnegative")
+        if not all(0.0 <= e < np.inf for e in (self.eps_abs, self.eps_rel)):
+            raise ValueError("stopping tolerances must be finite and "
+                             "nonnegative")
         if not (isinstance(self.max_outer_iter, numbers.Integral)
                 and self.max_outer_iter >= 1):
             raise ValueError("max_outer_iter must be an integer >= 1")
@@ -481,21 +482,17 @@ def arcqk_minimize(problem: SmoothProblem | LeastSquaresProblem,
 
     One multishift solve per outer group of iterations; retries after
     rejected steps reuse the directions already computed for larger shifts.
-    A ``LeastSquaresProblem`` runs on the Gauss-Newton path
-    (``arcqk_minimize_gauss_newton``), a smooth one on the Hessian.
+    A smooth problem's shifted systems are solved by multishift CG on its
+    Hessian.  A ``LeastSquaresProblem`` runs the same loop on
+    0.5*||F||^2 with the Gauss-Newton operator J'J: its systems are the
+    regularized normal equations, solved by the multishift CGLS kernel on
+    J, and need no indefiniteness handling.
     """
-    if isinstance(problem, LeastSquaresProblem):
-        return arcqk_minimize_gauss_newton(problem, params, callback)
+    driver = (_GaussNewtonDriver if isinstance(problem, LeastSquaresProblem)
+              else _SmoothDriver)(problem)
     params = ArcParams() if params is None else params
-    return _arc_loop(problem, _SmoothDriver(problem), params, callback)
+    return _arc_loop(problem, driver, params, callback)
 
 
-def arcqk_minimize_gauss_newton(problem: LeastSquaresProblem,
-                                params: ArcParams = None, callback=None):
-    """Same outer loop on 0.5*||F||^2 with the Gauss-Newton operator J'J.
-
-    Inner systems are the regularized normal equations, solved by the
-    multishift CGLS kernel; no indefiniteness handling is needed.
-    """
-    params = ArcParams() if params is None else params
-    return _arc_loop(problem, _GaussNewtonDriver(problem), params, callback)
+# The Gauss-Newton path's former entry, an alias for callers that import it.
+arcqk_minimize_gauss_newton = arcqk_minimize

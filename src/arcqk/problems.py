@@ -413,7 +413,8 @@ def make_himmelblau():
                          x_star=[3.0, 2.0])
 
 
-def make_penalty(n=10, a=1e-5):
+def make_penalty(n=10):
+    a = 1e-5
     x0 = np.arange(1.0, n + 1.0)
 
     def f(x):
@@ -457,9 +458,10 @@ def make_trigonometric(n=50):
                          x_star=np.zeros(n))
 
 
-def make_chainrosen(n=100, rho=50.0):
+def make_chainrosen(n=100):
     # Chained (nonseparable) Rosenbrock valley; coupling strengths in the
     # literature range from ~25 to ~256 depending on the variant.
+    rho = 50.0
     x0 = np.full(n, -1.0)
 
     def f(x):

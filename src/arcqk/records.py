@@ -29,14 +29,14 @@ class BenchRecord:
 
     ``neval_f``, ``neval_grad`` and ``neval_hvp`` count objective,
     gradient and Hessian-vector product calls.  A least-squares problem
-    solved by ``arcqk_minimize_gauss_newton`` fills them with its residual,
-    J' and J product counts instead: ``neval_grad`` then counts every J'
-    product of the CGLS solves (one per joint iteration) besides the
-    gradients J'r, and ``neval_hvp`` counts the J products.  ST runs the
-    same problem through ``as_smooth``, whose ``neval_grad`` counts
-    gradients only and whose Gauss-Newton product J'(Jv) counts once as an
-    HVP.  So ``neval_f`` and ``neval_hvp`` compare across the two solvers
-    there, but ``neval_grad`` does not (linearls: ARC 9, ST 3).
+    solved by ``arcqk_minimize`` (the Gauss-Newton path) fills them with
+    its residual, J' and J product counts instead: ``neval_grad`` then
+    counts every J' product of the CGLS solves (one per joint iteration)
+    besides the gradients J'r, and ``neval_hvp`` counts the J products.
+    ST runs the same problem through ``as_smooth``, whose ``neval_grad``
+    counts gradients only and whose Gauss-Newton product J'(Jv) counts
+    once as an HVP.  So ``neval_f`` and ``neval_hvp`` compare across the
+    two solvers there, but ``neval_grad`` does not (linearls: ARC 9, ST 3).
     """
 
     name: str

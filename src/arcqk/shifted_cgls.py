@@ -38,7 +38,6 @@ class CglsState(MultishiftSolution):
         self._apply_At = apply_At
         self.u = b / beta0
         self.u_prev = None                  # u_{j-1}; none at j=0
-        self.beta = beta0                   # multiplies u_{j-1}; unused at j=0
         # A v_0 with v_0 = A'b / beta0, u-tilde for the first pass, and
         # its squared norm, the first pass's delta
         self.q, self.qq = _product(apply_A, atb / beta0)
@@ -51,8 +50,8 @@ class CglsState(MultishiftSolution):
         ``q`` = A v_j and ``atu`` = A'u belong to the operators and are
         never written, so v_next is a new array, and u_{j+1} is normalised
         only after v_next is formed: A' may return its argument.  The pass
-        that freezes the last running shift drops ``u``, ``u_prev``, ``q``
-        and both operators.
+        that freezes the last running shift drops ``u``, ``u_prev``, ``q``,
+        ``beta`` and both operators, as ``MultishiftState.step`` does.
         """
         if self.done:
             raise RuntimeError("multishift solve already finished")
@@ -79,7 +78,7 @@ class CglsState(MultishiftSolution):
             self.q, self.qq = _product(self._apply_A, v_next)
         else:
             self.u = self.u_prev = self.q = None
-            self._apply_A = self._apply_At = None
+            self._apply_A = self._apply_At = self.beta = None
 
 
 def multishift_cgls(apply_A, apply_At, b, grid: ShiftGrid, tol=1e-8,

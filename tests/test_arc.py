@@ -93,6 +93,13 @@ class TestParams:
         with pytest.raises(ValueError):
             ArcParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["eps_abs", "eps_rel"])
+    def test_infinite_tolerance_rejected(self, name):
+        # inf would stop every run at k = 0, and inf * 0 is a NaN threshold
+        # at a zero start gradient
+        with pytest.raises(ValueError, match="finite"):
+            ArcParams(**{name: np.inf})
+
     def test_alpha0_up_to_the_cap(self):
         assert ArcParams(alpha0=MAX_ALPHA).alpha0 == MAX_ALPHA
         with pytest.raises(ValueError, match="alpha0"):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import arcqk.arc as arc
-from arcqk.arc import arcqk_minimize, arcqk_minimize_gauss_newton
+from arcqk.arc import arcqk_minimize
 from arcqk.problems import make_diagquad, make_linearls
 from arcqk.shifted_cg import ShiftGrid, multishift_cg
 from arcqk.shifted_cgls import multishift_cgls
@@ -159,16 +159,15 @@ def test_spent_solve_of_another_shape_is_left_alone(kernel, other):
     assert_same_solve(sol, solve(kernel, system, 1e-2))
 
 
-@pytest.mark.parametrize("minimize, problem", [
-    (arcqk_minimize, make_diagquad(200)),
-    (arcqk_minimize_gauss_newton, make_linearls())],
+@pytest.mark.parametrize("name, problem", [
+    ("multishift_cg", make_diagquad(200)),
+    ("multishift_cgls", make_linearls())],
     ids=["cg", "cgls"])
-def test_arc_hands_each_solve_the_spent_one(monkeypatch, minimize, problem):
+def test_arc_hands_each_solve_the_spent_one(monkeypatch, name, problem):
     """Every solve of an ARC run after the first gets the solve before it
-    and takes over its window."""
+    and takes over its window; ``name`` is the kernel of the problem's
+    kind."""
     solves = []
-    name = ("multishift_cg" if minimize is arcqk_minimize
-            else "multishift_cgls")
     real = getattr(arc, name)
 
     def recording(*args, spent=None, **kwargs):
@@ -177,7 +176,7 @@ def test_arc_hands_each_solve_the_spent_one(monkeypatch, minimize, problem):
         return sol
 
     monkeypatch.setattr(arc, name, recording)
-    state, _ = minimize(problem)
+    state, _ = arcqk_minimize(problem)
     assert state.n_solves == len(solves) >= 2
     assert solves[0][0] is None
     for (_, before, window), (spent, _, taken) in zip(solves, solves[1:]):

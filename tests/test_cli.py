@@ -65,6 +65,13 @@ class TestSolve:
                        "--param", "grid=5") == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["eps_abs", "eps_rel"])
+    def test_infinite_tolerance_exits_2(self, capsys, name):
+        assert run_cli("solve", "--problem", "rosenbrock",
+                       "--param", f"{name}=inf") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+
     def test_least_squares_dispatch(self, capsys):
         assert run_cli("solve", "--problem", "expfitls") == 0
         assert run_cli("solve", "--problem", "expfitls", "--solver", "st") == 0

@@ -58,6 +58,14 @@ class TestShiftGrid:
         assert multishift_cg(lambda v: v, np.ones(2), grid).lambdas is \
             grid.lambdas
 
+    def test_solves_leave_only_the_shifts_on_the_grid(self):
+        # each solve lays out its own block from m+1
+        grid = ShiftGrid([1e-2, 1.0, 1e2])
+        multishift_cg(lambda v: 2.0 * v, np.ones(3), grid)
+        A = np.arange(1.0, 7.0).reshape(3, 2)
+        multishift_cgls(lambda v: A @ v, lambda u: A.T @ u, np.ones(3), grid)
+        assert list(vars(grid)) == ["lambdas"]
+
 
 class TestMultishiftCg:
     def test_identity_two_shifts(self):

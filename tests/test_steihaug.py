@@ -250,6 +250,11 @@ class TestStMinimize:
             with pytest.raises(ValueError):
                 TrParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["eps_abs", "eps_rel"])
+    def test_infinite_tolerance_rejected(self, name):
+        with pytest.raises(ValueError, match="finite"):
+            TrParams(**{name: np.inf})
+
     def test_same_result_schema_as_arc(self):
         from arcqk.records import BENCH_FIELDS
         _, rec = st_minimize(make_sphere(4))

@@ -18,9 +18,12 @@ keeps each solver's best sweep.  The sets are
   ``make_extrosenbrock(10**5)``, the constructors of perfbench's scaled
   workload, at their standard start points;
 - ``gn``: one ``make_gn_fit(GN_SEED)`` instance (n = 1e4) from the
-  checkout's ``perfbench/workloads.py``, ARC through
-  ``arcqk_minimize_gauss_newton`` and ST on its ``as_smooth()`` view,
-  with products counted as J plus J' products, as perfbench counts them.
+  checkout's ``perfbench/workloads.py``, a least-squares problem, which
+  ``arcqk_minimize`` runs on its Gauss-Newton path and ``st_minimize`` on
+  its smooth view.
+
+A solver's products are those counted on the problem, ``neval_hvp +
+neval_jprod + neval_jtprod``, as perfbench counts them.
 
 Each process also times ``bench_ledger.calibrate`` (this script's copy,
 so both sides time the same loop) before every sweep and keeps its best
@@ -114,16 +117,9 @@ def problems(name):
 def child(name, sweeps):
     """Best sweeps of both solvers in this process, printed as JSON."""
     import arcqk
-    from arcqk.arc import arcqk_minimize, arcqk_minimize_gauss_newton
-    from arcqk.steihaug import st_minimize
 
-    if name == "gn":
-        minimize = {"arcqk": arcqk_minimize_gauss_newton,
-                    "st": lambda p: st_minimize(p.as_smooth())}
-        counted = ("neval_jprod", "neval_jtprod")
-    else:
-        minimize = {"arcqk": arcqk_minimize, "st": st_minimize}
-        counted = ("neval_hvp",)
+    minimize = {"arcqk": arcqk.arcqk_minimize, "st": arcqk.st_minimize}
+    counted = ("neval_hvp", "neval_jprod", "neval_jtprod")
     probs = problems(name)
     calibration = float("inf")
     best = dict.fromkeys(SOLVERS, float("inf"))

@@ -109,10 +109,18 @@ MUTANTS = (
            "    if max_iter < 1:\n        raise ValueError",
            "    if False:\n        raise ValueError",
            "every Krylov solve rejects max_iter < 1"),
+    Mutant("tolerances-not-finite", ARC,
+           "0.0 <= e < np.inf for e in", "0.0 <= e for e in",
+           "an infinite stopping tolerance is an input error"),
     Mutant("rhs-unchecked", CG,
            "    if not np.isfinite(rr):\n        raise ValueError",
            "    if False:\n        raise ValueError",
            "a right-hand side whose squared norm is not finite raises"),
+    # -- the block's starting layout
+    Mutant("no-first-direction", CG, "yc[1, :, 1] = 1.0", "pass",
+           "every shift's first direction is p_0 = W[0], the right-hand side"),
+    Mutant("gamma-starts-at-0", CG, "rows[3] = 1.0", "pass",
+           "the recurrence starts from gamma = 1"),
     # -- the checked product and the in-place Lanczos passes
     Mutant("product-no-fallback", CG,
            "if not np.isfinite(s) and not np.isfinite(out).all():",
@@ -289,10 +297,8 @@ MUTANTS = (
            "an accepted Gauss-Newton step takes the trial point's residual"),
     # -- each solver takes either problem kind
     Mutant("arc-no-least-squares", ARC,
-           "    if isinstance(problem, LeastSquaresProblem):\n"
-           "        return arcqk_minimize_gauss_newton(",
-           "    if False:\n"
-           "        return arcqk_minimize_gauss_newton(",
+           "(_GaussNewtonDriver if isinstance(problem, LeastSquaresProblem)",
+           "(_GaussNewtonDriver if False",
            "arcqk_minimize runs a least-squares problem on the Gauss-Newton "
            "path"),
     Mutant("st-no-smooth-view", ST,

@@ -11,16 +11,19 @@ comparing the two outputs:
 The inputs are those of ``perfbench/workloads.py::build`` in the checkout
 that ``--repo`` names (by default the one holding this script), with that
 checkout's ``src/`` on the import path: desk seed 1 (48 variants), scaled
-seed 11 (3 variants) and the first 8 variants of gn seed 1.  Each run writes
-one JSON line: its workload, variant, problem, n and solver; the final
-status; the f, gradient and operator-product counts of its ``BenchRecord``;
-per trial the selected shift index (ARC) or the radius (ST) and whether
-the step was accepted; and a sha256 over the final x, every trial's step,
-every trial's rho and, for ARC, every trial's ``shift_statuses`` (as
-plain names, so a shift whose status is mislabelled shows even when the
-selection never picks it).  The steps are collected by the solver's
-per-trial callback, ``callback(rec, state, d)``.  A run that raises keeps
-its exception as status.
+seed 11 (3 variants) and the first 8 variants of gn seed 1.  Every
+problem, smooth or least squares, goes to ``arcqk_minimize`` and
+``st_minimize``, which pick its path.  Each run writes one JSON line: its
+workload, variant, problem, n and solver; the final status; the f and
+gradient counts of its ``BenchRecord``; the operator products counted on
+the problem, ``neval_hvp + neval_jprod + neval_jtprod``, as perfbench
+counts them; per trial the selected shift index (ARC) or the radius (ST)
+and whether the step was accepted; and a sha256 over the final x, every
+trial's step, every trial's rho and, for ARC, every trial's
+``shift_statuses`` (as plain names, so a shift whose status is
+mislabelled shows even when the selection never picks it).  The steps
+are collected by the solver's per-trial callback, ``callback(rec, state,
+d)``.  A run that raises keeps its exception as status.
 
 ``--compare A B`` lists every run that is missing from one side or
 differs, with its differing fields (a run whose counts and trials agree
@@ -69,8 +72,7 @@ def fingerprint(state, solver, steps):
     return h.hexdigest()
 
 
-def run_one(problem, solver, arc, steihaug, LeastSquaresProblem):
-    ls = isinstance(problem, LeastSquaresProblem)
+def run_one(problem, minimize, solver):
     problem.reset_counters()
     steps = []
 
@@ -78,44 +80,40 @@ def run_one(problem, solver, arc, steihaug, LeastSquaresProblem):
         steps.append(d)
 
     try:
-        if solver == "arcqk":
-            fn = arc.arcqk_minimize_gauss_newton if ls else arc.arcqk_minimize
-            state, record = fn(problem, callback=keep_step)
-        else:
-            state, record = steihaug.st_minimize(
-                problem.as_smooth() if ls else problem, callback=keep_step)
+        state, record = minimize(problem, callback=keep_step)
     except Exception as exc:  # a failed run is a result to compare
         return {"status": f"exception {type(exc).__name__}: {exc}"}
     if solver == "arcqk":
         trials = [[r.shift_index, bool(r.success)] for r in state.trace]
     else:
         trials = [[float(r.delta), bool(r.success)] for r in state.trace]
+    c = problem.counters
     return {"status": state.status, "f_evals": record.neval_f,
-            "grad_evals": record.neval_grad, "products": record.neval_hvp,
+            "grad_evals": record.neval_grad,
+            "products": c.neval_hvp + c.neval_jprod + c.neval_jtprod,
             "trials": trials, "hash": fingerprint(state, solver, steps)}
 
 
 def run_gate(repo, out):
     repo = repo.resolve()
     sys.path[:0] = [str(repo / "src"), str(repo / "perfbench")]
-    import arcqk.arc as arc
-    import arcqk.steihaug as steihaug
+    import arcqk
     import workloads
-    from arcqk.problems import LeastSquaresProblem, make_diagquad
+    from arcqk.problems import make_diagquad
 
-    if Path(arc.__file__).resolve().parents[1] != repo / "src":
-        raise RuntimeError(f"imported arcqk from {arc.__file__}, not {repo}")
+    if Path(arcqk.__file__).resolve().parents[1] != repo / "src":
+        raise RuntimeError(f"imported arcqk from {arcqk.__file__}, not {repo}")
+    solvers = {"arcqk": arcqk.arcqk_minimize, "st": arcqk.st_minimize}
     inputs = [(workload, v, variant) for workload, seed, count in RUNS
               for v, variant in enumerate(
                   workloads.build(workload, seed)[:count])]
     inputs.append(("flush", 0, [make_diagquad(FLUSH_N)]))
     for workload, v, variant in inputs:
         for problem in variant:
-            for solver in ("arcqk", "st"):
+            for solver, minimize in solvers.items():
                 row = dict(zip(KEY, (workload, v, problem.name, problem.n,
                                      solver)))
-                row.update(run_one(problem, solver, arc, steihaug,
-                                   LeastSquaresProblem))
+                row.update(run_one(problem, minimize, solver))
                 out.write(json.dumps(row) + "\n")
                 out.flush()
 
